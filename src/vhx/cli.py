@@ -1,13 +1,13 @@
 """Command-line front end: read .vpd files, dispatch, print text or JSON.
 
-Exit codes: 0 success, 2 parse/usage error, 3 invariant-suite failure.
+Exit codes: 0 success, 2 parse/usage error, 3 invariant-suite failure or
+violated internal invariant.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -27,7 +27,7 @@ from .oracles import (
     perfect_matchings,
 )
 from .poly import ncolor_vertex_polynomial, vertex_polynomial
-from .states import DEFAULT_STATE_CAP, StateSpaceError
+from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError
 from .vpd import VPDError, genus_and_orientability, parse_vpd, trace_boundary
 
 # feasibility gates for the `check` suite
@@ -102,14 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str):
     with open(path) as fh:
         return parse_vpd(fh.read())
-
-
-def _threads() -> int:
-    # accepted for interface stability; computation is deterministic either way
-    try:
-        return max(1, int(os.environ.get("VHX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_faces(rs, args) -> int:
@@ -323,7 +315,6 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _threads()
     try:
         rs = _load(args.input)
     except (VPDError, OSError) as exc:
@@ -331,6 +322,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](rs, args)
+    except InvariantError as exc:
+        print(f"vhx: invariant violated: {exc}", file=sys.stderr)
+        return 3
     except (StateSpaceError, ValueError) as exc:
         print(f"vhx: {exc}", file=sys.stderr)
         return 2

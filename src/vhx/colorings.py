@@ -11,7 +11,7 @@ combinatorics against a numeric kernel computation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .poly import _Poly
 from .states import DEFAULT_STATE_CAP, StateIndex, VertexHypercube
@@ -116,7 +116,6 @@ class FaceColoring:
 class FilteredRanks:
     n: int
     ranks: list[int]  # indexed by homological degree i
-    state_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     @property
     def euler(self) -> int:
@@ -149,14 +148,14 @@ def filtered_ranks(
         raise ValueError("n must be >= 2")
     hc = VertexHypercube(rs, cap)
     hc.check_cap()
-    ranks = [0] * (hc.n_vertices + 1)
-    state_counts: dict[tuple[int, ...], int] = {}
-    for bits in itertools.product([0, 1], repeat=hc.n_vertices):
-        dec = hc.vertex_decomposition(StateIndex(bits))
-        cnt = count_partial_colorings(dec, n, use_memo=use_memo)
-        state_counts[bits] = cnt
-        ranks[sum(bits)] += cnt
-    return FilteredRanks(n, ranks, state_counts)
+    nv = hc.n_vertices
+    ranks = [0] * (nv + 1)
+    for w, mask in hc.ribbon.half_cube():
+        # the state and its complement share their circles, hence their count
+        cnt = count_partial_colorings(hc.ribbon.decomposition(mask), n, use_memo=use_memo)
+        ranks[w] += cnt
+        ranks[nv - w] += cnt
+    return FilteredRanks(n, ranks)
 
 
 def total_matching_polynomial(
@@ -229,8 +228,8 @@ def _hat_matrix(hc: VertexHypercube, n: int, nu: StateIndex, vertex: int):
 
     from .homology import _compose, _monomials, elementary_tensor_map
 
-    sigmas, edges = hc.site_path(nu, vertex, (0, 1, 2))
-    decs = [hc.decomposition(s) for s in sigmas]
+    masks, edges = hc.site_path(nu, vertex, (0, 1, 2))
+    decs = [hc.decomposition(mask) for mask in masks]
     cur = None
     for idx in range(3):
         step = elementary_tensor_map(decs[idx], decs[idx + 1], edges[idx], n, "hat")

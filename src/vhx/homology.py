@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .algebra import QuadScalar, half_m, map_delta, map_eta, map_m, qdeg
 from .states import (
     DEFAULT_STATE_CAP,
+    InvariantError,
     StateIndex,
     StateSpaceError,
     VertexHypercube,
@@ -152,8 +153,8 @@ def vertex_edge_map(
     order: tuple[int, int, int] = (0, 1, 2),
 ):
     """Composition of three elementary maps for one vertex flip."""
-    sigmas, edges = hc.site_path(nu, vertex, order)
-    decs = [hc.decomposition(s) for s in sigmas]
+    masks, edges = hc.site_path(nu, vertex, order)
+    decs = [hc.decomposition(mask) for mask in masks]
     cur = None
     for idx in range(3):
         variant = "tilde" if tildes[idx] else "plain"
@@ -236,7 +237,7 @@ def build_vertex_complex(
                 for b, c in lst:
                     jb = sum(qdeg(n, e) for e in b) + 3 * m * (i + 1)
                     if jb != ja + kshift:
-                        raise StateSpaceError("bigrading violation in differential")
+                        raise InvariantError("bigrading violation in differential")
                     key = (tgt_index[(head.bits, b)], row_of[(bits, a)])
                     prev = block.get(key)
                     val = c if sign > 0 else -c
@@ -249,7 +250,7 @@ def _assert_path_independence(hc, n, nu, v, tilde_count, reference):
     for order in itertools.permutations(range(3)):
         other = vertex_edge_map_graded(hc, n, nu, v, tilde_count, order=order)
         if _normalize(other) != _normalize(reference):
-            raise StateSpaceError(
+            raise InvariantError(
                 f"path dependence at state {nu.bits}, vertex {v}, order {order}"
             )
 
@@ -334,7 +335,7 @@ def delta_graded_pieces(
 # exact rank computation
 
 
-def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int, n: int) -> int:
+def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int) -> int:
     """Rank over Q(sqrt n) by elimination; pivots are the first nonzero
     entry in row-major order."""
     rows: list[dict[int, QuadScalar]] = [dict() for _ in range(nrows)]
@@ -374,17 +375,19 @@ def chain_condition_holds(cx: ChainComplex) -> bool:
         nxt = cx.diff.get((i + 1, j + k))
         if not nxt:
             continue
+        nxt_cols: dict[int, list[tuple[int, QuadScalar]]] = {}
+        for (r2, mid), v2 in nxt.items():
+            nxt_cols.setdefault(mid, []).append((r2, v2))
         by_col: dict[int, dict[int, QuadScalar]] = {}
         for (r, c), v in block.items():
             by_col.setdefault(c, {})[r] = v
         for c, col in by_col.items():
             acc: dict[int, QuadScalar] = {}
             for mid, v in col.items():
-                for (r2, c2), v2 in nxt.items():
-                    if c2 == mid:
-                        prev = acc.get(r2)
-                        prod = v2 * v
-                        acc[r2] = prod if prev is None else prev + prod
+                for r2, v2 in nxt_cols.get(mid, ()):
+                    prev = acc.get(r2)
+                    prod = v2 * v
+                    acc[r2] = prod if prev is None else prev + prod
             if any(acc.values()):
                 return False
     return True
@@ -405,16 +408,14 @@ def bigraded_homology(cx: ChainComplex) -> RankTable:
             if not block:
                 rank_cache[key] = 0
             else:
-                rank_cache[key] = matrix_rank(
-                    block, cx.dim(i + 1, j), cx.dim(i, j), cx.n
-                )
+                rank_cache[key] = matrix_rank(block, cx.dim(i + 1, j), cx.dim(i, j))
         return rank_cache[key]
 
     for i, j in keys:
         dim = cx.dim(i, j)
         r = dim - block_rank(i, j) - block_rank(i - 1, j)
         if r < 0:
-            raise StateSpaceError("negative homology rank (broken complex)")
+            raise InvariantError("negative homology rank (broken complex)")
         if r:
             ranks[(i, j)] = r
     return RankTable(cx.n, ranks)

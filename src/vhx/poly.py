@@ -7,8 +7,8 @@ circles:
 * n-color vertex polynomial  sum_nu (-1)^|nu| q^(3m|nu|) L(q)^(k_nu)
 * vertex polynomial          sum_nu (-1)^|nu| n^(k_nu)
 
-The histogram is streamed with arbitrary-precision accumulation; a compiled
-kernel (numba, optional) handles large vertex counts.
+The histogram streams half of the vertex hypercube through the compiled
+:class:`~vhx.vpd.Ribbon`: a state and its complement have the same circles.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-from .vpd import RotationSystem, trace_boundary
+from .vpd import RotationSystem
 from .states import DEFAULT_STATE_CAP, StateSpaceError
 
 
@@ -157,108 +157,15 @@ def _cached_histogram(vertices, cap: int) -> list[dict[int, int]]:
     nv = rs.vertex_count
     if nv > cap:
         raise StateSpaceError(f"|V| = {nv} exceeds the state cap {cap}")
-    if nv >= 16:
-        hist = _histogram_compiled(rs)
-        if hist is not None:
-            return hist
-    return _histogram_python(rs)
-
-
-def _histogram_python(rs: RotationSystem) -> list[dict[int, int]]:
-    nv = rs.vertex_count
-    ends = rs.edge_endpoints()
+    ribbon = rs.ribbon
+    count = ribbon.circle_count
     hist: list[dict[int, int]] = [dict() for _ in range(nv + 1)]
-    for mask in range(1 << nv):
-        bits = [(mask >> v) & 1 for v in range(nv)]
-        swaps = frozenset(
-            e for e, (u, w) in ends.items() if (bits[u] + bits[w]) % 2 == 1
-        )
-        k = trace_boundary(rs, swaps).circle_count
-        w = sum(bits)
-        hist[w][k] = hist[w].get(k, 0) + 1
+    for w, mask in ribbon.half_cube():
+        k = count(mask)
+        # the state and its complement share their circles
+        for row in (hist[w], hist[nv - w]):
+            row[k] = row.get(k, 0) + 1
     return hist
-
-
-def _histogram_compiled(rs: RotationSystem):
-    """Numba-compiled histogram; returns None when numba is unavailable."""
-    try:
-        import numpy as np
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised only without numba
-        return None
-
-    nv = rs.vertex_count
-    ne = rs.edge_count
-    # token ids: token (h, s) -> 2*(h-1) + (s-1)
-    arc = np.zeros(4 * ne, dtype=np.int64)
-    from .vpd import _in_token, _out_token
-
-    for v in rs.vertices:
-        r = len(v)
-        for i in range(r):
-            a = _out_token(v[i])
-            b = _in_token(v[(i + 1) % r])
-            ia = 2 * (a[0] - 1) + (a[1] - 1)
-            ib = 2 * (b[0] - 1) + (b[1] - 1)
-            arc[ia] = ib
-            arc[ib] = ia
-    base_neg = np.zeros(ne, dtype=np.int8)
-    negs = rs._negative()
-    eu = np.zeros(ne, dtype=np.int64)
-    ew = np.zeros(ne, dtype=np.int64)
-    for e, (u, w) in rs.edge_endpoints().items():
-        base_neg[e - 1] = 1 if negs[e] else 0
-        eu[e - 1] = u
-        ew[e - 1] = w
-
-    @njit(cache=False)
-    def run(nv, ne, arc, base_neg, eu, ew):
-        npts = arc.shape[0]
-        maxk = npts // 2 + 1
-        hist = np.zeros((nv + 1, maxk + 1), dtype=np.int64)
-        glue = np.zeros(npts, dtype=np.int64)
-        seen = np.zeros(npts, dtype=np.uint8)
-        for mask in range(1 << nv):
-            w = 0
-            for v in range(nv):
-                w += (mask >> v) & 1
-            for e in range(ne):
-                swap = base_neg[e] ^ (
-                    ((mask >> eu[e]) & 1) ^ ((mask >> ew[e]) & 1)
-                )
-                a = 2 * (2 * e)  # token (2e+1, 1) id = 2*(2e+1-1)+0
-                b = 2 * (2 * e + 1)
-                if swap == 0:
-                    glue[a] = b
-                    glue[b] = a
-                    glue[a + 1] = b + 1
-                    glue[b + 1] = a + 1
-                else:
-                    glue[a] = b + 1
-                    glue[b + 1] = a
-                    glue[a + 1] = b
-                    glue[b] = a + 1
-            for p in range(npts):
-                seen[p] = 0
-            k = 0
-            for p0 in range(npts):
-                if seen[p0]:
-                    continue
-                k += 1
-                p = p0
-                while seen[p] == 0:
-                    seen[p] = 1
-                    q = arc[p]
-                    seen[q] = 1
-                    p = glue[q]
-            hist[w, k] += 1
-        return hist
-
-    table = run(nv, ne, arc, base_neg, eu, ew)
-    return [
-        {k: int(table[w, k]) for k in range(table.shape[1]) if table[w, k]}
-        for w in range(nv + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,12 @@ composed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .vpd import (
     CircleDecomposition,
     PerfectMatchingDiagram,
     RotationSystem,
     edge_tokens,
-    trace_boundary,
 )
 
 DEFAULT_STATE_CAP = 24
@@ -31,6 +29,10 @@ DEFAULT_STATE_CAP = 24
 
 class StateSpaceError(ValueError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of a computation is violated (a bug, not bad input)."""
 
 
 @dataclass(frozen=True)
@@ -82,25 +84,18 @@ def vertex_state(rs: RotationSystem, nu: StateIndex) -> RotationSystem:
     """Realize a vertex state: multiply each edge sign by (-1)^(1-smoothed ends)."""
     if len(nu.bits) != rs.vertex_count:
         raise StateSpaceError("state length != vertex count")
-    flips = _vertex_swaps(rs, nu.bits)
+    flips = rs.ribbon.state_mask(nu.bits)
     verts = []
     for v in rs.vertices:
         tup = []
         for h in v:
             e = (abs(h) + 1) // 2
-            if e in flips and abs(h) % 2 == 1:
+            if flips >> (e - 1) & 1 and abs(h) % 2 == 1:
                 tup.append(-h)
             else:
                 tup.append(h)
         verts.append(tuple(tup))
     return RotationSystem(tuple(verts))
-
-
-def _vertex_swaps(rs: RotationSystem, bits: tuple[int, ...]) -> frozenset[int]:
-    ends = rs.edge_endpoints()
-    return frozenset(
-        e for e, (u, w) in ends.items() if (bits[u] + bits[w]) % 2 == 1
-    )
 
 
 def pm_state(pmd: PerfectMatchingDiagram, alpha: StateIndex) -> RotationSystem:
@@ -143,10 +138,10 @@ def circle_correspondence(
     for i in stable_b:
         j = by_tokens.get(before.circle_tokens(i))
         if j is None:
-            raise StateSpaceError("stable circle has no token-set partner")
+            raise InvariantError("stable circle has no token-set partner")
         pairs.append((i, j))
     if len(pairs) != after.circle_count - len(act_a):
-        raise StateSpaceError("stable circle matching is not a bijection")
+        raise InvariantError("stable circle matching is not a bijection")
     delta = after.circle_count - before.circle_count
     if (len(act_b), len(act_a)) == (2, 1) and delta == -1:
         kind = "merge"
@@ -157,7 +152,7 @@ def circle_correspondence(
     elif not act_b and not act_a and delta == 0:
         kind = "same-circle"
     else:
-        raise StateSpaceError(
+        raise InvariantError(
             f"impossible correspondence: {len(act_b)} -> {len(act_a)} circles"
         )
     return CircleCorrespondence(kind, tuple(pairs), act_b, act_a)
@@ -184,23 +179,24 @@ def vertex_to_bubbled_path(
 
 
 class VertexHypercube:
-    """Lazy, memoized realization of vertex/site smoothing states.
+    """Lazy, memoized boundary circles of vertex and site smoothing states.
 
-    A *site state* is a tuple over the ``3|V|`` band ends; a vertex state
-    ``nu`` embeds as the site state raising all three sites of each
-    1-smoothed vertex (the ``|alpha| = 3|nu|`` embedding).
+    Every state is named by its edge-swap mask (see :class:`~vhx.vpd.Ribbon`).
+    A vertex state ``nu`` swaps the edges whose endpoints are smoothed
+    differently, so ``nu`` and its complement share one mask; flipping site
+    ``3v + i`` swaps the edge of vertex ``v``'s ``i``-th band end.
     """
 
     def __init__(self, rs: RotationSystem, cap: int = DEFAULT_STATE_CAP):
         if not rs.is_trivalent():
             raise StateSpaceError("vertex hypercube requires a trivalent diagram")
-        self.rs = rs
+        self.ribbon = rs.ribbon
         self.cap = cap
         self.n_vertices = rs.vertex_count
         self.site_edge = [
             (abs(h) + 1) // 2 for v in rs.vertices for h in v
         ]
-        self._dec_cache: dict[tuple[int, ...], CircleDecomposition] = {}
+        self._dec_cache: dict[int, CircleDecomposition] = {}
 
     def check_cap(self) -> None:
         if self.n_vertices > self.cap:
@@ -208,37 +204,23 @@ class VertexHypercube:
                 f"|V| = {self.n_vertices} exceeds the state cap {self.cap}"
             )
 
-    def site_state_of(self, nu: StateIndex) -> tuple[int, ...]:
-        return tuple(b for b in nu.bits for _ in range(3))
-
-    def swaps_of(self, sigma: tuple[int, ...]) -> frozenset[int]:
-        flips = [0] * (self.rs.edge_count + 1)
-        for bit, e in zip(sigma, self.site_edge):
-            if bit:
-                flips[e] ^= 1
-        return frozenset(e for e, f in enumerate(flips) if f)
-
-    def decomposition(self, sigma: tuple[int, ...]) -> CircleDecomposition:
-        dec = self._dec_cache.get(sigma)
+    def decomposition(self, mask: int) -> CircleDecomposition:
+        dec = self._dec_cache.get(mask)
         if dec is None:
-            dec = trace_boundary(self.rs, self.swaps_of(sigma))
-            self._dec_cache[sigma] = dec
+            dec = self._dec_cache[mask] = self.ribbon.decomposition(mask)
         return dec
 
     def vertex_decomposition(self, nu: StateIndex) -> CircleDecomposition:
-        return self.decomposition(self.site_state_of(nu))
-
-    def circle_count(self, nu: StateIndex) -> int:
-        return self.vertex_decomposition(nu).circle_count
+        return self.decomposition(self.ribbon.state_mask(nu.bits))
 
     def site_path(self, nu: StateIndex, vertex: int, order=(0, 1, 2)):
-        """Site states and flipped edges along a 3-edge path flipping ``vertex``."""
-        sigma = list(self.site_state_of(nu))
-        sigmas = [tuple(sigma)]
+        """Swap masks and flipped edges along a 3-edge path flipping ``vertex``."""
+        mask = self.ribbon.state_mask(nu.bits)
+        masks = [mask]
         edges = []
         for i in order:
-            site = 3 * vertex + i
-            sigma[site] ^= 1
-            sigmas.append(tuple(sigma))
-            edges.append(self.site_edge[site])
-        return sigmas, edges
+            e = self.site_edge[3 * vertex + i]
+            mask ^= 1 << (e - 1)
+            masks.append(mask)
+            edges.append(e)
+        return masks, edges

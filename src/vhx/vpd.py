@@ -11,13 +11,15 @@ with counterclockwise order ``(a, b, c)`` the corner arcs join the *outgoing*
 side of each half-edge to the *incoming* side of the next one; across an edge
 the tokens of the two half-edges are glued side-to-side, with the sides
 swapped when the edge is negative.  Circles are the closed curves formed by
-the corner arcs and the gluings.
+the corner arcs and the gluings.  :class:`Ribbon` compiles this once per
+rotation system into integer tables keyed by an edge-swap bitmask.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class VPDError(ValueError):
@@ -65,6 +67,11 @@ class RotationSystem:
             for h in v:
                 ends[(abs(h) + 1) // 2].append(vi)
         return ends
+
+    @cached_property
+    def ribbon(self) -> Ribbon:
+        """The compiled ribbon surface, built on first use."""
+        return Ribbon(self)
 
     def is_trivalent(self) -> bool:
         return all(len(v) == 3 for v in self.vertices)
@@ -208,16 +215,6 @@ def serialize_vpd(rs: RotationSystem) -> str:
 Token = tuple[int, int]  # (half-edge magnitude, side 1|2)
 
 
-def _out_token(h: int) -> Token:
-    H = abs(h)
-    return (H, 2) if H % 2 == 1 else (H, 1)
-
-
-def _in_token(h: int) -> Token:
-    H = abs(h)
-    return (H, 1) if H % 2 == 1 else (H, 2)
-
-
 def edge_tokens(e: int) -> frozenset[Token]:
     """The four side tokens living on edge ``e``'s band."""
     return frozenset({(2 * e - 1, 1), (2 * e - 1, 2), (2 * e, 1), (2 * e, 2)})
@@ -248,6 +245,129 @@ class CircleDecomposition:
         return frozenset(self.circles[c])
 
 
+class Ribbon:
+    """The ribbon surface of a rotation system, compiled to integer tables.
+
+    Token ``(H, s)`` has id ``2(H-1) + (s-1)``, so the four tokens of edge
+    ``e`` are ids ``4(e-1) .. 4(e-1)+3`` and gluing token ``q`` across its
+    edge gives ``q ^ 2``, or ``q ^ 3`` when the edge's sides are swapped.
+    The corner arcs never change; a smoothing state changes only which edges
+    are swapped, so every state is one integer *swap mask*: bit ``e-1``
+    swaps edge ``e``'s sides on top of its sign.
+    """
+
+    def __init__(self, rs: RotationSystem):
+        ntok = 4 * rs.edge_count
+        arc = [0] * ntok
+        corner_of = [0] * ntok  # out token of each token's corner arc
+        corners = []  # per vertex, the out token of each corner arc
+        for v in rs.vertices:
+            r = len(v)
+            outs = []
+            for i in range(r):
+                # a corner arc joins the outgoing side of half-edge i to the
+                # incoming side of half-edge i+1: (H, 2) and (H, 1) for odd
+                # H, (H, 1) and (H, 2) for even H
+                h_out, h_in = abs(v[i]), abs(v[(i + 1) % r])
+                a = 2 * h_out - 2 + (h_out & 1)
+                b = 2 * h_in - 1 - (h_in & 1)
+                arc[a], arc[b] = b, a
+                corner_of[a] = corner_of[b] = a
+                outs.append(a)
+            corners.append(tuple(outs))
+        neg = rs._negative()
+        vertex_masks = [0] * rs.vertex_count
+        for e, (u, w) in rs.edge_endpoints().items():
+            vertex_masks[u] ^= 1 << (e - 1)
+            vertex_masks[w] ^= 1 << (e - 1)
+        self.ntok = ntok
+        self.arc = arc
+        self.corner_of = corner_of
+        self.corners = tuple(corners)
+        self.outs = [a for outs in corners for a in outs]
+        # successor of token p: cross p's corner arc, then the edge there;
+        # under a swapped edge the successor is succ[p] ^ 1
+        self.succ = [q ^ 2 for q in arc]
+        self.succ_edge = [q >> 2 for q in arc]
+        self.sign_mask = sum(1 << (e - 1) for e in range(1, rs.edge_count + 1) if neg[e])
+        # the edges a vertex flip swaps (a loop is swapped twice, i.e. not at all)
+        self.vertex_masks = tuple(vertex_masks)
+        self.tokens = tuple((t // 2 + 1, t % 2 + 1) for t in range(ntok))
+
+    def state_mask(self, bits) -> int:
+        """Swap mask of the vertex state with 0/1 smoothings ``bits``."""
+        mask = 0
+        for bit, vm in zip(bits, self.vertex_masks):
+            if bit:
+                mask ^= vm
+        return mask
+
+    def circle_count(self, mask: int) -> int:
+        """Number of boundary circles under swap mask ``mask``.
+
+        Walks each circle once, starting from its first unvisited corner;
+        every circle crosses at least one corner arc.
+        """
+        sw = mask ^ self.sign_mask
+        succ, succ_edge, corner_of = self.succ, self.succ_edge, self.corner_of
+        seen = [0] * self.ntok
+        k = 0
+        for s in self.outs:
+            if seen[s]:
+                continue
+            k += 1
+            p = s
+            while True:
+                seen[corner_of[p]] = 1
+                p = succ[p] ^ (sw >> succ_edge[p] & 1)
+                if p == s:
+                    break
+        return k
+
+    def decomposition(self, mask: int) -> CircleDecomposition:
+        """Boundary circles and corner map under swap mask ``mask``.
+
+        Each circle starts at its minimal token and alternates a corner arc
+        with an edge gluing, so circles come out sorted by minimal token.
+        """
+        sw = mask ^ self.sign_mask
+        arc, succ, succ_edge, tokens = self.arc, self.succ, self.succ_edge, self.tokens
+        owner = [-1] * self.ntok
+        circles: list[tuple[Token, ...]] = []
+        for s in range(self.ntok):
+            if owner[s] >= 0:
+                continue
+            c = len(circles)
+            walk: list[Token] = []
+            p = s
+            while True:
+                q = arc[p]
+                owner[p] = owner[q] = c
+                walk.append(tokens[p])
+                walk.append(tokens[q])
+                p = succ[p] ^ (sw >> succ_edge[p] & 1)
+                if p == s:
+                    break
+            circles.append(tuple(walk))
+        corner_map = tuple(tuple(owner[a] for a in outs) for outs in self.corners)
+        return CircleDecomposition(tuple(circles), corner_map)
+
+    def half_cube(self):
+        """Yield ``(weight, swap mask)`` for every vertex state whose last
+        vertex is 0-smoothed, in Gray-code order.
+
+        The swap on edge uv is ``sign ^ bit[u] ^ bit[w]``, so the complement
+        of each yielded state (weight ``|V| - weight``) has the same swap
+        mask and the same circles.
+        """
+        vertex_masks = self.vertex_masks
+        mask = 0
+        for i in range(1 << (len(vertex_masks) - 1)):
+            if i:
+                mask ^= vertex_masks[(i & -i).bit_length() - 1]
+            yield (i ^ (i >> 1)).bit_count(), mask
+
+
 def trace_boundary(rs: RotationSystem, extra_swaps: frozenset[int] = frozenset()) -> CircleDecomposition:
     """Trace the boundary circles of the ribbon surface of ``rs``.
 
@@ -255,50 +375,7 @@ def trace_boundary(rs: RotationSystem, extra_swaps: frozenset[int] = frozenset()
     edge sign; internal callers use it to realize smoothing states without
     rebuilding rotation systems.
     """
-    neg = rs._negative()
-    # corner arcs: token pairs inside each vertex disk
-    arc: dict[Token, Token] = {}
-    arc_owner: dict[Token, tuple[int, int]] = {}  # out-token -> (vertex, corner)
-    for vi, v in enumerate(rs.vertices):
-        r = len(v)
-        for i in range(r):
-            a, b = _out_token(v[i]), _in_token(v[(i + 1) % r])
-            arc[a] = b
-            arc[b] = a
-            arc_owner[a] = (vi, i)
-    glue: dict[Token, Token] = {}
-    for e in range(1, rs.edge_count + 1):
-        swap = neg[e] ^ (e in extra_swaps)
-        if not swap:
-            pairs = (((2 * e - 1, 1), (2 * e, 1)), ((2 * e - 1, 2), (2 * e, 2)))
-        else:
-            pairs = (((2 * e - 1, 1), (2 * e, 2)), ((2 * e - 1, 2), (2 * e, 1)))
-        for a, b in pairs:
-            glue[a] = b
-            glue[b] = a
-
-    seen: set[Token] = set()
-    circles: list[tuple[Token, ...]] = []
-    for start in sorted(arc):
-        if start in seen:
-            continue
-        walk: list[Token] = []
-        p = start
-        while p not in seen:
-            seen.add(p)
-            q = arc[p]
-            seen.add(q)
-            walk += [p, q]
-            p = glue[q]
-        circles.append(tuple(walk))
-    circles.sort(key=lambda c: min(c))
-
-    owner = {t: c for c, circ in enumerate(circles) for t in circ}
-    corner_map = tuple(
-        tuple(owner[_out_token(v[i])] for i in range(len(v)))
-        for v in rs.vertices
-    )
-    return CircleDecomposition(tuple(circles), corner_map)
+    return rs.ribbon.decomposition(sum(1 << (e - 1) for e in extra_swaps))
 
 
 def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:

@@ -1,0 +1,75 @@
+"""Reference oracle: the dict-and-tuple boundary tracer that predates the
+compiled :class:`vhx.vpd.Ribbon`, kept only to gate the kernel.
+
+It rebuilds its arc and glue tables from token tuples for every state, so
+it is slow, but it shares no code with the kernel beyond
+:class:`CircleDecomposition`.
+"""
+
+from __future__ import annotations
+
+from vhx.vpd import CircleDecomposition, RotationSystem
+
+Token = tuple[int, int]
+
+
+def _out_token(h: int) -> Token:
+    H = abs(h)
+    return (H, 2) if H % 2 == 1 else (H, 1)
+
+
+def _in_token(h: int) -> Token:
+    H = abs(h)
+    return (H, 1) if H % 2 == 1 else (H, 2)
+
+
+def reference_trace(rs: RotationSystem, extra_swaps: frozenset[int] = frozenset()) -> CircleDecomposition:
+    neg = rs._negative()
+    arc: dict[Token, Token] = {}
+    for v in rs.vertices:
+        r = len(v)
+        for i in range(r):
+            a, b = _out_token(v[i]), _in_token(v[(i + 1) % r])
+            arc[a] = b
+            arc[b] = a
+    glue: dict[Token, Token] = {}
+    for e in range(1, rs.edge_count + 1):
+        swap = neg[e] ^ (e in extra_swaps)
+        if not swap:
+            pairs = (((2 * e - 1, 1), (2 * e, 1)), ((2 * e - 1, 2), (2 * e, 2)))
+        else:
+            pairs = (((2 * e - 1, 1), (2 * e, 2)), ((2 * e - 1, 2), (2 * e, 1)))
+        for a, b in pairs:
+            glue[a] = b
+            glue[b] = a
+
+    seen: set[Token] = set()
+    circles: list[tuple[Token, ...]] = []
+    for start in sorted(arc):
+        if start in seen:
+            continue
+        walk: list[Token] = []
+        p = start
+        while p not in seen:
+            seen.add(p)
+            q = arc[p]
+            seen.add(q)
+            walk += [p, q]
+            p = glue[q]
+        circles.append(tuple(walk))
+    circles.sort(key=lambda c: min(c))
+
+    owner = {t: c for c, circ in enumerate(circles) for t in circ}
+    corner_map = tuple(
+        tuple(owner[_out_token(v[i])] for i in range(len(v)))
+        for v in rs.vertices
+    )
+    return CircleDecomposition(tuple(circles), corner_map)
+
+
+def vertex_swaps(rs: RotationSystem, bits: tuple[int, ...]) -> frozenset[int]:
+    """Edges whose two endpoints are smoothed differently in state ``bits``."""
+    return frozenset(
+        e for e, (u, w) in rs.edge_endpoints().items() if (bits[u] + bits[w]) % 2 == 1
+    )
+

@@ -145,10 +145,15 @@ def test_json_deterministic(capsys, theta_path):
     assert out1 == out2
 
 
-def test_threads_env_accepted(capsys, theta_path, monkeypatch):
-    monkeypatch.setenv("VHX_THREADS", "4")
-    code1, out1, _ = run(capsys, "filtered", "--n", "2", theta_path)
-    monkeypatch.setenv("VHX_THREADS", "1")
-    code2, out2, _ = run(capsys, "filtered", "--n", "2", theta_path)
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_invariant_violation_exit_3(capsys, theta_path, monkeypatch):
+    from vhx import homology
+    from vhx.states import InvariantError
+
+    # a usage-error handler catching ValueError must not swallow it
+    assert not issubclass(InvariantError, ValueError)
+    # an impossible rank makes some homology rank negative
+    monkeypatch.setattr(homology, "matrix_rank", lambda block, nrows, ncols: nrows + ncols)
+    code, out, err = run(capsys, "homology", "--n", "2", theta_path)
+    assert code == 3
+    assert out == ""
+    assert "negative homology rank" in err

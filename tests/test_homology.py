@@ -4,6 +4,7 @@ import pytest
 
 from vhx.algebra import QuadScalar
 from vhx.homology import (
+    ChainComplex,
     bigraded_homology,
     build_pm_complex,
     build_vertex_complex,
@@ -36,10 +37,10 @@ def test_matrix_rank():
     r = QuadScalar.root(2)
     # [[1, r], [r, 2]] is singular over Q(sqrt 2)
     block = {(0, 0): one, (0, 1): r, (1, 0): r, (1, 1): QuadScalar.of_int(2, 2)}
-    assert matrix_rank(block, 2, 2, 2) == 1
+    assert matrix_rank(block, 2, 2) == 1
     block[(1, 1)] = QuadScalar.of_int(3, 2)
-    assert matrix_rank(block, 2, 2, 2) == 2
-    assert matrix_rank({}, 4, 5, 2) == 0
+    assert matrix_rank(block, 2, 2) == 2
+    assert matrix_rank({}, 4, 5) == 0
 
 
 def test_theta_homology_table(graphs):
@@ -141,6 +142,19 @@ def test_graded_pieces_bigrades(graphs):
     assert sorted(pieces) == [0, 2, 4, 6]
     for key, cx in pieces.items():
         assert cx.bigrade_j == key
+
+
+def test_chain_condition_detects_nonzero_square():
+    one = QuadScalar.of_int(1, 2)
+    # C^0 -> C^1 (dim 2) -> C^2: [1, 1]^T then [1, -1] composes to zero
+    cx = ChainComplex(
+        2,
+        {(0, 0): [None], (1, 0): [None, None], (2, 0): [None]},
+        {(0, 0): {(0, 0): one, (1, 0): one}, (1, 0): {(0, 0): one, (0, 1): -one}},
+    )
+    assert chain_condition_holds(cx)
+    cx.diff[(1, 0)][(0, 1)] = one
+    assert not chain_condition_holds(cx)
 
 
 def test_pm_complex_euler_matches_state_sum(graphs):

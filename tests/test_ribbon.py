@@ -1,0 +1,155 @@
+"""Gate tests for the compiled ribbon kernel.
+
+``circle_count``, ``decomposition``, ``trace_boundary`` and
+``state_histogram`` must agree exactly with the reference tracer in
+``reference_tracer.py`` on the fixtures and on a seeded corpus of generated
+cubic ribbon graphs with negative edges and loops.
+"""
+
+import itertools
+import math
+import random
+from functools import lru_cache
+
+import pytest
+from reference_tracer import reference_trace, vertex_swaps
+
+import vhx
+from vhx.colorings import count_partial_colorings, filtered_ranks
+from vhx.poly import state_histogram
+from vhx.vpd import VPDError, parse_vpd, serialize_vpd, trace_boundary
+
+from conftest import LOLLIPOP, SMALL_FIXTURES
+
+CORPUS_SEED = 20240115
+CORPUS_SIZES = (2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12)
+
+
+def random_cubic(rng: random.Random, nv: int, neg_prob: float) -> vhx.RotationSystem:
+    """A connected cubic ribbon graph from the configuration model: loops and
+    multi-edges allowed, each edge negative with probability ``neg_prob``."""
+    while True:
+        slots = list(range(3 * nv))
+        rng.shuffle(slots)
+        verts = [[0, 0, 0] for _ in range(nv)]
+        for i in range(len(slots) // 2):
+            a, b = slots[2 * i], slots[2 * i + 1]
+            odd = 2 * i + 1
+            verts[a // 3][a % 3] = -odd if rng.random() < neg_prob else odd
+            verts[b // 3][b % 3] = odd + 1
+        try:
+            return parse_vpd(serialize_vpd(vhx.RotationSystem(tuple(map(tuple, verts)))))
+        except VPDError:  # disconnected draw
+            continue
+
+
+def _corpus():
+    rng = random.Random(CORPUS_SEED)
+    out = {}
+    for i, nv in enumerate(CORPUS_SIZES):
+        neg = 0.3 if i % 2 else 0.0
+        out[f"rand{nv}{'neg' if neg else ''}"] = random_cubic(rng, nv, neg)
+    out["lollipop"] = parse_vpd(LOLLIPOP)
+    return out
+
+
+CORPUS = _corpus()
+SMALL = {name: vhx.load_fixture(name) for name in SMALL_FIXTURES} | CORPUS
+
+
+@lru_cache(maxsize=None)
+def reference_states(name):
+    """Reference decomposition of every vertex state, keyed by state bits."""
+    rs = SMALL[name]
+    return {
+        bits: reference_trace(rs, vertex_swaps(rs, bits))
+        for bits in itertools.product([0, 1], repeat=rs.vertex_count)
+    }
+
+
+def reference_histogram(name):
+    """hist[w][k] over all 2^|V| reference decompositions."""
+    hist = [dict() for _ in range(SMALL[name].vertex_count + 1)]
+    for bits, dec in reference_states(name).items():
+        row = hist[sum(bits)]
+        row[dec.circle_count] = row.get(dec.circle_count, 0) + 1
+    return hist
+
+
+def test_corpus_covers_loops_and_negative_edges():
+    loops = negs = 0
+    for rs in CORPUS.values():
+        loops += sum(u == w for u, w in rs.edge_endpoints().values())
+        negs += sum(rs.edge_sign(e) < 0 for e in range(1, rs.edge_count + 1))
+    assert loops and negs
+    assert max(rs.vertex_count for rs in CORPUS.values()) == 12
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_kernel_matches_reference_on_vertex_states(name):
+    rs = SMALL[name]
+    ribbon = rs.ribbon
+    for bits, ref in reference_states(name).items():
+        mask = ribbon.state_mask(bits)
+        assert ribbon.circle_count(mask) == ref.circle_count
+        assert ribbon.decomposition(mask) == ref
+        assert trace_boundary(rs, vertex_swaps(rs, bits)) == ref
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_kernel_matches_reference_on_edge_swaps(name):
+    """Any edge-swap set, not only those of vertex states (matching states
+    swap single edges)."""
+    rs = SMALL[name]
+    ne = rs.edge_count
+    rng = random.Random(ne)
+    masks = range(1 << ne) if ne <= 9 else [rng.getrandbits(ne) for _ in range(300)]
+    for mask in masks:
+        swaps = frozenset(e for e in range(1, ne + 1) if mask >> (e - 1) & 1)
+        ref = reference_trace(rs, swaps)
+        assert rs.ribbon.circle_count(mask) == ref.circle_count
+        assert trace_boundary(rs, swaps) == ref
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_histogram_matches_reference(name):
+    assert state_histogram(SMALL[name]) == reference_histogram(name)
+
+
+def test_dodec_histogram_against_reference_sample():
+    """2^20 reference traces take minutes, so the dodecahedron's histogram is
+    checked on its row sums and on a seeded sample of states."""
+    rs = vhx.load_fixture("dodec")
+    hist = state_histogram(rs)
+    nv = rs.vertex_count
+    assert [sum(row.values()) for row in hist] == [math.comb(nv, w) for w in range(nv + 1)]
+    rng = random.Random(CORPUS_SEED)
+    cells = set()
+    for _ in range(400):
+        bits = tuple(rng.getrandbits(1) for _ in range(nv))
+        k = reference_trace(rs, vertex_swaps(rs, bits)).circle_count
+        assert rs.ribbon.circle_count(rs.ribbon.state_mask(bits)) == k
+        cells.add((sum(bits), k))
+    # every sampled (weight, circle count) cell is populated in the histogram
+    assert all(hist[w].get(k) for w, k in cells)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_complement_symmetry_of_reference_histogram(name):
+    """hist[w] == hist[|V| - w], computed without using the symmetry."""
+    hist = reference_histogram(name)
+    assert hist == hist[::-1]
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(SMALL) if SMALL[n].vertex_count <= 8])
+@pytest.mark.parametrize("n", [2, 3])
+def test_filtered_ranks_palindromic(name, n):
+    """filtered_ranks walks half the cube; the full-cube reference sum must
+    agree and be a palindrome."""
+    rs = SMALL[name]
+    nv = rs.vertex_count
+    ref = [0] * (nv + 1)
+    for bits, dec in reference_states(name).items():
+        ref[sum(bits)] += count_partial_colorings(dec, n)
+    assert ref == ref[::-1]
+    assert filtered_ranks(rs, n).ranks == ref

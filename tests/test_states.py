@@ -78,10 +78,10 @@ def test_circle_correspondence_kinds(graphs):
         for v in range(2):
             if bits[v]:
                 continue
-            sigmas, edges = hc.site_path(nu, v, (0, 1, 2))
+            masks, edges = hc.site_path(nu, v, (0, 1, 2))
             for i in range(3):
                 corr = circle_correspondence(
-                    hc.decomposition(sigmas[i]), hc.decomposition(sigmas[i + 1]), edges[i]
+                    hc.decomposition(masks[i]), hc.decomposition(masks[i + 1]), edges[i]
                 )
                 seen.add(corr.kind)
                 delta = len(corr.active_after) - len(corr.active_before)
@@ -91,8 +91,8 @@ def test_circle_correspondence_kinds(graphs):
                     ("same-circle", 0),
                 }
                 # stable circles preserve token sets
-                before = hc.decomposition(sigmas[i])
-                after = hc.decomposition(sigmas[i + 1])
+                before = hc.decomposition(masks[i])
+                after = hc.decomposition(masks[i + 1])
                 for bi, ai in corr.stable_pairs:
                     assert before.circle_tokens(bi) == after.circle_tokens(ai)
     assert {"merge", "split", "same-circle"} <= seen
@@ -101,9 +101,12 @@ def test_circle_correspondence_kinds(graphs):
 def test_site_path_counts(graphs):
     hc = VertexHypercube(graphs["k4"])
     nu = StateIndex((0, 0, 0, 0))
-    sigmas, edges = hc.site_path(nu, 2, (0, 1, 2))
-    assert len(sigmas) == 4 and len(edges) == 3
-    assert sum(sigmas[0]) == 0 and sum(sigmas[-1]) == 3
+    masks, edges = hc.site_path(nu, 2, (0, 1, 2))
+    assert len(masks) == 4 and len(edges) == 3
+    # each step swaps one edge; the path ends at the state with vertex 2 flipped
+    assert masks[0] == 0 and masks[-1] == hc.ribbon.state_mask((0, 0, 1, 0))
+    assert all(masks[i] ^ masks[i + 1] == 1 << (edges[i] - 1) for i in range(3))
+    assert bin(masks[-1]).count("1") == 3
 
 
 def test_bubbled_path_matches_site_path(graphs):
