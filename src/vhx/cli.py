@@ -231,7 +231,7 @@ def cmd_tait(rs, args) -> int:
 
 
 def cmd_check(rs, args) -> int:
-    results: list[tuple[str, str]] = []  # (name, "ok" | "FAIL" | "skipped")
+    results: list[tuple[str, str]] = []  # (name, "ok" | "FAIL..." | "skipped")
 
     def record(name, ok):
         results.append((name, "ok" if ok else "FAIL"))
@@ -254,17 +254,24 @@ def cmd_check(rs, args) -> int:
             skip(f"euler(filtered, n={n}) == V(Gamma, {n})", f"|V| = {nv}")
 
         if nv <= CHECK_HOMOLOGY_MAX_V:
-            cx = build_vertex_complex(
-                rs, n, cap=args.cap, verify_paths=args.verify_paths
-            )
-            record(f"delta o delta = 0 (n={n})", chain_condition_holds(cx))
+            names = [f"delta o delta = 0 (n={n})", f"graded Euler == n-color polynomial (n={n})"]
             if args.verify_paths:
-                record(f"path independence (n={n})", True)  # raises on failure
-            euler = graded_euler(bigraded_homology(cx))
-            record(
-                f"graded Euler == n-color polynomial (n={n})",
-                euler == ncolor_vertex_polynomial(rs, n, cap=args.cap),
-            )
+                names.insert(1, f"path independence (n={n})")
+            recorded = len(results)
+            try:
+                cx = build_vertex_complex(
+                    rs, n, cap=args.cap, verify_paths=args.verify_paths
+                )
+                record(names[0], chain_condition_holds(cx))
+                if args.verify_paths:
+                    record(names[1], True)  # the build raises on path dependence
+                euler = graded_euler(bigraded_homology(cx))
+                record(names[-1], euler == ncolor_vertex_polynomial(rs, n, cap=args.cap))
+            except InvariantError as exc:
+                # a violated invariant fails the identities it left unchecked;
+                # the suite runs on
+                for name in names[len(results) - recorded :]:
+                    results.append((name, f"FAIL ({exc})"))
         else:
             skip(f"homology identities (n={n})", f"|V| = {nv}")
 
@@ -291,7 +298,7 @@ def cmd_check(rs, args) -> int:
             )
 
     width = max(len(name) for name, _ in results)
-    failed = any(status == "FAIL" for _, status in results)
+    failed = any(status.startswith("FAIL") for _, status in results)
     if args.json:
         print(json.dumps({"results": [[n, s] for n, s in results], "ok": not failed}))
     else:

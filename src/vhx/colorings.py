@@ -11,6 +11,7 @@ combinatorics against a numeric kernel computation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .poly import _Poly
@@ -222,25 +223,16 @@ class KernelReport:
         return any(s == "inconclusive" for _, _, s in self.per_state.values())
 
 
-def _hat_matrix(hc: VertexHypercube, n: int, nu: StateIndex, vertex: int):
+def _hat_matrix(maps, hc: VertexHypercube, nu: StateIndex, vertex: int):
     """Numeric matrix (monomial basis) of the hat map for one vertex flip."""
     import numpy as np
 
-    from .homology import _compose, _monomials, elementary_tensor_map
-
-    masks, edges = hc.site_path(nu, vertex, (0, 1, 2))
-    decs = [hc.decomposition(mask) for mask in masks]
-    cur = None
-    for idx in range(3):
-        step = elementary_tensor_map(decs[idx], decs[idx + 1], edges[idx], n, "hat")
-        cur = step if cur is None else _compose(cur, step)
-    kb, ka = decs[0].circle_count, decs[3].circle_count
-    col_of = {e: i for i, e in enumerate(_monomials(n, kb))}
-    row_of = {e: i for i, e in enumerate(_monomials(n, ka))}
-    mat = np.zeros((n**ka, n**kb))
-    for a, lst in cur.items():
-        for b, c in lst:
-            mat[row_of[b], col_of[a]] += float(c)
+    masks, path = hc.site_path(nu, vertex, (0, 1, 2))
+    kb, ka, local, stable = maps.edge_map(masks[0], tuple(path), (("hat",) * 3,))
+    mat = np.zeros((maps.n**ka, maps.n**kb))
+    for sp, tp, (a, b) in local:
+        for ss, st in stable:
+            mat[tp + st, sp + ss] += a + b * math.sqrt(maps.n)
     return mat
 
 
@@ -261,9 +253,11 @@ def harmonic_kernel_check(
     import numpy as np
 
     from .algebra import color_change_matrix
+    from .homology import LocalMaps
 
     hc = VertexHypercube(rs, cap)
     hc.check_cap()
+    maps = LocalMaps(hc.ribbon, n)
     nv = hc.n_vertices
 
     def cob(k):
@@ -284,12 +278,12 @@ def harmonic_kernel_check(
         blocks = []
         for v in range(nv):
             if bits[v] == 0:
-                mat = _hat_matrix(hc, n, nu, v)
+                mat = _hat_matrix(maps, hc, nu, v)
                 ka = round(np.log(mat.shape[0]) / np.log(n))
                 blocks.append(np.linalg.inv(cob(ka)) @ mat @ C_here)
             else:
                 prev = nu.flip(v)
-                mat = _hat_matrix(hc, n, prev, v)
+                mat = _hat_matrix(maps, hc, prev, v)
                 kb = round(np.log(mat.shape[1]) / np.log(n))
                 mc = C_here_inv @ mat @ cob(kb)
                 blocks.append(mc.conj().T)

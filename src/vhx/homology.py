@@ -1,6 +1,6 @@
 """Bigraded chain complexes and exact homology ranks.
 
-Two complexes share the machinery:
+Two complexes share one assembler:
 
 * the matching complex of a perfect matching diagram: one elementary map
   (m / Delta / eta, chosen by the circle correspondence) per hypercube edge,
@@ -11,39 +11,38 @@ Two complexes share the machinery:
   matching half-edges at its blowup cycle in the bubbled blowup), grading
   shift 3m|nu|.
 
-All scalars are exact elements of Q(sqrt n); ranks come from Gaussian
-elimination with a first-nonzero row-major pivot rule.
+An elementary map is the identity on the circles its band does not touch,
+so each hypercube edge's map is composed on the circles its bands touch
+(:class:`LocalMaps`) and tensored with the identity on the others.  The
+build runs on integer pairs (a, b) meaning a + b sqrt n, turned into
+:class:`QuadScalar` when an entry is emitted; ranks stay exact over
+Q(sqrt n) in ``QuadScalar``, by Gaussian elimination with a first-nonzero
+row-major pivot rule.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
-from .algebra import QuadScalar, half_m, map_delta, map_eta, map_m, qdeg
+from .algebra import QuadScalar, half_m, map_delta, map_eta, map_m
 from .states import (
     DEFAULT_STATE_CAP,
     InvariantError,
-    StateIndex,
     StateSpaceError,
     VertexHypercube,
     circle_correspondence,
 )
-from .vpd import (
-    CircleDecomposition,
-    PerfectMatchingDiagram,
-    RotationSystem,
-    trace_boundary,
-)
+from .vpd import PerfectMatchingDiagram, Ribbon, RotationSystem
 
 BasisElement = tuple[tuple[int, ...], tuple[int, ...]]  # (state bits, exponents)
 
-
-def _monomials(n: int, k: int):
-    """Exponent tuples in colexicographic order (first slot varies fastest)."""
-    for rev in itertools.product(range(n), repeat=k):
-        yield tuple(reversed(rev))
+# Largest basis a complex may have; a bigger one is refused before any basis
+# element is built (prism6 at n = 3, 224,784 elements, peaks at 110 MB).
+MAX_BASIS = 1 << 18
 
 
 @dataclass
@@ -93,109 +92,229 @@ class ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# elementary tensor maps
+# local maps
 
 
-def elementary_tensor_map(
-    before: CircleDecomposition,
-    after: CircleDecomposition,
-    edge: int,
-    n: int,
-    variant: str,
-) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], QuadScalar]]]:
-    """The m / Delta / eta map on full tensor bases for one band flip.
+def _placements(steps: int, tilde_count: int) -> tuple[tuple[str, ...], ...]:
+    """Per-step variants for each placement of ``tilde_count`` tilde maps."""
+    return tuple(
+        tuple("tilde" if i in spots else "plain" for i in range(steps))
+        for spots in itertools.combinations(range(steps), tilde_count)
+    )
 
-    Keys are exponent tuples aligned with ``before``'s circle order; values
-    list (output exponent tuple, coefficient) aligned with ``after``.
-    """
-    corr = circle_correspondence(before, after, edge)
-    out: dict[tuple[int, ...], list[tuple[tuple[int, ...], QuadScalar]]] = {}
-    for exps in _monomials(n, before.circle_count):
-        if corr.kind == "merge":
-            local = map_m(n, variant, exps[corr.active_before[0]], exps[corr.active_before[1]])
-        elif corr.kind == "split":
-            local = map_delta(n, variant, exps[corr.active_before[0]])
-        else:
-            local = map_eta(n, variant, exps[corr.active_before[0]])
-        results = []
-        for out_exps, coeff in local:
-            target = [0] * after.circle_count
-            for pos, e in zip(corr.active_after, out_exps):
-                target[pos] = e
-            for bi, ai in corr.stable_pairs:
-                target[ai] = exps[bi]
-            results.append((tuple(target), coeff))
-        if results:
-            out[exps] = results
+
+def _codes(n: int, k: int) -> tuple[list, list[int], list[int]]:
+    """Exponent tuple, exponent sum and rank among equal sums, per code of
+    a k-circle state.  The code of (e_0, ..., e_{k-1}) is sum e_c n^c: codes
+    run in colexicographic order and add under tensor products."""
+    exps = [tuple(reversed(r)) for r in itertools.product(range(n), repeat=k)]
+    dsum = [sum(e) for e in exps]
+    seen = [0] * (k * (n - 1) + 1)
+    rank = []
+    for t in dsum:
+        rank.append(seen[t])
+        seen[t] += 1
+    return exps, dsum, rank
+
+
+@functools.cache
+def _step_table(n: int, variant: str) -> dict:
+    """m, Delta and eta by correspondence kind and input exponents, with
+    coefficients as integer pairs (a, b)."""
+    r = range(n)
+    maps = {
+        "merge": {(i, j): map_m(n, variant, i, j) for i in r for j in r},
+        "split": {(k,): map_delta(n, variant, k) for k in r},
+        "same-circle": {(k,): map_eta(n, variant, k) for k in r},
+    }
+    return {
+        kind: {x: [(out, (int(c.a), int(c.b))) for out, c in terms] for x, terms in tab.items()}
+        for kind, tab in maps.items()
+    }
+
+
+def _compose(n: int, k0: int, steps: tuple, variants: tuple) -> list:
+    """Entries (x, y, (a, b)) of a composite on the touched circles, for
+    every exponent tuple x in colexicographic order."""
+    out = []
+    for x in _codes(n, k0)[0]:
+        row: dict[tuple[int, ...], tuple[int, int]] = {}
+        for variant in variants:
+            front = {x: (1, 0)}
+            for (kind, act_b, act_a, stable, k1), var in zip(steps, variant):
+                table = _step_table(n, var)[kind]
+                nxt: dict[tuple[int, ...], tuple[int, int]] = {}
+                for y, (a, b) in front.items():
+                    for outs, (c, d) in table[tuple(y[p] for p in act_b)]:
+                        z = [0] * k1
+                        for p, o in zip(act_a, outs):
+                            z[p] = o
+                        for pb, pa in stable:
+                            z[pa] = y[pb]
+                        z = tuple(z)
+                        za, zb = nxt.get(z, (0, 0))
+                        nxt[z] = (za + a * c + n * b * d, zb + a * d + b * c)
+                front = {z: v for z, v in nxt.items() if v != (0, 0)}
+            for z, (a, b) in front.items():
+                za, zb = row.get(z, (0, 0))
+                row[z] = (za + a, zb + b)
+        out.extend((x, z, v) for z, v in row.items() if v != (0, 0))
     return out
 
 
-def _compose(step1, step2):
-    out = {}
-    for key, lst in step1.items():
-        acc: dict[tuple[int, ...], QuadScalar] = {}
-        for mid, c in lst:
-            for final, c2 in step2.get(mid, ()):
-                prev = acc.get(final)
-                acc[final] = c * c2 if prev is None else prev + c * c2
-        res = [(t, c) for t, c in acc.items() if c]
-        if res:
-            out[key] = res
-    return out
+class LocalMaps:
+    """Hypercube-edge maps of one ribbon at one n, composed on the circles
+    the flipped bands touch (circles are :meth:`Ribbon.trace` owner arrays;
+    basis elements are numbered by the codes of :func:`_codes`).  Circles,
+    code tables and local composites are kept for the object's lifetime."""
 
+    def __init__(self, ribbon: Ribbon, n: int):
+        self.ribbon, self.n = ribbon, n
+        self._traces: dict[int, tuple[list[int], list[list[int]]]] = {}
+        self.codes = functools.cache(functools.partial(_codes, n))
+        self._compose = functools.cache(functools.partial(_compose, n))
 
-def vertex_edge_map(
-    hc: VertexHypercube,
-    n: int,
-    nu: StateIndex,
-    vertex: int,
-    tildes: tuple[bool, bool, bool] = (False, False, False),
-    order: tuple[int, int, int] = (0, 1, 2),
-):
-    """Composition of three elementary maps for one vertex flip."""
-    masks, edges = hc.site_path(nu, vertex, order)
-    decs = [hc.decomposition(mask) for mask in masks]
-    cur = None
-    for idx in range(3):
-        variant = "tilde" if tildes[idx] else "plain"
-        step = elementary_tensor_map(decs[idx], decs[idx + 1], edges[idx], n, variant)
-        cur = step if cur is None else _compose(cur, step)
-    return cur
+    def trace(self, mask: int) -> tuple[list[int], list[list[int]]]:
+        """:meth:`Ribbon.trace`, kept per swap mask."""
+        tr = self._traces.get(mask)
+        if tr is None:
+            tr = self._traces[mask] = self.ribbon.trace(mask)
+        return tr
+
+    def edge_map(self, mask: int, path, variants):
+        """The composed band flips on the edges ``path`` from swap mask
+        ``mask``, summed over ``variants`` (one variant per step each).
+
+        Returns ``(kb, ka, local, stable)``: the circle counts at both ends,
+        entries (source code, target code, (a, b)) on the touched circles,
+        and the (source, target) codes of every exponent assignment of the
+        untouched ones.  Each map entry adds one local entry and one pair.
+        """
+        n = self.n
+        # a state's circles serve all its hypercube edges; the circles
+        # between two band flips belong to this edge alone
+        traces = [self.trace(mask)]
+        for e in path[:-1]:
+            mask ^= 1 << (e - 1)
+            traces.append(self.ribbon.trace(mask))
+        traces.append(self.trace(mask ^ 1 << (path[-1] - 1)))
+        band = [t for e in path for t in range(4 * e - 4, 4 * e)]
+        groups = [sorted({owner[t] for t in band}) for owner, _ in traces]
+        steps = []
+        for i, e in enumerate(path):
+            corr = circle_correspondence(traces[i], traces[i + 1], e)
+            gb, ga, walks, owner = groups[i], groups[i + 1], traces[i][1], traces[i + 1][0]
+            act_b, act_a = map(gb.index, corr.active_before), map(ga.index, corr.active_after)
+            kept = tuple(
+                (p, ga.index(owner[walks[c][0]]))
+                for p, c in enumerate(gb)
+                if c not in corr.active_before
+            )
+            steps.append((corr.kind, tuple(act_b), tuple(act_a), kept, len(ga)))
+        comp = self._compose(len(groups[0]), tuple(steps), variants)
+        (_, walks), (owner, walks_a) = traces[0], traces[-1]
+        if not comp:
+            return len(walks), len(walks_a), comp, []
+        wb = [n**c for c in groups[0]]
+        wa = [n**c for c in groups[-1]]
+        mul = operator.mul
+        local = [(sum(map(mul, x, wb)), sum(map(mul, y, wa)), c) for x, y, c in comp]
+        # an untouched circle keeps its tokens through every step (each
+        # correspondence checked that), so its first token finds its image
+        stable = [(0, 0)]
+        for c, walk in enumerate(walks):
+            if c not in groups[0]:
+                xb, xa = n**c, n ** owner[walk[0]]
+                stable = [(s + e * xb, t + e * xa) for s, t in stable for e in range(n)]
+        return len(walks), len(walks_a), local, stable
 
 
 def vertex_edge_map_graded(hc, n, nu, vertex, tilde_count, order=(0, 1, 2)):
     """Sum of compositions with exactly ``tilde_count`` tilde factors."""
-    acc: dict[tuple[int, ...], dict[tuple[int, ...], QuadScalar]] = {}
-    for spots in itertools.combinations(range(3), tilde_count):
-        tv = tuple(i in spots for i in range(3))
-        for a, lst in vertex_edge_map(hc, n, nu, vertex, tildes=tv, order=order).items():
-            row = acc.setdefault(a, {})
-            for b, c in lst:
-                prev = row.get(b)
-                row[b] = c if prev is None else prev + c
-    return {
-        a: [(b, c) for b, c in row.items() if c] for a, row in acc.items() if row
-    }
+    masks, path = hc.site_path(nu, vertex, order)
+    maps = LocalMaps(hc.ribbon, n)
+    kb, ka, local, stable = maps.edge_map(masks[0], tuple(path), _placements(3, tilde_count))
+    exps_b, exps_a = maps.codes(kb)[0], maps.codes(ka)[0]
+    out: dict[tuple[int, ...], list] = {}
+    for sp, tp, (a, b) in local:
+        for ss, st in stable:
+            out.setdefault(exps_b[sp + ss], []).append((exps_a[tp + st], QuadScalar.make(a, b, n)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # complex assembly
 
 
-def _vertex_bases(hc: VertexHypercube, n: int):
+def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_paths=False):
+    """The complex of a hypercube whose site ``v`` flips the bands
+    ``paths[v]`` in order, toggling swap mask ``site_masks[v]``.
+
+    States are numbered with site 0 as the most significant bit; a weight-i
+    state's q-degrees are shifted by ``shift * i``.
+    """
+    n, d = maps.n, len(paths)
     m = half_m(n)
+    scalar = functools.cache(lambda a, b: QuadScalar.make(a, b, n))
+    masks, ks, total = [], [], 0
+    for s in range(1 << d):
+        low = s & -s
+        masks.append(masks[s ^ low] ^ site_masks[d - low.bit_length()] if s else 0)
+        k = len(maps.trace(masks[s])[1])
+        total += n**k
+        if total > MAX_BASIS:
+            raise StateSpaceError(
+                f"the complex needs more than {MAX_BASIS} basis elements "
+                f"({total} in the first {s + 1} of {1 << d} states)"
+            )
+        ks.append(k)
+
     bases: dict[tuple[int, int], list[BasisElement]] = {}
-    nus = sorted(
-        itertools.product([0, 1], repeat=hc.n_vertices)
-    )
-    for bits in nus:
-        nu = StateIndex(bits)
-        dec = hc.vertex_decomposition(nu)
-        i = nu.weight
-        for exps in _monomials(n, dec.circle_count):
-            j = sum(qdeg(n, e) for e in exps) + 3 * m * i
-            bases.setdefault((i, j), []).append((bits, exps))
-    return bases
+    offsets = []  # per state, its first position in each of its blocks
+    for s, k in enumerate(ks):
+        bits = tuple(s >> (d - 1 - v) & 1 for v in range(d))
+        i = s.bit_count()
+        exps, dsum, _ = maps.codes(k)
+        blocks = [bases.setdefault((i, k * m - t + shift * i), []) for t in range(k * (n - 1) + 1)]
+        offsets.append([len(b) for b in blocks])
+        for t, e in zip(dsum, exps):
+            blocks[t].append((bits, e))
+
+    diff: dict[tuple[int, int], dict[tuple[int, int], QuadScalar]] = {}
+    for s, (mask, kb, offs_b) in enumerate(zip(masks, ks, offsets)):
+        i = s.bit_count()
+        _, dsum_b, rank_b = maps.codes(kb)
+        for v, path in enumerate(paths):
+            bit = 1 << (d - 1 - v)
+            if s & bit:
+                continue
+            _, ka, local, stable = maps.edge_map(mask, path, variants)
+            if verify_paths:
+                want = sorted(local)
+                for order in itertools.permutations(range(len(path))):
+                    other = maps.edge_map(mask, tuple(path[o] for o in order), variants)
+                    if sorted(other[2]) != want:
+                        bits = tuple(s >> (d - 1 - u) & 1 for u in range(d))
+                        raise InvariantError(
+                            f"path dependence at state {bits}, vertex {v}, order {order}"
+                        )
+            offs_a = offsets[s | bit]
+            _, dsum_a, rank_a = maps.codes(ka)
+            negate = (s >> (d - v)).bit_count() & 1  # 1s left of site v
+            jb0, ja0 = kb * m + shift * i, ka * m + shift * (i + 1)
+            for sp, tp, (a, b) in local:
+                val = scalar(-a, -b) if negate else scalar(a, b)
+                for ss, st in stable:
+                    src, tgt = sp + ss, tp + st
+                    ds, dt = dsum_b[src], dsum_a[tgt]
+                    j = jb0 - ds
+                    if ja0 - dt != j + bigrade_j:
+                        raise InvariantError("bigrading violation in differential")
+                    block = diff.get((i, j))
+                    if block is None:
+                        block = diff[(i, j)] = {}
+                    block[(offs_a[dt] + rank_a[tgt], offs_b[ds] + rank_b[src])] = val
+    return ChainComplex(n, bases, diff, bigrade_j=bigrade_j)
 
 
 def build_vertex_complex(
@@ -211,65 +330,16 @@ def build_vertex_complex(
         raise ValueError("n must be >= 2")
     hc = VertexHypercube(rs, cap)
     hc.check_cap()
-    m = half_m(n)
-    bases = _vertex_bases(hc, n)
-    index = {
-        key: {be: r for r, be in enumerate(lst)} for key, lst in bases.items()
-    }
-    diff: dict[tuple[int, int], dict[tuple[int, int], QuadScalar]] = {}
-    kshift = tilde_count * n
-    for bits in itertools.product([0, 1], repeat=hc.n_vertices):
-        nu = StateIndex(bits)
-        i = nu.weight
-        for v in range(hc.n_vertices):
-            if bits[v]:
-                continue
-            head = nu.flip(v)
-            sign = nu.sign_at(v)
-            emap = vertex_edge_map_graded(hc, n, nu, v, tilde_count)
-            if verify_paths:
-                _assert_path_independence(hc, n, nu, v, tilde_count, emap)
-            for a, lst in emap.items():
-                ja = sum(qdeg(n, e) for e in a) + 3 * m * i
-                block = diff.setdefault((i, ja), {})
-                tgt_index = index[(i + 1, ja + kshift)]
-                row_of = index[(i, ja)]
-                for b, c in lst:
-                    jb = sum(qdeg(n, e) for e in b) + 3 * m * (i + 1)
-                    if jb != ja + kshift:
-                        raise InvariantError("bigrading violation in differential")
-                    key = (tgt_index[(head.bits, b)], row_of[(bits, a)])
-                    prev = block.get(key)
-                    val = c if sign > 0 else -c
-                    block[key] = val if prev is None else prev + val
-    _drop_zeros(diff)
-    return ChainComplex(n, bases, diff, bigrade_j=kshift)
-
-
-def _assert_path_independence(hc, n, nu, v, tilde_count, reference):
-    for order in itertools.permutations(range(3)):
-        other = vertex_edge_map_graded(hc, n, nu, v, tilde_count, order=order)
-        if _normalize(other) != _normalize(reference):
-            raise InvariantError(
-                f"path dependence at state {nu.bits}, vertex {v}, order {order}"
-            )
-
-
-def _normalize(emap):
-    return {
-        a: tuple(sorted((b, (c.a, c.b)) for b, c in lst))
-        for a, lst in emap.items()
-        if lst
-    }
-
-
-def _drop_zeros(diff):
-    for key in list(diff):
-        block = {rc: c for rc, c in diff[key].items() if c}
-        if block:
-            diff[key] = block
-        else:
-            del diff[key]
+    paths = [tuple(hc.site_edge[3 * v : 3 * v + 3]) for v in range(hc.n_vertices)]
+    return _assemble(
+        LocalMaps(hc.ribbon, n),
+        hc.ribbon.vertex_masks,
+        paths,
+        3 * half_m(n),
+        _placements(3, tilde_count),
+        bigrade_j=tilde_count * n,
+        verify_paths=verify_paths,
+    )
 
 
 def build_pm_complex(
@@ -281,45 +351,13 @@ def build_pm_complex(
     sites = len(pmd.matching)
     if sites > cap:
         raise StateSpaceError(f"|M| = {sites} exceeds the state cap {cap}")
-    m = half_m(n)
-
-    def dec_of(bits):
-        swaps = frozenset(e for e, b in zip(pmd.matching, bits) if b)
-        return trace_boundary(pmd.rs, swaps)
-
-    decs = {}
-    bases: dict[tuple[int, int], list[BasisElement]] = {}
-    for bits in itertools.product([0, 1], repeat=sites):
-        decs[bits] = dec_of(bits)
-        i = sum(bits)
-        for exps in _monomials(n, decs[bits].circle_count):
-            j = sum(qdeg(n, e) for e in exps) + m * i
-            bases.setdefault((i, j), []).append((bits, exps))
-    index = {
-        key: {be: r for r, be in enumerate(lst)} for key, lst in bases.items()
-    }
-    diff: dict[tuple[int, int], dict[tuple[int, int], QuadScalar]] = {}
-    for bits in itertools.product([0, 1], repeat=sites):
-        nu = StateIndex(bits)
-        i = nu.weight
-        for s in range(sites):
-            if bits[s]:
-                continue
-            head = nu.flip(s)
-            sign = nu.sign_at(s)
-            emap = elementary_tensor_map(
-                decs[bits], decs[head.bits], pmd.matching[s], n, "plain"
-            )
-            for a, lst in emap.items():
-                ja = sum(qdeg(n, e) for e in a) + m * i
-                block = diff.setdefault((i, ja), {})
-                for b, c in lst:
-                    key = (index[(i + 1, ja)][(head.bits, b)], index[(i, ja)][(bits, a)])
-                    val = c if sign > 0 else -c
-                    prev = block.get(key)
-                    block[key] = val if prev is None else prev + val
-    _drop_zeros(diff)
-    return ChainComplex(n, bases, diff, bigrade_j=0)
+    return _assemble(
+        LocalMaps(pmd.rs.ribbon, n),
+        [1 << (e - 1) for e in pmd.matching],
+        [(e,) for e in pmd.matching],
+        half_m(n),
+        _placements(1, 0),
+    )
 
 
 def delta_graded_pieces(

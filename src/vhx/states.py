@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .vpd import (
-    CircleDecomposition,
-    PerfectMatchingDiagram,
-    RotationSystem,
-    edge_tokens,
-)
+from .vpd import CircleDecomposition, PerfectMatchingDiagram, RotationSystem
 
 DEFAULT_STATE_CAP = 24
 
@@ -54,30 +49,11 @@ class StateIndex:
 
 
 @dataclass(frozen=True)
-class HypercubeEdge:
-    tail: StateIndex
-    head: StateIndex
-    site: int
-    sign: int
-
-
-@dataclass(frozen=True)
 class CircleCorrespondence:
     kind: str  # merge | split | same-circle
     stable_pairs: tuple[tuple[int, int], ...]  # (before idx, after idx)
     active_before: tuple[int, ...]
     active_after: tuple[int, ...]
-
-
-def all_states(sites: int):
-    for mask in range(1 << sites):
-        yield StateIndex(tuple((mask >> (sites - 1 - i)) & 1 for i in range(sites)))
-
-
-def hypercube_edges(state: StateIndex):
-    for site, b in enumerate(state.bits):
-        if b == 0:
-            yield HypercubeEdge(state, state.flip(site), site, state.sign_at(site))
 
 
 def vertex_state(rs: RotationSystem, nu: StateIndex) -> RotationSystem:
@@ -98,64 +74,45 @@ def vertex_state(rs: RotationSystem, nu: StateIndex) -> RotationSystem:
     return RotationSystem(tuple(verts))
 
 
-def pm_state(pmd: PerfectMatchingDiagram, alpha: StateIndex) -> RotationSystem:
-    """Realize a matching state: flip the sign of each 1-smoothed matching edge."""
-    if len(alpha.bits) != len(pmd.matching):
-        raise StateSpaceError("state length != matching size")
-    flips = frozenset(e for e, b in zip(pmd.matching, alpha.bits) if b)
-    verts = []
-    for v in pmd.rs.vertices:
-        tup = []
-        for h in v:
-            e = (abs(h) + 1) // 2
-            if e in flips and abs(h) % 2 == 1:
-                tup.append(-h)
-            else:
-                tup.append(h)
-        verts.append(tuple(tup))
-    return RotationSystem(tuple(verts))
-
-
-def circle_correspondence(
-    before: CircleDecomposition, after: CircleDecomposition, edge: int
-) -> CircleCorrespondence:
+def circle_correspondence(before, after, edge: int) -> CircleCorrespondence:
     """Match circles across a single band flip on ``edge``.
 
-    Stable circles avoid the flipped band's four tokens and are paired by
-    token-set equality; active circles meet the band.  The kind follows the
-    circle-count delta.
+    ``before`` and ``after`` are :meth:`~vhx.vpd.Ribbon.trace` results
+    (owner array, walks).  Active circles meet the flipped band's four
+    tokens; every other circle must reappear with the same token set.  The
+    kind follows the circle-count delta.
     """
-    pts = edge_tokens(edge)
-    act_b = tuple(i for i, c in enumerate(before.circles) if set(c) & pts)
-    act_a = tuple(i for i, c in enumerate(after.circles) if set(c) & pts)
-    stable_b = [i for i in range(before.circle_count) if i not in act_b]
-    by_tokens = {
-        after.circle_tokens(i): i
-        for i in range(after.circle_count)
-        if i not in act_a
-    }
-    pairs = []
-    for i in stable_b:
-        j = by_tokens.get(before.circle_tokens(i))
-        if j is None:
-            raise InvariantError("stable circle has no token-set partner")
-        pairs.append((i, j))
-    if len(pairs) != after.circle_count - len(act_a):
+    (own_b, walks_b), (own_a, walks_a) = before, after
+    q = 4 * edge - 4
+    act_b = tuple(sorted({own_b[q], own_b[q + 1], own_b[q + 2], own_b[q + 3]}))
+    act_a = tuple(sorted({own_a[q], own_a[q + 1], own_a[q + 2], own_a[q + 3]}))
+    kb, ka = len(walks_b), len(walks_a)
+    # name a stable circle by its partner (the after circle holding its
+    # first token) and an active one by -1: the token sets agree exactly
+    # when every token gets the same name on both sides
+    partner = [own_a[walk[0]] for walk in walks_b]
+    for c in act_b:
+        partner[c] = -1
+    name_a = list(range(ka))
+    for c in act_a:
+        name_a[c] = -1
+    if list(map(partner.__getitem__, own_b)) != list(map(name_a.__getitem__, own_a)):
+        raise InvariantError("stable circle has no token-set partner")
+    pairs = tuple((b, a) for b, a in enumerate(partner) if a >= 0)
+    if len(pairs) != ka - len(act_a):
         raise InvariantError("stable circle matching is not a bijection")
-    delta = after.circle_count - before.circle_count
-    if (len(act_b), len(act_a)) == (2, 1) and delta == -1:
+    shape = (len(act_b), len(act_a), ka - kb)
+    if shape == (2, 1, -1):
         kind = "merge"
-    elif (len(act_b), len(act_a)) == (1, 2) and delta == 1:
+    elif shape == (1, 2, 1):
         kind = "split"
-    elif (len(act_b), len(act_a)) == (1, 1) and delta == 0:
-        kind = "same-circle"
-    elif not act_b and not act_a and delta == 0:
+    elif shape == (1, 1, 0):
         kind = "same-circle"
     else:
         raise InvariantError(
             f"impossible correspondence: {len(act_b)} -> {len(act_a)} circles"
         )
-    return CircleCorrespondence(kind, tuple(pairs), act_b, act_a)
+    return CircleCorrespondence(kind, pairs, act_b, act_a)
 
 
 def vertex_to_bubbled_path(

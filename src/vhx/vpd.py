@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 
 class VPDError(ValueError):
@@ -215,11 +216,6 @@ def serialize_vpd(rs: RotationSystem) -> str:
 Token = tuple[int, int]  # (half-edge magnitude, side 1|2)
 
 
-def edge_tokens(e: int) -> frozenset[Token]:
-    """The four side tokens living on edge ``e``'s band."""
-    return frozenset({(2 * e - 1, 1), (2 * e - 1, 2), (2 * e, 1), (2 * e, 2)})
-
-
 @dataclass(frozen=True)
 class CircleDecomposition:
     """Boundary circles of a ribbon state plus per-vertex corner incidences.
@@ -324,33 +320,40 @@ class Ribbon:
                     break
         return k
 
-    def decomposition(self, mask: int) -> CircleDecomposition:
-        """Boundary circles and corner map under swap mask ``mask``.
+    def trace(self, mask: int) -> tuple[list[int], list[list[int]]]:
+        """Owner array (circle index of every token id) and the token ids of
+        each circle in traversal order, under swap mask ``mask``.
 
         Each circle starts at its minimal token and alternates a corner arc
-        with an edge gluing, so circles come out sorted by minimal token.
+        with an edge gluing, so circles are numbered by minimal token.
         """
         sw = mask ^ self.sign_mask
-        arc, succ, succ_edge, tokens = self.arc, self.succ, self.succ_edge, self.tokens
+        arc, succ, succ_edge = self.arc, self.succ, self.succ_edge
         owner = [-1] * self.ntok
-        circles: list[tuple[Token, ...]] = []
+        walks: list[list[int]] = []
         for s in range(self.ntok):
             if owner[s] >= 0:
                 continue
-            c = len(circles)
-            walk: list[Token] = []
+            c = len(walks)
+            walk: list[int] = []
             p = s
             while True:
                 q = arc[p]
                 owner[p] = owner[q] = c
-                walk.append(tokens[p])
-                walk.append(tokens[q])
+                walk.append(p)
+                walk.append(q)
                 p = succ[p] ^ (sw >> succ_edge[p] & 1)
                 if p == s:
                     break
-            circles.append(tuple(walk))
+            walks.append(walk)
+        return owner, walks
+
+    def decomposition(self, mask: int) -> CircleDecomposition:
+        """Boundary circles and corner map under swap mask ``mask``."""
+        owner, walks = self.trace(mask)
+        circles = tuple(itemgetter(*walk)(self.tokens) for walk in walks)
         corner_map = tuple(tuple(owner[a] for a in outs) for outs in self.corners)
-        return CircleDecomposition(tuple(circles), corner_map)
+        return CircleDecomposition(circles, corner_map)
 
     def half_cube(self):
         """Yield ``(weight, swap mask)`` for every vertex state whose last

@@ -6,6 +6,11 @@ import pytest
 from vhx.cli import main
 
 DATA = str(Path(__file__).resolve().parent.parent / "src" / "vhx" / "data")
+# the plane prism C_5 x K_2, |V| = 10
+PRISM5 = (
+    "G[V[1,5,26],V[6,3,28],V[7,11,2],V[12,9,4],V[13,17,8],"
+    "V[18,15,10],V[19,23,14],V[24,21,16],V[25,29,20],V[30,27,22]]"
+)
 
 
 def run(capsys, *argv):
@@ -111,6 +116,42 @@ def test_check_passes(capsys, theta_path):
 def test_check_no_memo(capsys, theta_path):
     code, out, _ = run(capsys, "check", "--n", "2", "--no-memo", theta_path)
     assert code == 0
+
+
+def test_check_reports_invariant_failure_and_runs_on(capsys, theta_path, monkeypatch):
+    from vhx import homology
+
+    # an impossible rank makes some homology rank negative
+    monkeypatch.setattr(homology, "matrix_rank", lambda block, nrows, ncols: nrows + ncols)
+    code, out, _ = run(capsys, "check", "--n", "2", theta_path)
+    assert code == 3
+    rows = out.splitlines()
+    failed = [i for i, row in enumerate(rows) if "FAIL" in row]
+    assert failed and "negative homology rank" in rows[failed[0]]
+    # the identities after the failed one still ran
+    assert any(row.startswith("plane: rank0") and row.endswith("ok") for row in rows[failed[0] :])
+    code, out, _ = run(capsys, "check", "--n", "2", "--json", theta_path)
+    data = json.loads(out)
+    assert code == 3 and data["ok"] is False
+    assert any(status.startswith("FAIL") for _, status in data["results"])
+
+
+def test_homology_preflight_refuses_dodec(capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "homology", "--n", "2", f"{DATA}/dodec.vpd")
+    assert code == 2
+    assert "basis elements" in err
+    assert time.perf_counter() - t0 < 10
+
+
+def test_homology_preflight_admits_prism5(capsys, tmp_path):
+    p = tmp_path / "prism5.vpd"
+    p.write_text(PRISM5)
+    code, out, _ = run(capsys, "homology", "--n", "2", "--json", str(p))
+    assert code == 0
+    assert json.loads(out)["ranks"]
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

@@ -1,0 +1,90 @@
+"""Gate tests for the local-map assembler.
+
+``build_vertex_complex`` (every graded piece, with path verification on),
+``delta_graded_pieces``, ``build_pm_complex``, ``vertex_edge_map_graded``
+and the hat matrices of the kernel check must equal the dict-of-monomials
+reference in ``reference_homology.py`` exactly, on the fixtures, the
+lollipop and the generated corpus of ``test_ribbon.py`` up to |V| = 8.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+import reference_homology as ref
+from test_ribbon import SMALL
+
+import vhx
+from vhx.colorings import _hat_matrix
+from vhx.homology import (
+    LocalMaps,
+    build_pm_complex,
+    build_vertex_complex,
+    delta_graded_pieces,
+    vertex_edge_map_graded,
+)
+from vhx.states import StateIndex, VertexHypercube
+from vhx.vpd import blowup
+
+GATED = sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8)
+# n = 4 folds sqrt(n) into the rational part
+CASES = [(name, n) for name in GATED for n in (2, 3)] + [("k4", 4)]
+
+
+def assert_same(cx, want):
+    assert cx.bigrade_j == want.bigrade_j
+    assert cx.bases == want.bases
+    assert cx.diff == want.diff
+
+
+def vertex_flips(rs):
+    for bits in itertools.product([0, 1], repeat=rs.vertex_count):
+        for v in range(rs.vertex_count):
+            if not bits[v]:
+                yield bits, v
+
+
+def test_gated_corpus_covers_loops_negative_edges_and_eight_vertices():
+    graphs = [SMALL[name] for name in GATED]
+    assert any(u == w for rs in graphs for u, w in rs.edge_endpoints().values())
+    assert any(rs.edge_sign(e) < 0 for rs in graphs for e in range(1, rs.edge_count + 1))
+    assert max(rs.vertex_count for rs in graphs) == 8
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_vertex_complex_matches_reference(name, n):
+    rs = SMALL[name]
+    pieces = delta_graded_pieces(rs, n)
+    assert sorted(pieces) == [0, n, 2 * n, 3 * n]
+    for t, want in enumerate(ref.vertex_pieces(rs, n)):
+        assert_same(build_vertex_complex(rs, n, tilde_count=t, verify_paths=True), want)
+        assert_same(pieces[t * n], want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["theta", "thetaneg", "k4"])
+def test_pm_complex_matches_reference(name, n):
+    pmd = blowup(vhx.load_fixture(name))
+    assert_same(build_pm_complex(pmd, n), ref.build_pm_complex(pmd, n))
+
+
+@pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 2), ("rand4neg", 3)])
+def test_vertex_edge_maps_match_reference(name, n):
+    """Same keys, and the same target lists in the same order."""
+    rs = SMALL[name]
+    hc = VertexHypercube(rs)
+    for bits, v in vertex_flips(rs):
+        for t in range(4):
+            for order in itertools.permutations(range(3)):
+                got = vertex_edge_map_graded(hc, n, StateIndex(bits), v, t, order)
+                assert got == ref.vertex_edge_map_graded(rs, n, bits, v, t, order)
+
+
+@pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 3)])
+def test_hat_matrices_match_reference(name, n):
+    rs = SMALL[name]
+    hc = VertexHypercube(rs)
+    maps = LocalMaps(rs.ribbon, n)
+    for bits, v in vertex_flips(rs):
+        got = _hat_matrix(maps, hc, StateIndex(bits), v)
+        assert np.array_equal(got, ref.hat_matrix(rs, n, bits, v))

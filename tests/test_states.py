@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_homology import circle_correspondence as reference_correspondence
+
 from vhx.states import (
+    InvariantError,
     StateIndex,
     StateSpaceError,
     VertexHypercube,
-    all_states,
     circle_correspondence,
-    hypercube_edges,
-    pm_state,
     vertex_state,
     vertex_to_bubbled_path,
 )
@@ -25,14 +25,6 @@ def test_state_index_basics():
     assert nu.sign_at(0) == 1
     assert nu.sign_at(2) == -1  # one 1 to the left
     assert nu.sign_at(3) == 1  # two 1s to the left
-
-
-def test_all_states_and_edges():
-    states = list(all_states(3))
-    assert len(states) == 8
-    assert len({s.bits for s in states}) == 8
-    edges = [e for s in states for e in hypercube_edges(s)]
-    assert len(edges) == 12  # 3 * 2^2 ascending edges of the 3-cube
 
 
 def test_vertex_state_flips_edges(graphs):
@@ -56,46 +48,59 @@ def test_vertex_state_loop_unchanged(graphs):
             assert rs.edge_sign(e) == lolly.edge_sign(e)
 
 
-def test_pm_state_all_zero_is_trace(graphs):
-    pmd = blowup(graphs["theta"])
-    rs = pm_state(pmd, StateIndex((0,) * len(pmd.matching)))
-    assert trace_boundary(rs).circles == trace_boundary(pmd.rs).circles
-
-
-def test_pm_state_flip_changes_sign(graphs):
-    pmd = blowup(graphs["theta"])
-    alpha = StateIndex((1,) + (0,) * (len(pmd.matching) - 1))
-    rs = pm_state(pmd, alpha)
-    e = pmd.matching[0]
-    assert rs.edge_sign(e) == -pmd.rs.edge_sign(e)
-
-
 def test_circle_correspondence_kinds(graphs):
-    hc = VertexHypercube(graphs["theta"])
+    """The owner-array correspondence agrees with the token-set oracle."""
     seen = set()
-    for bits in itertools.product([0, 1], repeat=2):
-        nu = StateIndex(bits)
-        for v in range(2):
-            if bits[v]:
-                continue
-            masks, edges = hc.site_path(nu, v, (0, 1, 2))
-            for i in range(3):
-                corr = circle_correspondence(
-                    hc.decomposition(masks[i]), hc.decomposition(masks[i + 1]), edges[i]
-                )
-                seen.add(corr.kind)
-                delta = len(corr.active_after) - len(corr.active_before)
-                assert (corr.kind, delta) in {
-                    ("merge", -1),
-                    ("split", 1),
-                    ("same-circle", 0),
-                }
-                # stable circles preserve token sets
-                before = hc.decomposition(masks[i])
-                after = hc.decomposition(masks[i + 1])
-                for bi, ai in corr.stable_pairs:
-                    assert before.circle_tokens(bi) == after.circle_tokens(ai)
+    for name in ("theta", "thetaneg", "k4", "lollipop"):
+        rs = graphs[name]
+        hc = VertexHypercube(rs)
+        for bits in itertools.product([0, 1], repeat=rs.vertex_count):
+            nu = StateIndex(bits)
+            for v in range(rs.vertex_count):
+                if bits[v]:
+                    continue
+                masks, edges = hc.site_path(nu, v, (0, 1, 2))
+                for i in range(3):
+                    corr = circle_correspondence(
+                        hc.ribbon.trace(masks[i]), hc.ribbon.trace(masks[i + 1]), edges[i]
+                    )
+                    seen.add(corr.kind)
+                    delta = len(corr.active_after) - len(corr.active_before)
+                    assert (corr.kind, delta) in {
+                        ("merge", -1),
+                        ("split", 1),
+                        ("same-circle", 0),
+                    }
+                    # stable circles preserve token sets
+                    before = hc.decomposition(masks[i])
+                    after = hc.decomposition(masks[i + 1])
+                    for bi, ai in corr.stable_pairs:
+                        assert before.circle_tokens(bi) == after.circle_tokens(ai)
+                    ref = reference_correspondence(before, after, edges[i])
+                    assert corr.kind == ref.kind
+                    assert corr.stable_pairs == ref.stable_pairs
+                    assert (corr.active_before, corr.active_after) == (
+                        ref.active_before,
+                        ref.active_after,
+                    )
     assert {"merge", "split", "same-circle"} <= seen
+
+
+def test_circle_correspondence_rejects_broken_traces(graphs):
+    ribbon = graphs["k4"].ribbon
+    before, after = ribbon.trace(0), ribbon.trace(1)
+    assert circle_correspondence(before, after, 1).kind in {"merge", "split", "same-circle"}
+    # the flip of edge 2 cannot turn the circles of mask 0 into those of mask 1
+    with pytest.raises(InvariantError):
+        circle_correspondence(before, after, 2)
+    # a stable circle whose tokens moved to another circle has no partner
+    owner, walks = after
+    moved = list(owner)
+    stable = [c for c in range(len(walks)) if c not in {owner[t] for t in range(4)}]
+    t = walks[stable[0]][-1]
+    moved[t] = owner[0]
+    with pytest.raises(InvariantError, match="no token-set partner"):
+        circle_correspondence(before, (moved, walks), 1)
 
 
 def test_site_path_counts(graphs):
