@@ -101,8 +101,6 @@ def qdeg(n: int, k: int) -> int:
 # Each map returns a list of (exponents, QuadScalar) pairs; variants:
 #   "plain" = t=0 part, "tilde" = degree-n part, "hat" = both summed.
 
-VARIANTS = ("plain", "tilde", "hat")
-
 
 def _check(n: int, *ks: int) -> None:
     for k in ks:

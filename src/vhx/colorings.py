@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .poly import _Poly
-from .states import DEFAULT_STATE_CAP, StateIndex, VertexHypercube
+from .states import DEFAULT_STATE_CAP, hypercube_ribbon, state_mask
 from .vpd import CircleDecomposition, RotationSystem
 
 
@@ -107,9 +107,9 @@ def enumerate_partial_colorings(dec: CircleDecomposition, n: int):
 
 @dataclass
 class FaceColoring:
-    """A circle coloring of one vertex state."""
+    """A circle coloring of one vertex state (0/1 smoothing per vertex)."""
 
-    state: StateIndex
+    state: tuple[int, ...]
     colors: tuple[int, ...]
 
 
@@ -147,13 +147,12 @@ def filtered_ranks(
     state weight."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    hc = VertexHypercube(rs, cap)
-    hc.check_cap()
-    nv = hc.n_vertices
+    ribbon = hypercube_ribbon(rs, cap)
+    nv = rs.vertex_count
     ranks = [0] * (nv + 1)
-    for w, mask in hc.ribbon.half_cube():
+    for w, mask in ribbon.half_cube():
         # the state and its complement share their circles, hence their count
-        cnt = count_partial_colorings(hc.ribbon.decomposition(mask), n, use_memo=use_memo)
+        cnt = count_partial_colorings(ribbon.decomposition(mask), n, use_memo=use_memo)
         ranks[w] += cnt
         ranks[nv - w] += cnt
     return FilteredRanks(n, ranks)
@@ -170,17 +169,14 @@ def total_matching_polynomial(
 # induced matchings
 
 
-def induced_matching(
-    coloring: FaceColoring, rs: RotationSystem, cap: int = DEFAULT_STATE_CAP
-) -> tuple[frozenset[int], str]:
+def induced_matching(coloring: FaceColoring, rs: RotationSystem) -> tuple[frozenset[int], str]:
     """Edges whose two band sides lie on same-colored circles.
 
     Returns (edge set, classification): ``empty`` when the coloring is
     proper at every vertex, ``perfect matching`` when it is partial (exactly
     two colors) at every vertex, ``mixed`` otherwise.
     """
-    hc = VertexHypercube(rs, cap)
-    dec = hc.vertex_decomposition(coloring.state)
+    dec = rs.ribbon.decomposition(state_mask(rs, coloring.state))
     if len(coloring.colors) != dec.circle_count:
         raise ValueError("coloring length does not match the state's circles")
     for corners in dec.corner_map:
@@ -223,17 +219,17 @@ class KernelReport:
         return any(s == "inconclusive" for _, _, s in self.per_state.values())
 
 
-def _hat_matrix(maps, hc: VertexHypercube, nu: StateIndex, vertex: int):
-    """Numeric matrix (monomial basis) of the hat map for one vertex flip."""
+def _hat_matrix(maps, mask: int, path: tuple[int, ...]):
+    """Circle counts at both ends and the numeric matrix (monomial basis) of
+    the hat map flipping the bands ``path`` from swap mask ``mask``."""
     import numpy as np
 
-    masks, path = hc.site_path(nu, vertex, (0, 1, 2))
-    kb, ka, local, stable = maps.edge_map(masks[0], tuple(path), (("hat",) * 3,))
+    kb, ka, local, stable = maps.edge_map(mask, path, (("hat",) * 3,))
     mat = np.zeros((maps.n**ka, maps.n**kb))
     for sp, tp, (a, b) in local:
         for ss, st in stable:
             mat[tp + st, sp + ss] += a + b * math.sqrt(maps.n)
-    return mat
+    return kb, ka, mat
 
 
 def harmonic_kernel_check(
@@ -255,10 +251,9 @@ def harmonic_kernel_check(
     from .algebra import color_change_matrix
     from .homology import LocalMaps
 
-    hc = VertexHypercube(rs, cap)
-    hc.check_cap()
-    maps = LocalMaps(hc.ribbon, n)
-    nv = hc.n_vertices
+    ribbon = hypercube_ribbon(rs, cap)
+    maps = LocalMaps(ribbon, n)
+    nv = rs.vertex_count
 
     def cob(k):
         C = np.eye(1, dtype=complex)
@@ -269,22 +264,20 @@ def harmonic_kernel_check(
 
     per_state: dict[tuple[int, ...], tuple[int, int, str]] = {}
     for bits in itertools.product([0, 1], repeat=nv):
-        nu = StateIndex(bits)
-        dec = hc.vertex_decomposition(nu)
+        mask = state_mask(rs, bits)
+        dec = ribbon.decomposition(mask)
         k = dec.circle_count
         dim = n**k
         C_here = cob(k)
         C_here_inv = np.linalg.inv(C_here)
         blocks = []
-        for v in range(nv):
+        for v, path in enumerate(ribbon.bands):
             if bits[v] == 0:
-                mat = _hat_matrix(maps, hc, nu, v)
-                ka = round(np.log(mat.shape[0]) / np.log(n))
+                _, ka, mat = _hat_matrix(maps, mask, path)
                 blocks.append(np.linalg.inv(cob(ka)) @ mat @ C_here)
             else:
-                prev = nu.flip(v)
-                mat = _hat_matrix(maps, hc, prev, v)
-                kb = round(np.log(mat.shape[1]) / np.log(n))
+                # the edge into this state starts where vertex v is 0-smoothed
+                kb, _, mat = _hat_matrix(maps, mask ^ ribbon.vertex_masks[v], path)
                 mc = C_here_inv @ mat @ cob(kb)
                 blocks.append(mc.conj().T)
         count = count_partial_colorings(dec, n)

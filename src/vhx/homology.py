@@ -33,8 +33,9 @@ from .states import (
     DEFAULT_STATE_CAP,
     InvariantError,
     StateSpaceError,
-    VertexHypercube,
     circle_correspondence,
+    hypercube_ribbon,
+    state_mask,
 )
 from .vpd import PerfectMatchingDiagram, Ribbon, RotationSystem
 
@@ -229,11 +230,13 @@ class LocalMaps:
         return len(walks), len(walks_a), local, stable
 
 
-def vertex_edge_map_graded(hc, n, nu, vertex, tilde_count, order=(0, 1, 2)):
-    """Sum of compositions with exactly ``tilde_count`` tilde factors."""
-    masks, path = hc.site_path(nu, vertex, order)
-    maps = LocalMaps(hc.ribbon, n)
-    kb, ka, local, stable = maps.edge_map(masks[0], tuple(path), _placements(3, tilde_count))
+def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
+    """Sum of compositions with exactly ``tilde_count`` tilde factors, on the
+    hypercube edge that 1-smooths ``vertex`` from the vertex state ``bits``."""
+    mask = state_mask(rs, bits, flip=vertex)
+    path = tuple(rs.ribbon.bands[vertex][i] for i in order)
+    maps = LocalMaps(rs.ribbon, n)
+    kb, ka, local, stable = maps.edge_map(mask, path, _placements(3, tilde_count))
     exps_b, exps_a = maps.codes(kb)[0], maps.codes(ka)[0]
     out: dict[tuple[int, ...], list] = {}
     for sp, tp, (a, b) in local:
@@ -328,13 +331,11 @@ def build_vertex_complex(
     with k = tilde_count * n instead of the bigraded differential."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    hc = VertexHypercube(rs, cap)
-    hc.check_cap()
-    paths = [tuple(hc.site_edge[3 * v : 3 * v + 3]) for v in range(hc.n_vertices)]
+    ribbon = hypercube_ribbon(rs, cap)
     return _assemble(
-        LocalMaps(hc.ribbon, n),
-        hc.ribbon.vertex_masks,
-        paths,
+        LocalMaps(ribbon, n),
+        ribbon.vertex_masks,
+        ribbon.bands,
         3 * half_m(n),
         _placements(3, tilde_count),
         bigrade_j=tilde_count * n,
@@ -348,11 +349,8 @@ def build_pm_complex(
     """The matching complex: one elementary map per hypercube edge."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    sites = len(pmd.matching)
-    if sites > cap:
-        raise StateSpaceError(f"|M| = {sites} exceeds the state cap {cap}")
     return _assemble(
-        LocalMaps(pmd.rs.ribbon, n),
+        LocalMaps(hypercube_ribbon(pmd.rs, cap, pmd.matching), n),
         [1 << (e - 1) for e in pmd.matching],
         [(e,) for e in pmd.matching],
         half_m(n),

@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
+from .algebra import half_m
+from .states import DEFAULT_STATE_CAP, hypercube_ribbon
 from .vpd import RotationSystem
-from .states import DEFAULT_STATE_CAP, StateSpaceError
 
 
 class _Poly:
@@ -135,7 +136,7 @@ def loop_polynomial(n: int) -> LaurentPoly:
     """qdim of the state algebra: q^m + ... + q^(1-m) (n even) or q^-m (n odd)."""
     if n <= 0:
         raise ValueError("n must be positive")
-    m = n // 2 if n % 2 == 0 else (n - 1) // 2
+    m = half_m(n)
     lo = 1 - m if n % 2 == 0 else -m
     return LaurentPoly({e: 1 for e in range(lo, m + 1)})
 
@@ -144,20 +145,13 @@ def loop_polynomial(n: int) -> LaurentPoly:
 # state histogram
 
 
+@lru_cache(maxsize=64)
 def state_histogram(
     rs: RotationSystem, cap: int = DEFAULT_STATE_CAP
 ) -> list[dict[int, int]]:
     """hist[w][k] = number of weight-w vertex states with k circles."""
-    return _cached_histogram(rs.vertices, cap)
-
-
-@lru_cache(maxsize=64)
-def _cached_histogram(vertices, cap: int) -> list[dict[int, int]]:
-    rs = RotationSystem(vertices)
+    ribbon = hypercube_ribbon(rs, cap)
     nv = rs.vertex_count
-    if nv > cap:
-        raise StateSpaceError(f"|V| = {nv} exceeds the state cap {cap}")
-    ribbon = rs.ribbon
     count = ribbon.circle_count
     hist: list[dict[int, int]] = [dict() for _ in range(nv + 1)]
     for w, mask in ribbon.half_cube():
@@ -178,7 +172,7 @@ def ncolor_vertex_polynomial(
     """sum_nu (-1)^|nu| q^(3m|nu|) L(q)^(k_nu)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = n // 2 if n % 2 == 0 else (n - 1) // 2
+    m = half_m(n)
     loop = loop_polynomial(n)
     hist = state_histogram(rs, cap)
     powers: dict[int, LaurentPoly] = {}

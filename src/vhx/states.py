@@ -3,21 +3,17 @@
 Two hypercubes are used: the *vertex hypercube* over {0,1}^|V| (a vertex
 1-smoothing half-twists all three bands at that vertex) and the *matching
 hypercube* over {0,1}^|M| of a perfect matching diagram (a 1-smoothing
-half-twists one matching band).
-
-Vertex states are refined by *sites*: site ``3v + i`` is vertex ``v``'s
-``i``-th band end.  Flipping a site toggles the side-swap of the underlying
-edge, so a full vertex flip is three site flips — the three matching
-half-edges at that vertex's blowup cycle in the bubbled blowup.  Intermediate
-site states realize the 3-edge paths along which vertex differentials are
-composed.
+half-twists one matching band).  Inside vhx every state is the edge-swap
+mask of :class:`~vhx.vpd.Ribbon`; a 0/1 tuple names a vertex state only
+where a caller passes one in or a result labels one, and :func:`state_mask`
+is the one conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .vpd import CircleDecomposition, PerfectMatchingDiagram, RotationSystem
+from .vpd import Ribbon, RotationSystem
 
 DEFAULT_STATE_CAP = 24
 
@@ -30,22 +26,42 @@ class InvariantError(RuntimeError):
     """An internal invariant of a computation is violated (a bug, not bad input)."""
 
 
-@dataclass(frozen=True)
-class StateIndex:
-    bits: tuple[int, ...]
+def hypercube_ribbon(
+    rs: RotationSystem, cap: int | None = None, matching: tuple[int, ...] | None = None
+) -> Ribbon:
+    """The compiled ribbon of a trivalent diagram whose hypercube, over its
+    vertices or over the edges of ``matching``, has at most ``cap``
+    dimensions (no bound when ``cap`` is None)."""
+    if not rs.is_trivalent():
+        raise StateSpaceError("vertex hypercube requires a trivalent diagram")
+    name, dim = ("|V|", rs.vertex_count) if matching is None else ("|M|", len(matching))
+    if cap is not None and dim > cap:
+        raise StateSpaceError(f"{name} = {dim} exceeds the state cap {cap}")
+    return rs.ribbon
 
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
 
-    def flip(self, site: int) -> "StateIndex":
-        b = list(self.bits)
-        b[site] ^= 1
-        return StateIndex(tuple(b))
+def state_mask(rs: RotationSystem, bits, flip: int | None = None) -> int:
+    """Swap mask of the vertex state with 0/1 smoothings ``bits``.
 
-    def sign_at(self, site: int) -> int:
-        """(-1)^(number of 1s strictly left of the site)."""
-        return -1 if sum(self.bits[:site]) % 2 else 1
+    With ``flip``, the state is the tail of the hypercube edge that
+    1-smooths vertex ``flip``, so that vertex must be 0-smoothed.
+    """
+    vertex_masks = hypercube_ribbon(rs).vertex_masks
+    if len(bits) != len(vertex_masks):
+        raise StateSpaceError(
+            f"state {tuple(bits)} has {len(bits)} entries for {len(vertex_masks)} vertices"
+        )
+    if any(b not in (0, 1) for b in bits):
+        raise StateSpaceError(f"state {tuple(bits)} has an entry other than 0/1")
+    if flip is not None and not (0 <= flip < len(bits) and bits[flip] == 0):
+        raise StateSpaceError(
+            f"no hypercube edge 1-smooths vertex {flip} from state {tuple(bits)}"
+        )
+    mask = 0
+    for bit, vm in zip(bits, vertex_masks):
+        if bit:
+            mask ^= vm
+    return mask
 
 
 @dataclass(frozen=True)
@@ -54,24 +70,6 @@ class CircleCorrespondence:
     stable_pairs: tuple[tuple[int, int], ...]  # (before idx, after idx)
     active_before: tuple[int, ...]
     active_after: tuple[int, ...]
-
-
-def vertex_state(rs: RotationSystem, nu: StateIndex) -> RotationSystem:
-    """Realize a vertex state: multiply each edge sign by (-1)^(1-smoothed ends)."""
-    if len(nu.bits) != rs.vertex_count:
-        raise StateSpaceError("state length != vertex count")
-    flips = rs.ribbon.state_mask(nu.bits)
-    verts = []
-    for v in rs.vertices:
-        tup = []
-        for h in v:
-            e = (abs(h) + 1) // 2
-            if flips >> (e - 1) & 1 and abs(h) % 2 == 1:
-                tup.append(-h)
-            else:
-                tup.append(h)
-        verts.append(tuple(tup))
-    return RotationSystem(tuple(verts))
 
 
 def circle_correspondence(before, after, edge: int) -> CircleCorrespondence:
@@ -113,71 +111,3 @@ def circle_correspondence(before, after, edge: int) -> CircleCorrespondence:
             f"impossible correspondence: {len(act_b)} -> {len(act_a)} circles"
         )
     return CircleCorrespondence(kind, pairs, act_b, act_a)
-
-
-def vertex_to_bubbled_path(
-    nu_tail: StateIndex, nu_head: StateIndex, bubbled: PerfectMatchingDiagram
-) -> tuple[int, ...]:
-    """Canonical 3-edge path in the bubbled blowup for a vertex flip.
-
-    Returns the three matching-site indices incident to the flipped vertex's
-    blowup cycle, in ascending site order.
-    """
-    diff = [i for i, (a, b) in enumerate(zip(nu_tail.bits, nu_head.bits)) if a != b]
-    if len(diff) != 1 or nu_tail.bits[diff[0]] != 0:
-        raise StateSpaceError("states do not differ by a single raised bit")
-    v = diff[0]
-    sites = tuple(
-        s for s, (ov, _pos) in enumerate(bubbled.site_origin) if ov == v
-    )
-    if len(sites) != 3:
-        raise StateSpaceError("flipped vertex does not own exactly 3 matching sites")
-    return sites
-
-
-class VertexHypercube:
-    """Lazy, memoized boundary circles of vertex and site smoothing states.
-
-    Every state is named by its edge-swap mask (see :class:`~vhx.vpd.Ribbon`).
-    A vertex state ``nu`` swaps the edges whose endpoints are smoothed
-    differently, so ``nu`` and its complement share one mask; flipping site
-    ``3v + i`` swaps the edge of vertex ``v``'s ``i``-th band end.
-    """
-
-    def __init__(self, rs: RotationSystem, cap: int = DEFAULT_STATE_CAP):
-        if not rs.is_trivalent():
-            raise StateSpaceError("vertex hypercube requires a trivalent diagram")
-        self.ribbon = rs.ribbon
-        self.cap = cap
-        self.n_vertices = rs.vertex_count
-        self.site_edge = [
-            (abs(h) + 1) // 2 for v in rs.vertices for h in v
-        ]
-        self._dec_cache: dict[int, CircleDecomposition] = {}
-
-    def check_cap(self) -> None:
-        if self.n_vertices > self.cap:
-            raise StateSpaceError(
-                f"|V| = {self.n_vertices} exceeds the state cap {self.cap}"
-            )
-
-    def decomposition(self, mask: int) -> CircleDecomposition:
-        dec = self._dec_cache.get(mask)
-        if dec is None:
-            dec = self._dec_cache[mask] = self.ribbon.decomposition(mask)
-        return dec
-
-    def vertex_decomposition(self, nu: StateIndex) -> CircleDecomposition:
-        return self.decomposition(self.ribbon.state_mask(nu.bits))
-
-    def site_path(self, nu: StateIndex, vertex: int, order=(0, 1, 2)):
-        """Swap masks and flipped edges along a 3-edge path flipping ``vertex``."""
-        mask = self.ribbon.state_mask(nu.bits)
-        masks = [mask]
-        edges = []
-        for i in order:
-            e = self.site_edge[3 * vertex + i]
-            mask ^= 1 << (e - 1)
-            masks.append(mask)
-            edges.append(e)
-        return masks, edges

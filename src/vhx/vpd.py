@@ -288,15 +288,9 @@ class Ribbon:
         self.sign_mask = sum(1 << (e - 1) for e in range(1, rs.edge_count + 1) if neg[e])
         # the edges a vertex flip swaps (a loop is swapped twice, i.e. not at all)
         self.vertex_masks = tuple(vertex_masks)
+        # each vertex's band edges in tuple order: the 3-edge path of its flip
+        self.bands = tuple(tuple((abs(h) + 1) // 2 for h in v) for v in rs.vertices)
         self.tokens = tuple((t // 2 + 1, t % 2 + 1) for t in range(ntok))
-
-    def state_mask(self, bits) -> int:
-        """Swap mask of the vertex state with 0/1 smoothings ``bits``."""
-        mask = 0
-        for bit, vm in zip(bits, self.vertex_masks):
-            if bit:
-                mask ^= vm
-        return mask
 
     def circle_count(self, mask: int) -> int:
         """Number of boundary circles under swap mask ``mask``.
@@ -371,14 +365,9 @@ class Ribbon:
             yield (i ^ (i >> 1)).bit_count(), mask
 
 
-def trace_boundary(rs: RotationSystem, extra_swaps: frozenset[int] = frozenset()) -> CircleDecomposition:
-    """Trace the boundary circles of the ribbon surface of ``rs``.
-
-    ``extra_swaps`` lists edges whose side gluing is flipped on top of the
-    edge sign; internal callers use it to realize smoothing states without
-    rebuilding rotation systems.
-    """
-    return rs.ribbon.decomposition(sum(1 << (e - 1) for e in extra_swaps))
+def trace_boundary(rs: RotationSystem) -> CircleDecomposition:
+    """Trace the boundary circles of the ribbon surface of ``rs``."""
+    return rs.ribbon.decomposition(0)
 
 
 def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:

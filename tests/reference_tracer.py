@@ -1,5 +1,6 @@
 """Reference oracle: the dict-and-tuple boundary tracer that predates the
-compiled :class:`vhx.vpd.Ribbon`, kept only to gate the kernel.
+compiled :class:`vhx.vpd.Ribbon`, kept only to gate the kernel, and the
+realization of a vertex state as a rotation system.
 
 It rebuilds its arc and glue tables from token tuples for every state, so
 it is slow, but it shares no code with the kernel beyond
@@ -73,3 +74,15 @@ def vertex_swaps(rs: RotationSystem, bits: tuple[int, ...]) -> frozenset[int]:
         e for e, (u, w) in rs.edge_endpoints().items() if (bits[u] + bits[w]) % 2 == 1
     )
 
+
+
+def vertex_state(rs: RotationSystem, bits: tuple[int, ...]) -> RotationSystem:
+    """Realize a vertex state as a rotation system: negate the odd label of
+    every edge whose two endpoints are smoothed differently (a loop never)."""
+    flips = vertex_swaps(rs, bits)
+    return RotationSystem(
+        tuple(
+            tuple(-h if abs(h) % 2 == 1 and (abs(h) + 1) // 2 in flips else h for h in v)
+            for v in rs.vertices
+        )
+    )

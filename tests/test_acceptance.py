@@ -23,7 +23,6 @@ from vhx.oracles import (
     perfect_matchings,
 )
 from vhx.poly import LaurentPoly, ncolor_vertex_polynomial, vertex_polynomial
-from vhx.states import StateIndex, VertexHypercube
 
 
 def timed(limit):
@@ -159,12 +158,11 @@ def test_criterion_7_property_suites(graphs):
                                 total.get(key, QuadScalar.of_int(0, 2)) + v2 * v1
                             )
         assert all(not v for v in total.values()), f"k={k}"
-    hc = VertexHypercube(graphs["theta"])
     r2 = QuadScalar.root(2)
-    assert vertex_edge_map_graded(hc, 2, StateIndex((0, 0)), 0, 0) == {
+    assert vertex_edge_map_graded(graphs["theta"], 2, (0, 0), 0, 0) == {
         (0, 0, 0): [((1,), r2)]
     }
-    assert vertex_edge_map_graded(hc, 2, StateIndex((1, 0)), 1, 3) == {
+    assert vertex_edge_map_graded(graphs["theta"], 2, (1, 0), 1, 3) == {
         (1,): [((0, 0, 0), r2)]
     }
     # graded Euler characteristic = n-color polynomial on all fixtures

@@ -14,8 +14,12 @@ from vhx.colorings import (
     total_matching_polynomial,
 )
 from vhx.oracles import AbstractGraph, bridges, perfect_matchings
-from vhx.states import StateIndex, VertexHypercube
+from vhx.states import StateSpaceError, state_mask
 from vhx.vpd import trace_boundary
+
+
+def state_decomposition(rs, bits):
+    return rs.ribbon.decomposition(state_mask(rs, bits))
 
 
 def k33_formulas(n):
@@ -38,8 +42,7 @@ def test_theta_all_zero_count(graphs):
 
 def test_monochromatic_vertex_kills(graphs):
     # theta middle states have a single circle through all corners
-    hc = VertexHypercube(graphs["theta"])
-    dec = hc.vertex_decomposition(StateIndex((1, 0)))
+    dec = state_decomposition(graphs["theta"], (1, 0))
     assert dec.circle_count == 1
     assert count_partial_colorings(dec, 2) == 0
     assert count_partial_colorings(dec, 5) == 0
@@ -67,12 +70,9 @@ def test_k33_filtered_formulas(graphs, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_k33_single_smoothing_states(graphs, n):
     """Four of the six weight-1 states carry n(n-1)^2 colorings each."""
-    hc = VertexHypercube(graphs["k33"])
     counts = sorted(
         count_partial_colorings(
-            hc.vertex_decomposition(
-                StateIndex(tuple(1 if i == v else 0 for i in range(6)))
-            ),
+            state_decomposition(graphs["k33"], tuple(1 if i == v else 0 for i in range(6))),
             n,
         )
         for v in range(6)
@@ -91,9 +91,8 @@ def test_memo_matches_no_memo(graphs):
 
 
 def test_count_matches_enumeration(graphs):
-    hc = VertexHypercube(graphs["k4"])
     for bits in itertools.product([0, 1], repeat=4):
-        dec = hc.vertex_decomposition(StateIndex(bits))
+        dec = state_decomposition(graphs["k4"], bits)
         for n in (2, 3):
             assert count_partial_colorings(dec, n) == sum(
                 1 for _ in enumerate_partial_colorings(dec, n)
@@ -129,11 +128,10 @@ def test_plane_identities(graphs):
 
 def test_induced_matchings_theta(graphs):
     theta = graphs["theta"]
-    hc = VertexHypercube(theta)
-    dec = hc.vertex_decomposition(StateIndex((0, 0)))
+    dec = state_decomposition(theta, (0, 0))
     seen = set()
     for colors in enumerate_partial_colorings(dec, 2):
-        edges, cls = induced_matching(FaceColoring(StateIndex((0, 0)), colors), theta)
+        edges, cls = induced_matching(FaceColoring((0, 0), colors), theta)
         assert cls == "perfect matching"
         assert len(edges) == 1  # each single edge of theta is a perfect matching
         seen.add(edges)
@@ -142,27 +140,34 @@ def test_induced_matchings_theta(graphs):
 
 def test_induced_matching_rejects_bad_coloring(graphs):
     with pytest.raises(ValueError):
-        induced_matching(FaceColoring(StateIndex((0, 0)), (0, 0, 0)), graphs["theta"])
+        induced_matching(FaceColoring((0, 0), (0, 0, 0)), graphs["theta"])
 
 
 def test_induced_matching_proper_coloring_is_empty(graphs):
     theta = graphs["theta"]
     dec = trace_boundary(theta)
     # three circles, all corners distinct: a proper 3-face coloring
-    edges, cls = induced_matching(FaceColoring(StateIndex((0, 0)), (0, 1, 2)), theta)
+    edges, cls = induced_matching(FaceColoring((0, 0), (0, 1, 2)), theta)
     assert cls == "empty"
     assert edges == frozenset()
 
 
+@pytest.mark.parametrize("bits", [(0,), (0, 0, 0), (0, 2)])
+def test_induced_matching_rejects_bad_state(graphs, bits):
+    """A state of the wrong length or with an entry other than 0/1 is not
+    truncated or read as a 1-smoothing."""
+    with pytest.raises(StateSpaceError):
+        induced_matching(FaceColoring(bits, (0, 1, 2)), graphs["theta"])
+
+
 def test_bridge_always_induced(graphs):
     lolly = graphs["lollipop"]
-    hc = VertexHypercube(lolly)
     g = AbstractGraph.from_rotation_system(lolly)
     br = {e + 1 for e in bridges(g)}  # 1-based edge ids
     for bits in itertools.product([0, 1], repeat=4):
-        dec = hc.vertex_decomposition(StateIndex(bits))
+        dec = state_decomposition(lolly, bits)
         for colors in enumerate_partial_colorings(dec, 2):
-            edges, _ = induced_matching(FaceColoring(StateIndex(bits), colors), lolly)
+            edges, _ = induced_matching(FaceColoring(bits, colors), lolly)
             assert br <= edges
 
 

@@ -16,7 +16,7 @@ from vhx.homology import (
     vertex_edge_map_graded,
 )
 from vhx.poly import ncolor_vertex_polynomial
-from vhx.states import StateIndex, VertexHypercube
+from vhx.states import StateSpaceError
 from vhx.vpd import blowup
 
 THETA_TABLE_N2 = {
@@ -80,11 +80,11 @@ def test_graded_euler_is_bracket(graphs, name, n):
 
 def test_theta_lee_edge_maps(graphs):
     """The published graded-piece values on the theta graph at n = 2."""
-    hc = VertexHypercube(graphs["theta"])
+    theta = graphs["theta"]
     r2 = QuadScalar.root(2)
-    out = vertex_edge_map_graded(hc, 2, StateIndex((0, 0)), 0, 0)
+    out = vertex_edge_map_graded(theta, 2, (0, 0), 0, 0)
     assert out == {(0, 0, 0): [((1,), r2)]}
-    out = vertex_edge_map_graded(hc, 2, StateIndex((0, 0)), 0, 1)
+    out = vertex_edge_map_graded(theta, 2, (0, 0), 0, 1)
     assert out == {
         (1, 1, 0): [((1,), r2)],
         (1, 0, 1): [((1,), r2)],
@@ -93,19 +93,29 @@ def test_theta_lee_edge_maps(graphs):
         (0, 1, 0): [((0,), r2)],
         (0, 0, 1): [((0,), r2)],
     }
-    out = vertex_edge_map_graded(hc, 2, StateIndex((0, 0)), 0, 2)
+    out = vertex_edge_map_graded(theta, 2, (0, 0), 0, 2)
     assert out == {(1, 1, 1): [((0,), r2)]}
-    assert vertex_edge_map_graded(hc, 2, StateIndex((0, 0)), 0, 3) == {}
+    assert vertex_edge_map_graded(theta, 2, (0, 0), 0, 3) == {}
     # second hypercube edge: one circle back to three
-    out = vertex_edge_map_graded(hc, 2, StateIndex((1, 0)), 1, 1)
+    out = vertex_edge_map_graded(theta, 2, (1, 0), 1, 1)
     assert out == {(0,): [((1, 1, 1), r2)]}
-    out = vertex_edge_map_graded(hc, 2, StateIndex((1, 0)), 1, 2)
+    out = vertex_edge_map_graded(theta, 2, (1, 0), 1, 2)
     assert {k: sorted(v) for k, v in out.items()} == {
         (1,): sorted([((0, 1, 1), r2), ((1, 0, 1), r2), ((1, 1, 0), r2)]),
         (0,): sorted([((0, 0, 1), r2), ((0, 1, 0), r2), ((1, 0, 0), r2)]),
     }
-    out = vertex_edge_map_graded(hc, 2, StateIndex((1, 0)), 1, 3)
+    out = vertex_edge_map_graded(theta, 2, (1, 0), 1, 3)
     assert out == {(1,): [((0, 0, 0), r2)]}
+
+
+@pytest.mark.parametrize(
+    "bits,vertex", [((1, 0), 0), ((1, 1), 1), ((0,), 0), ((0, 0, 0), 0), ((0, 2), 0)]
+)
+def test_vertex_edge_map_refuses_a_missing_hypercube_edge(graphs, bits, vertex):
+    """No edge of the vertex hypercube starts at a bad state or 1-smooths an
+    already 1-smoothed vertex."""
+    with pytest.raises(StateSpaceError):
+        vertex_edge_map_graded(graphs["theta"], 2, bits, vertex, 0)
 
 
 def _compose_blocks(A, B, p):
@@ -161,7 +171,7 @@ def test_pm_complex_euler_matches_state_sum(graphs):
     """Matching-complex Euler characteristic vs an independent state sum."""
     from vhx.algebra import half_m, qdeg
     from vhx.poly import LaurentPoly
-    from vhx.vpd import trace_boundary
+    from reference_tracer import reference_trace
 
     pmd = blowup(graphs["theta"])
     n = 2
@@ -173,7 +183,7 @@ def test_pm_complex_euler_matches_state_sum(graphs):
     total = LaurentPoly.zero()
     for bits in itertools.product([0, 1], repeat=len(pmd.matching)):
         swaps = frozenset(e for e, b in zip(pmd.matching, bits) if b)
-        k = trace_boundary(pmd.rs, swaps).circle_count
+        k = reference_trace(pmd.rs, swaps).circle_count
         w = sum(bits)
         total = total + (loop**k).shift(m * w) * LaurentPoly({0: (-1) ** w})
     assert euler == total

@@ -23,7 +23,7 @@ from vhx.homology import (
     delta_graded_pieces,
     vertex_edge_map_graded,
 )
-from vhx.states import StateIndex, VertexHypercube
+from vhx.states import state_mask
 from vhx.vpd import blowup
 
 GATED = sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8)
@@ -72,19 +72,17 @@ def test_pm_complex_matches_reference(name, n):
 def test_vertex_edge_maps_match_reference(name, n):
     """Same keys, and the same target lists in the same order."""
     rs = SMALL[name]
-    hc = VertexHypercube(rs)
     for bits, v in vertex_flips(rs):
         for t in range(4):
             for order in itertools.permutations(range(3)):
-                got = vertex_edge_map_graded(hc, n, StateIndex(bits), v, t, order)
+                got = vertex_edge_map_graded(rs, n, bits, v, t, order)
                 assert got == ref.vertex_edge_map_graded(rs, n, bits, v, t, order)
 
 
 @pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 3)])
 def test_hat_matrices_match_reference(name, n):
     rs = SMALL[name]
-    hc = VertexHypercube(rs)
     maps = LocalMaps(rs.ribbon, n)
     for bits, v in vertex_flips(rs):
-        got = _hat_matrix(maps, hc, StateIndex(bits), v)
+        *_, got = _hat_matrix(maps, state_mask(rs, bits), rs.ribbon.bands[v])
         assert np.array_equal(got, ref.hat_matrix(rs, n, bits, v))

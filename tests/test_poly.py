@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_tracer import vertex_state
 
 from vhx.poly import (
     IntPoly,
@@ -13,7 +14,6 @@ from vhx.poly import (
     state_histogram,
     vertex_polynomial,
 )
-from vhx.states import StateIndex, vertex_state
 from vhx.vpd import blowup, parse_vpd, trace_boundary
 
 THETA_BRACKET_2 = LaurentPoly(
@@ -97,7 +97,7 @@ def test_histogram_matches_direct_trace(graphs):
         hist = state_histogram(rs)
         direct = [dict() for _ in range(rs.vertex_count + 1)]
         for bits in itertools.product([0, 1], repeat=rs.vertex_count):
-            k = trace_boundary(vertex_state(rs, StateIndex(bits))).circle_count
+            k = trace_boundary(vertex_state(rs, bits)).circle_count
             w = sum(bits)
             direct[w][k] = direct[w].get(k, 0) + 1
         assert hist == direct

@@ -1,38 +1,34 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from reference_homology import circle_correspondence as reference_correspondence
+from reference_tracer import vertex_state
 
 from vhx.states import (
     InvariantError,
-    StateIndex,
     StateSpaceError,
-    VertexHypercube,
     circle_correspondence,
-    vertex_state,
-    vertex_to_bubbled_path,
+    hypercube_ribbon,
+    state_mask,
 )
-from vhx.vpd import blowup, bubbled_blowup, trace_boundary
+from vhx.vpd import bubbled_blowup, parse_vpd
 
 
-def test_state_index_basics():
-    nu = StateIndex((0, 1, 1, 0))
-    assert nu.weight == 2
-    assert nu.flip(0).bits == (1, 1, 1, 0)
-    assert nu.sign_at(0) == 1
-    assert nu.sign_at(2) == -1  # one 1 to the left
-    assert nu.sign_at(3) == 1  # two 1s to the left
+def band_path(rs, bits, v):
+    """Swap masks along the 3-edge path that flips vertex ``v``, and its edges."""
+    masks, edges = [state_mask(rs, bits, flip=v)], rs.ribbon.bands[v]
+    for e in edges:
+        masks.append(masks[-1] ^ 1 << (e - 1))
+    return masks, edges
 
 
 def test_vertex_state_flips_edges(graphs):
     theta = graphs["theta"]
-    st1 = vertex_state(theta, StateIndex((1, 0)))
+    st1 = vertex_state(theta, (1, 0))
     # flipping one endpoint negates all three (non-loop) edges
     assert all(st1.edge_sign(e) == -1 for e in (1, 2, 3))
-    st2 = vertex_state(theta, StateIndex((1, 1)))
+    st2 = vertex_state(theta, (1, 1))
     # both endpoints flipped: signs restored
     assert all(st2.edge_sign(e) == 1 for e in (1, 2, 3))
 
@@ -43,7 +39,7 @@ def test_vertex_state_loop_unchanged(graphs):
     loops = [e for e, (u, w) in ends.items() if u == w]
     assert loops
     for bits in itertools.product([0, 1], repeat=4):
-        rs = vertex_state(lolly, StateIndex(bits))
+        rs = vertex_state(lolly, bits)
         for e in loops:
             assert rs.edge_sign(e) == lolly.edge_sign(e)
 
@@ -53,16 +49,15 @@ def test_circle_correspondence_kinds(graphs):
     seen = set()
     for name in ("theta", "thetaneg", "k4", "lollipop"):
         rs = graphs[name]
-        hc = VertexHypercube(rs)
+        ribbon = rs.ribbon
         for bits in itertools.product([0, 1], repeat=rs.vertex_count):
-            nu = StateIndex(bits)
             for v in range(rs.vertex_count):
                 if bits[v]:
                     continue
-                masks, edges = hc.site_path(nu, v, (0, 1, 2))
+                masks, edges = band_path(rs, bits, v)
                 for i in range(3):
                     corr = circle_correspondence(
-                        hc.ribbon.trace(masks[i]), hc.ribbon.trace(masks[i + 1]), edges[i]
+                        ribbon.trace(masks[i]), ribbon.trace(masks[i + 1]), edges[i]
                     )
                     seen.add(corr.kind)
                     delta = len(corr.active_after) - len(corr.active_before)
@@ -72,8 +67,8 @@ def test_circle_correspondence_kinds(graphs):
                         ("same-circle", 0),
                     }
                     # stable circles preserve token sets
-                    before = hc.decomposition(masks[i])
-                    after = hc.decomposition(masks[i + 1])
+                    before = ribbon.decomposition(masks[i])
+                    after = ribbon.decomposition(masks[i + 1])
                     for bi, ai in corr.stable_pairs:
                         assert before.circle_tokens(bi) == after.circle_tokens(ai)
                     ref = reference_correspondence(before, after, edges[i])
@@ -104,41 +99,45 @@ def test_circle_correspondence_rejects_broken_traces(graphs):
 
 
 def test_site_path_counts(graphs):
-    hc = VertexHypercube(graphs["k4"])
-    nu = StateIndex((0, 0, 0, 0))
-    masks, edges = hc.site_path(nu, 2, (0, 1, 2))
+    rs = graphs["k4"]
+    masks, edges = band_path(rs, (0, 0, 0, 0), 2)
     assert len(masks) == 4 and len(edges) == 3
     # each step swaps one edge; the path ends at the state with vertex 2 flipped
-    assert masks[0] == 0 and masks[-1] == hc.ribbon.state_mask((0, 0, 1, 0))
+    assert masks[0] == 0 and masks[-1] == state_mask(rs, (0, 0, 1, 0))
     assert all(masks[i] ^ masks[i + 1] == 1 << (edges[i] - 1) for i in range(3))
     assert bin(masks[-1]).count("1") == 3
 
 
 def test_bubbled_path_matches_site_path(graphs):
-    theta = graphs["theta"]
-    bb = bubbled_blowup(theta)
-    path = vertex_to_bubbled_path(StateIndex((0, 0)), StateIndex((1, 0)), bb)
-    assert len(path) == 3
-    # all three flipped sites belong to vertex 0's blowup cycle
-    assert {bb.site_origin[s][0] for s in path} == {0}
-    assert list(path) == sorted(path)
+    """A vertex's band edges are the edges of the three matching sites at
+    its blowup cycle in the bubbled blowup (two sites per original edge)."""
+    for name in ("theta", "k4", "lollipop"):
+        rs = graphs[name]
+        bb = bubbled_blowup(rs)
+        for v, bands in enumerate(rs.ribbon.bands):
+            sites = [s for s, (ov, _pos) in enumerate(bb.site_origin) if ov == v]
+            positions = [bb.site_origin[s][1] for s in sites]
+            assert sorted(positions) == [0, 1, 2]
+            assert [bands[pos] for pos in positions] == [s // 2 + 1 for s in sites]
 
 
 def test_state_cap(graphs):
+    with pytest.raises(StateSpaceError, match=r"\|V\| = 20 exceeds the state cap 10"):
+        hypercube_ribbon(graphs["dodec"], cap=10)
+    assert hypercube_ribbon(graphs["dodec"], cap=20) is graphs["dodec"].ribbon
+    with pytest.raises(StateSpaceError, match="requires a trivalent diagram"):
+        hypercube_ribbon(parse_vpd("G[V[1,4,3,6],V[2,5]]", any_valence=True))
+
+
+@pytest.mark.parametrize("bits", [(0,), (0, 0, 0), (), (0, 2), (1, -1), (0, "1")])
+def test_state_mask_rejects_bad_states(graphs, bits):
     with pytest.raises(StateSpaceError):
-        VertexHypercube(graphs["dodec"], cap=10).check_cap()
+        state_mask(graphs["theta"], bits)
 
 
-@given(st.integers(2, 5), st.data())
-@settings(max_examples=40, deadline=None)
-def test_sign_at_antisymmetry(nbits, data):
-    bits = tuple(data.draw(st.integers(0, 1)) for _ in range(nbits))
-    nu = StateIndex(bits)
-    # flipping two distinct 0-sites in either order accumulates opposite signs
-    zeros = [i for i, b in enumerate(bits) if not b]
-    if len(zeros) < 2:
-        return
-    a, b = zeros[0], zeros[1]
-    s1 = nu.sign_at(a) * nu.flip(a).sign_at(b)
-    s2 = nu.sign_at(b) * nu.flip(b).sign_at(a)
-    assert s1 == -s2
+def test_state_mask_rejects_a_missing_hypercube_edge(graphs):
+    theta = graphs["theta"]
+    assert state_mask(theta, (0, 1), flip=0) == theta.ribbon.vertex_masks[1]
+    for bits, flip in (((1, 0), 0), ((1, 1), 1), ((0, 0), 2), ((0, 0), -1)):
+        with pytest.raises(StateSpaceError, match="no hypercube edge"):
+            state_mask(theta, bits, flip=flip)
