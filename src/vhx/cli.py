@@ -94,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument(
         "--no-memo",
         action="store_true",
-        help="disable the coloring-count memo (verification mode)",
+        help="count every distinct coloring structure afresh, bypassing the "
+        "process-global coloring-count memo (verification mode)",
     )
     return ap
 

@@ -2,10 +2,13 @@
 
 The filtered homology rank in homological degree i equals the number of
 n-colorings of the boundary circles, summed over weight-i states, in which
-every vertex sees at least two colors among its three corner arcs.  This
-module counts those colorings combinatorially, derives the total matching
-polynomial, extracts the matching a coloring induces, and cross-checks the
-combinatorics against a numeric kernel computation.
+every vertex sees at least two colors among its three corner arcs.  A
+state's count depends only on its corner triples, so the half cube is walked
+once per graph into a histogram of these structures, and colorings are
+counted once per distinct structure and n, up to a permutation of the
+colors.  This module also derives the total matching polynomial, extracts
+the matching a coloring induces, and cross-checks the combinatorics against
+a numeric kernel computation.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poly import _Poly
 from .states import DEFAULT_STATE_CAP, hypercube_ribbon, state_mask
@@ -31,23 +35,21 @@ class TPoly(_Poly):
 
 def _structure(dec: CircleDecomposition) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Constraints with circles relabeled by first occurrence, plus the
-    number of unconstrained circles (each contributes a free factor n)."""
+    number of circles they name (any other circle is a free factor n)."""
     relabel: dict[int, int] = {}
-    constraints = []
-    for corners in dec.corner_map:
-        row = []
-        for c in corners:
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            row.append(relabel[c])
-        constraints.append(tuple(row))
-    free = dec.circle_count - len(relabel)
-    return tuple(sorted(constraints)), free
+    constraints = [
+        tuple(relabel.setdefault(c, len(relabel)) for c in corners)
+        for corners in dec.corner_map
+    ]
+    return tuple(sorted(constraints)), len(relabel)
 
 
 def _count_constrained(constraints, ncircles: int, n: int) -> int:
     """Backtracking count of circle colorings avoiding monochromatic
-    constraint triples; circles with most constraints are colored first."""
+    constraint triples; circles with most constraints are colored first.
+    Colors are interchangeable, so a circle takes one of the ``used`` colors
+    already placed or a fresh one standing for the ``n - used`` others: at
+    most Bell(ncircles) leaves, not n^ncircles."""
     if any(len(set(c)) == 1 for c in constraints):
         return 0
     load = [0] * ncircles
@@ -62,36 +64,39 @@ def _count_constrained(constraints, ncircles: int, n: int) -> int:
         ready[max(pos[c] for c in con)].append(con)
     color = [0] * ncircles
 
-    def rec(depth: int) -> int:
+    def rec(depth: int, used: int) -> int:
         if depth == ncircles:
             return 1
         total = 0
-        for col in range(n):
+        for col in range(min(used + 1, n)):
             color[order[depth]] = col
-            if all(
-                len({color[c] for c in con}) > 1 for con in ready[depth]
-            ):
-                total += rec(depth + 1)
+            if all(len({color[c] for c in con}) > 1 for con in ready[depth]):
+                if col < used:
+                    total += rec(depth + 1, used)
+                else:
+                    total += (n - used) * rec(depth + 1, used + 1)
         return total
 
-    return rec(0)
+    return rec(0, 0)
 
 
 _memo: dict[tuple, int] = {}
 
 
+def _count(constraints, ncircles: int, n: int, use_memo: bool) -> int:
+    """:func:`_count_constrained` through ``_memo`` (keyed by constraints and
+    n), or afresh without ``use_memo``."""
+    memo = _memo if use_memo else {}
+    key = (constraints, n)
+    if key not in memo:
+        memo[key] = _count_constrained(constraints, ncircles, n)
+    return memo[key]
+
+
 def count_partial_colorings(dec: CircleDecomposition, n: int, use_memo: bool = True) -> int:
     """Number of n-colorings of the circles with no monochromatic vertex."""
-    constraints, free = _structure(dec)
-    key = (constraints, n)
-    if use_memo and key in _memo:
-        base = _memo[key]
-    else:
-        ncon = 1 + max((c for con in constraints for c in con), default=-1)
-        base = _count_constrained(constraints, ncon, n)
-        if use_memo:
-            _memo[key] = base
-    return base * n**free
+    constraints, k = _structure(dec)
+    return _count(constraints, k, n, use_memo) * n ** (dec.circle_count - k)
 
 
 def enumerate_partial_colorings(dec: CircleDecomposition, n: int):
@@ -137,24 +142,51 @@ class FilteredRanks:
         )
 
 
+@lru_cache(maxsize=64)
+def structure_histogram(
+    rs: RotationSystem, cap: int = DEFAULT_STATE_CAP
+) -> dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...]]]:
+    """Sorted corner triples (circles numbered by first occurrence) -> (k,
+    number of states of each weight with that structure and k circles)."""
+    ribbon = hypercube_ribbon(rs, cap)
+    nv = rs.vertex_count
+    hist: dict[tuple, tuple] = {}
+    # kept keys share one tuple per distinct triple: a third of the memory
+    triples: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for w, mask in ribbon.half_cube():
+        flat, k = ribbon.corner_labels(mask)
+        it = iter(flat)
+        key = tuple(sorted(zip(it, it, it)))
+        entry = hist.get(key)
+        if entry is None:
+            key = tuple(map(triples.setdefault, key, key))
+            entry = hist[key] = (k, [0] * (nv + 1))
+        row = entry[1]
+        # the state and its complement share their circles
+        row[w] += 1
+        row[nv - w] += 1
+    for key, (k, row) in hist.items():
+        hist[key] = (k, tuple(row))
+    return hist
+
+
 def filtered_ranks(
     rs: RotationSystem,
     n: int,
     cap: int = DEFAULT_STATE_CAP,
     use_memo: bool = True,
 ) -> FilteredRanks:
-    """Filtered homology ranks: per-state harmonic-coloring counts summed by
-    state weight."""
+    """Filtered homology ranks: harmonic-coloring counts, one per distinct
+    structure of :func:`structure_histogram`, summed by state weight.
+    ``use_memo=False`` counts every distinct structure afresh, bypassing the
+    process-global ``_memo``."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    ribbon = hypercube_ribbon(rs, cap)
-    nv = rs.vertex_count
-    ranks = [0] * (nv + 1)
-    for w, mask in ribbon.half_cube():
-        # the state and its complement share their circles, hence their count
-        cnt = count_partial_colorings(ribbon.decomposition(mask), n, use_memo=use_memo)
-        ranks[w] += cnt
-        ranks[nv - w] += cnt
+    ranks = [0] * (rs.vertex_count + 1)
+    for constraints, (k, row) in structure_histogram(rs, cap).items():
+        cnt = _count(constraints, k, n, use_memo)
+        for w, states in enumerate(row):
+            ranks[w] += states * cnt
     return FilteredRanks(n, ranks)
 
 
@@ -255,12 +287,13 @@ def harmonic_kernel_check(
     maps = LocalMaps(ribbon, n)
     nv = rs.vertex_count
 
-    def cob(k):
+    @lru_cache(maxsize=None)
+    def cob(k):  # the color-change matrix on k circles and its inverse
         C = np.eye(1, dtype=complex)
         base = color_change_matrix(n)
         for _ in range(k):
             C = np.kron(C, base)
-        return C
+        return C, np.linalg.inv(C)
 
     per_state: dict[tuple[int, ...], tuple[int, int, str]] = {}
     for bits in itertools.product([0, 1], repeat=nv):
@@ -268,17 +301,16 @@ def harmonic_kernel_check(
         dec = ribbon.decomposition(mask)
         k = dec.circle_count
         dim = n**k
-        C_here = cob(k)
-        C_here_inv = np.linalg.inv(C_here)
+        C_here, C_here_inv = cob(k)
         blocks = []
         for v, path in enumerate(ribbon.bands):
             if bits[v] == 0:
                 _, ka, mat = _hat_matrix(maps, mask, path)
-                blocks.append(np.linalg.inv(cob(ka)) @ mat @ C_here)
+                blocks.append(cob(ka)[1] @ mat @ C_here)
             else:
                 # the edge into this state starts where vertex v is 0-smoothed
                 kb, _, mat = _hat_matrix(maps, mask ^ ribbon.vertex_masks[v], path)
-                mc = C_here_inv @ mat @ cob(kb)
+                mc = C_here_inv @ mat @ cob(kb)[0]
                 blocks.append(mc.conj().T)
         count = count_partial_colorings(dec, n)
         if not blocks:

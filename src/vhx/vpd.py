@@ -314,6 +314,26 @@ class Ribbon:
                     break
         return k
 
+    def corner_labels(self, mask: int) -> tuple[list[int], int]:
+        """Circle label of every corner in vertex and tuple order, circles
+        numbered by first occurrence, and the number of circles: the walk of
+        :meth:`circle_count`, labelling corners instead of marking them."""
+        sw = mask ^ self.sign_mask
+        succ, succ_edge, corner_of = self.succ, self.succ_edge, self.corner_of
+        label = [-1] * self.ntok
+        k = 0
+        for s in self.outs:
+            if label[s] >= 0:
+                continue
+            p = s
+            while True:
+                label[corner_of[p]] = k
+                p = succ[p] ^ (sw >> succ_edge[p] & 1)
+                if p == s:
+                    break
+            k += 1
+        return list(map(label.__getitem__, self.outs)), k
+
     def trace(self, mask: int) -> tuple[list[int], list[list[int]]]:
         """Owner array (circle index of every token id) and the token ids of
         each circle in traversal order, under swap mask ``mask``.

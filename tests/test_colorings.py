@@ -83,8 +83,8 @@ def test_k33_single_smoothing_states(graphs, n):
 
 
 def test_memo_matches_no_memo(graphs):
-    for name in ("theta", "k4", "k33"):
-        for n in (2, 3):
+    for name in ("theta", "k4", "k33", "lollipop"):
+        for n in (2, 3, 4):
             a = filtered_ranks(graphs[name], n, use_memo=True)
             b = filtered_ranks(graphs[name], n, use_memo=False)
             assert a.ranks == b.ranks
@@ -172,12 +172,13 @@ def test_bridge_always_induced(graphs):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_harmonic_kernel_theta(graphs, n):
-    report = harmonic_kernel_check(graphs["theta"], n)
+@pytest.mark.parametrize("name", ["theta", "thetaneg", "k4", "p3"])
+def test_harmonic_kernel_matches_counts(graphs, name, n):
+    report = harmonic_kernel_check(graphs[name], n)
     assert report.ok
     # per-degree sums reproduce the filtered ranks
-    fr = filtered_ranks(graphs["theta"], n)
-    sums = [0] * 3
+    fr = filtered_ranks(graphs[name], n)
+    sums = [0] * (graphs[name].vertex_count + 1)
     for bits, (cnt, numeric, _) in report.per_state.items():
         assert cnt == numeric
         sums[sum(bits)] += numeric

@@ -3,7 +3,9 @@
 ``circle_count``, ``decomposition``, ``state_mask`` and
 ``state_histogram`` must agree exactly with the reference tracer in
 ``reference_tracer.py`` on the fixtures and on a seeded corpus of generated
-cubic ribbon graphs with negative edges and loops.
+cubic ribbon graphs with negative edges and loops.  ``corner_labels`` and
+``structure_histogram`` must agree with ``decomposition``, and the filtered
+ranks with a brute-force coloring count and under relabeling.
 """
 
 import itertools
@@ -15,7 +17,14 @@ import pytest
 from reference_tracer import reference_trace, vertex_swaps
 
 import vhx
-from vhx.colorings import count_partial_colorings, filtered_ranks
+from vhx.colorings import (
+    _structure,
+    count_partial_colorings,
+    enumerate_partial_colorings,
+    filtered_ranks,
+    structure_histogram,
+    total_matching_polynomial,
+)
 from vhx.poly import state_histogram
 from vhx.states import state_mask
 from vhx.vpd import VPDError, parse_vpd, serialize_vpd
@@ -142,15 +151,120 @@ def test_complement_symmetry_of_reference_histogram(name):
     assert hist == hist[::-1]
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(SMALL) if SMALL[n].vertex_count <= 8])
-@pytest.mark.parametrize("n", [2, 3])
+_brute: dict[tuple, int] = {}
+
+
+def brute_count(dec, n):
+    """Harmonic colorings of ``dec`` by enumerating all n^k colorings,
+    cached by corner map and circle count (all the enumeration reads)."""
+    key = (dec.corner_map, dec.circle_count, n)
+    if key not in _brute:
+        _brute[key] = sum(1 for _ in enumerate_partial_colorings(dec, n))
+    return _brute[key]
+
+
+SMALL8 = [n for n in sorted(SMALL) if SMALL[n].vertex_count <= 8]
+
+
+@pytest.mark.parametrize("name", SMALL8)
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_filtered_ranks_palindromic(name, n):
-    """filtered_ranks walks half the cube; the full-cube reference sum must
+    """filtered_ranks walks half the cube; the full-cube brute-force sum must
     agree and be a palindrome."""
     rs = SMALL[name]
     nv = rs.vertex_count
     ref = [0] * (nv + 1)
     for bits, dec in reference_states(name).items():
-        ref[sum(bits)] += count_partial_colorings(dec, n)
+        ref[sum(bits)] += brute_count(dec, n)
     assert ref == ref[::-1]
     assert filtered_ranks(rs, n).ranks == ref
+
+
+def test_counter_matches_brute_force_on_every_structure():
+    """The color-symmetric counter against n^k enumeration, once per distinct
+    structure of the |V| <= 8 corpus."""
+    structures = {}
+    for name in SMALL8:
+        for dec in reference_states(name).values():
+            structures.setdefault(_structure(dec)[0], dec)
+    assert len(structures) > 100
+    for dec in structures.values():
+        for n in (2, 3, 4, 5):
+            assert count_partial_colorings(dec, n, use_memo=False) == brute_count(dec, n)
+
+
+def first_occurrence(corner_map):
+    relabel = {}
+    return [relabel.setdefault(c, len(relabel)) for corners in corner_map for c in corners]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_corner_labels_match_decomposition(name):
+    """On every half-cube state and 300 seeded edge-swap masks, the labels
+    are the decomposition's corner map numbered by first occurrence."""
+    rs = SMALL[name]
+    ribbon = rs.ribbon
+    rng = random.Random(rs.edge_count)
+    masks = [mask for _, mask in ribbon.half_cube()]
+    masks += [rng.getrandbits(rs.edge_count) for _ in range(300)]
+    for mask in masks:
+        dec = ribbon.decomposition(mask)
+        labels, k = ribbon.corner_labels(mask)
+        assert labels == first_occurrence(dec.corner_map)
+        assert k == dec.circle_count
+        it = iter(labels)
+        assert (tuple(sorted(zip(it, it, it))), k) == _structure(dec)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_structure_histogram(name):
+    """Rows sum to 2^|V| (binomially per weight), are palindromic, and
+    grouped by k give the circle-count histogram."""
+    rs = SMALL[name]
+    nv = rs.vertex_count
+    hist = structure_histogram(rs)
+    by_k = [dict() for _ in range(nv + 1)]
+    for k, row in hist.values():
+        assert row == row[::-1]
+        for w, states in enumerate(row):
+            if states:
+                by_k[w][k] = by_k[w].get(k, 0) + states
+    assert [sum(r.values()) for r in by_k] == [math.comb(nv, w) for w in range(nv + 1)]
+    assert by_k == state_histogram(rs)
+
+
+def relabel(rs, rng):
+    """An isomorphic ribbon graph: shuffled vertices, rotated tuples,
+    renumbered edges, and the odd label (with the sign) moved to the other
+    end of a random half of the edges."""
+    ne = rs.edge_count
+    perm = rng.sample(range(1, ne + 1), ne)
+    swap_ends = [rng.random() < 0.5 for _ in range(ne)]
+
+    def new_label(h):
+        e = (abs(h) + 1) // 2
+        f = perm[e - 1]
+        if (abs(h) % 2 == 1) != swap_ends[e - 1]:
+            return -(2 * f - 1) if rs.edge_sign(e) < 0 else 2 * f - 1
+        return 2 * f
+
+    verts = []
+    for v in rs.vertices:
+        r = rng.randrange(len(v))
+        verts.append(tuple(new_label(h) for h in v[r:] + v[:r]))
+    rng.shuffle(verts)
+    return parse_vpd(serialize_vpd(vhx.RotationSystem(tuple(verts))))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_filtered_ranks_invariant_under_relabeling(name):
+    """First-occurrence numbering depends on vertex and tuple order; the
+    ranks and TM polynomials must not."""
+    rs = SMALL[name]
+    rng = random.Random(f"{CORPUS_SEED}-{name}")
+    for _ in range(2):
+        other = relabel(rs, rng)
+        assert other != rs
+        for n in (2, 3):
+            assert filtered_ranks(other, n).ranks == filtered_ranks(rs, n).ranks
+            assert total_matching_polynomial(other, n) == total_matching_polynomial(rs, n)
