@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .poly import _Poly
-from .states import DEFAULT_STATE_CAP, hypercube_ribbon, state_mask
+from .states import DEFAULT_STATE_CAP, cache_per_graph, hypercube_ribbon, state_mask
 from .vpd import CircleDecomposition, RotationSystem
 
 
@@ -142,7 +142,7 @@ class FilteredRanks:
         )
 
 
-@lru_cache(maxsize=64)
+@cache_per_graph
 def structure_histogram(
     rs: RotationSystem, cap: int = DEFAULT_STATE_CAP
 ) -> dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...]]]:

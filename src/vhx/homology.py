@@ -15,16 +15,19 @@ An elementary map is the identity on the circles its band does not touch,
 so each hypercube edge's map is composed on the circles its bands touch
 (:class:`LocalMaps`) and tensored with the identity on the others.  The
 build runs on integer pairs (a, b) meaning a + b sqrt n, turned into
-:class:`QuadScalar` when an entry is emitted; ranks stay exact over
-Q(sqrt n) in ``QuadScalar``, by Gaussian elimination with a first-nonzero
-row-major pivot rule.
+:class:`QuadScalar` when an entry is emitted.  Ranks and the delta o delta
+check turn entries back into integer pairs; ranks are exact over Q(sqrt n)
+by fraction-free elimination in Z[sqrt n] with a first-nonzero row-major
+pivot rule.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -42,7 +45,7 @@ from .vpd import PerfectMatchingDiagram, Ribbon, RotationSystem
 BasisElement = tuple[tuple[int, ...], tuple[int, ...]]  # (state bits, exponents)
 
 # Largest basis a complex may have; a bigger one is refused before any basis
-# element is built (prism6 at n = 3, 224,784 elements, peaks at 110 MB).
+# element is built (prism6 at n = 3, 224,784 elements, peaks at 103 MB).
 MAX_BASIS = 1 << 18
 
 
@@ -371,61 +374,85 @@ def delta_graded_pieces(
 # exact rank computation
 
 
+def _pairs(entries: dict) -> dict:
+    """Values a + b sqrt n as integer pairs (a, b), scaled by the lcm of all denominators."""
+    den = math.lcm(*(x.denominator for v in entries.values() for x in (v.a, v.b)))
+    return {
+        k: (v.a.numerator * (den // v.a.denominator), v.b.numerator * (den // v.b.denominator))
+        for k, v in entries.items()
+    }
+
+
 def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int) -> int:
-    """Rank over Q(sqrt n) by elimination; pivots are the first nonzero
-    entry in row-major order."""
+    """Rank over Q(sqrt n) by fraction-free elimination in Z[sqrt n]; pivots
+    are the first nonzero entry in row-major order.
+
+    Rows are integer pairs (a, b), cleared of denominators by their lcm.  A
+    pivot row is kept times its pivot's conjugate, so the pivot is its norm
+    d, a nonzero integer (``QuadScalar.make`` folds a perfect square's root
+    into a: b = 0, and no zero divisor of Z[x]/(x^2 - n) occurs).  A row with
+    c there becomes (d * row - c * pivot_row) / gcd(d, c), then is divided
+    by the gcd of its integers."""
     rows: list[dict[int, QuadScalar]] = [dict() for _ in range(nrows)]
+    n = 0
     for (r, c), v in block.items():
         if v:
-            rows[r][c] = v
-    pivots: list[tuple[int, dict[int, QuadScalar]]] = []
-    rank = 0
-    for row in rows:
-        cur = dict(row)
-        for pc, prow in pivots:
-            coef = cur.get(pc)
-            if coef:
-                del cur[pc]
-                for c, v in prow.items():
-                    newv = cur.get(c, None)
-                    delta = coef * v
-                    if newv is None:
-                        cur[c] = -delta
-                    else:
-                        cur[c] = newv - delta
-                cur = {c: v for c, v in cur.items() if v}
-        if not cur:
-            continue
-        pc = min(cur)
-        pv = cur[pc]
-        prow = {c: v / pv for c, v in cur.items() if c != pc}
-        pivots.append((pc, prow))
-        rank += 1
-    return rank
+            rows[r][c], n = v, v.radicand
+    pivots: dict[int, tuple[int, dict[int, tuple[int, int]]]] = {}
+    for cur in map(_pairs, filter(None, rows)):
+        # a pivot row's other entries lie right of its pivot, so pivot
+        # columns are eliminated left to right, each once (a sorted list is
+        # a heap; a column pushed twice is gone by its second pop)
+        todo = sorted(c for c in cur if c in pivots)
+        while todo:
+            pc = heapq.heappop(todo)
+            if pc not in cur:
+                continue
+            ca, cb = cur.pop(pc)
+            d, prow = pivots[pc]
+            g = math.gcd(d, ca, cb)
+            d, ca, cb = d // g, ca // g, cb // g
+            if d != 1:
+                cur = {c: (d * x, d * y) for c, (x, y) in cur.items()}
+            for c, (x, y) in prow.items():
+                a, b = cur.pop(c, (0, 0))
+                a, b = a - ca * x - n * cb * y, b - ca * y - cb * x
+                if a or b:
+                    cur[c] = (a, b)
+                    if c in pivots:
+                        heapq.heappush(todo, c)
+            if d != 1 and cur:
+                g = math.gcd(*(t for v in cur.values() for t in v))
+                cur = {c: (x // g, y // g) for c, (x, y) in cur.items()}
+        if cur:
+            pc = min(cur)
+            pa, pb = cur.pop(pc)
+            d = pa * pa - n * pb * pb
+            prow = {c: (pa * x - n * pb * y, pa * y - pb * x) for c, (x, y) in cur.items()}
+            g = math.gcd(d, *(t for v in prow.values() for t in v)) * (-1 if d < 0 else 1)
+            pivots[pc] = (d // g, {c: (x // g, y // g) for c, (x, y) in prow.items()})
+    return len(pivots)
 
 
 def chain_condition_holds(cx: ChainComplex) -> bool:
-    """delta(i+1) o delta(i) = 0 for every consecutive pair of blocks."""
-    k = cx.bigrade_j
-    for (i, j), block in cx.diff.items():
-        nxt = cx.diff.get((i + 1, j + k))
+    """delta(i+1) o delta(i) = 0 for every consecutive pair of blocks, in
+    integer pairs (a, b) (each block scaled by a positive integer)."""
+    n, k = cx.n, cx.bigrade_j
+    diff = {key: _pairs(block) for key, block in cx.diff.items()}
+    for (i, j), block in diff.items():
+        nxt = diff.get((i + 1, j + k))
         if not nxt:
             continue
-        nxt_cols: dict[int, list[tuple[int, QuadScalar]]] = {}
-        for (r2, mid), v2 in nxt.items():
-            nxt_cols.setdefault(mid, []).append((r2, v2))
-        by_col: dict[int, dict[int, QuadScalar]] = {}
-        for (r, c), v in block.items():
-            by_col.setdefault(c, {})[r] = v
-        for c, col in by_col.items():
-            acc: dict[int, QuadScalar] = {}
-            for mid, v in col.items():
-                for r2, v2 in nxt_cols.get(mid, ()):
-                    prev = acc.get(r2)
-                    prod = v2 * v
-                    acc[r2] = prod if prev is None else prev + prod
-            if any(acc.values()):
-                return False
+        nxt_cols: dict[int, list[tuple[int, int, int]]] = {}
+        for (r2, mid), (x, y) in nxt.items():
+            nxt_cols.setdefault(mid, []).append((r2, x, y))
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
+        for (mid, c), (a, b) in block.items():
+            for r2, x, y in nxt_cols.get(mid, ()):
+                sa, sb = acc.get((r2, c), (0, 0))
+                acc[(r2, c)] = (sa + a * x + n * b * y, sb + a * y + b * x)
+        if any(v != (0, 0) for v in acc.values()):
+            return False
     return True
 
 
@@ -434,20 +461,13 @@ def bigraded_homology(cx: ChainComplex) -> RankTable:
     if cx.bigrade_j != 0:
         raise ValueError("homology is defined for the bigraded differential only")
     ranks: dict[tuple[int, int], int] = {}
-    keys = sorted(cx.bases)
-    rank_cache: dict[tuple[int, int], int] = {}
 
+    @functools.cache
     def block_rank(i, j):
-        key = (i, j)
-        if key not in rank_cache:
-            block = cx.diff.get(key)
-            if not block:
-                rank_cache[key] = 0
-            else:
-                rank_cache[key] = matrix_rank(block, cx.dim(i + 1, j), cx.dim(i, j))
-        return rank_cache[key]
+        block = cx.diff.get((i, j))
+        return matrix_rank(block, cx.dim(i + 1, j), cx.dim(i, j)) if block else 0
 
-    for i, j in keys:
+    for i, j in sorted(cx.bases):
         dim = cx.dim(i, j)
         r = dim - block_rank(i, j) - block_rank(i - 1, j)
         if r < 0:
@@ -470,9 +490,4 @@ def graded_euler(ranks: RankTable) -> "LaurentPoly":
 def chain_euler(cx: ChainComplex) -> "LaurentPoly":
     """Graded Euler characteristic from chain-group dimensions (equal to the
     homological one by rank-nullity)."""
-    from .poly import LaurentPoly
-
-    out: dict[int, int] = {}
-    for (i, j), lst in cx.bases.items():
-        out[j] = out.get(j, 0) + (-1) ** i * len(lst)
-    return LaurentPoly(out)
+    return graded_euler(RankTable(cx.n, {key: len(basis) for key, basis in cx.bases.items()}))

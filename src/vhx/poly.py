@@ -14,10 +14,9 @@ The histogram streams half of the vertex hypercube through the compiled
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 
 from .algebra import half_m
-from .states import DEFAULT_STATE_CAP, hypercube_ribbon
+from .states import DEFAULT_STATE_CAP, cache_per_graph, hypercube_ribbon
 from .vpd import RotationSystem
 
 
@@ -145,7 +144,7 @@ def loop_polynomial(n: int) -> LaurentPoly:
 # state histogram
 
 
-@lru_cache(maxsize=64)
+@cache_per_graph
 def state_histogram(
     rs: RotationSystem, cap: int = DEFAULT_STATE_CAP
 ) -> list[dict[int, int]]:

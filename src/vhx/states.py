@@ -11,6 +11,7 @@ is the one conversion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .vpd import Ribbon, RotationSystem
@@ -38,6 +39,15 @@ def hypercube_ribbon(
     if cap is not None and dim > cap:
         raise StateSpaceError(f"{name} = {dim} exceeds the state cap {cap}")
     return rs.ribbon
+
+
+def cache_per_graph(fn):
+    """``fn(rs, cap)`` kept for the 64 latest keys (rs, cap), one key however
+    ``cap`` is passed or defaulted."""
+    cached = functools.lru_cache(maxsize=64)(fn)
+    call = functools.wraps(fn)(lambda rs, cap=DEFAULT_STATE_CAP: cached(rs, cap))
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
 
 
 def state_mask(rs: RotationSystem, bits, flip: int | None = None) -> int:

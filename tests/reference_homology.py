@@ -6,6 +6,10 @@ matches circles by token sets, and composes dicts of ``QuadScalar``s.
 Circles come from the reference tracer in ``reference_tracer.py``, so this
 shares no code with the assembler beyond the algebra's elementary maps and
 :class:`~vhx.algebra.QuadScalar`.
+
+:func:`matrix_rank` is the rank that predates the fraction-free one in
+:mod:`vhx.homology`: elimination over Q(sqrt n) in ``QuadScalar``, with
+``Fraction`` coefficients and the same pivot rule, kept to gate it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import lru_cache
 
 from reference_tracer import reference_trace, vertex_swaps
 
-from vhx.algebra import half_m, map_delta, map_eta, map_m, qdeg
+from vhx.algebra import QuadScalar, half_m, map_delta, map_eta, map_m, qdeg
 from vhx.homology import ChainComplex
 from vhx.states import InvariantError
 from vhx.vpd import CircleDecomposition, PerfectMatchingDiagram, RotationSystem
@@ -282,3 +286,36 @@ def hat_matrix(rs, n, bits, vertex):
         for b, c in lst:
             mat[row_of[b], col_of[a]] += float(c)
     return mat
+
+
+def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int) -> int:
+    """Rank over Q(sqrt n) by elimination; pivots are the first nonzero
+    entry in row-major order."""
+    rows: list[dict[int, QuadScalar]] = [dict() for _ in range(nrows)]
+    for (r, c), v in block.items():
+        if v:
+            rows[r][c] = v
+    pivots: list[tuple[int, dict[int, QuadScalar]]] = []
+    rank = 0
+    for row in rows:
+        cur = dict(row)
+        for pc, prow in pivots:
+            coef = cur.get(pc)
+            if coef:
+                del cur[pc]
+                for c, v in prow.items():
+                    newv = cur.get(c, None)
+                    delta = coef * v
+                    if newv is None:
+                        cur[c] = -delta
+                    else:
+                        cur[c] = newv - delta
+                cur = {c: v for c, v in cur.items() if v}
+        if not cur:
+            continue
+        pc = min(cur)
+        pv = cur[pc]
+        prow = {c: v / pv for c, v in cur.items() if c != pc}
+        pivots.append((pc, prow))
+        rank += 1
+    return rank

@@ -11,10 +11,11 @@ from vhx.colorings import (
     filtered_ranks,
     harmonic_kernel_check,
     induced_matching,
+    structure_histogram,
     total_matching_polynomial,
 )
 from vhx.oracles import AbstractGraph, bridges, perfect_matchings
-from vhx.states import StateSpaceError, state_mask
+from vhx.states import DEFAULT_STATE_CAP, StateSpaceError, state_mask
 from vhx.vpd import trace_boundary
 
 
@@ -204,3 +205,16 @@ def test_counts_scale_with_free_circles(n):
     dec = trace_boundary(theta)
     base = count_partial_colorings(dec, n)
     assert base == n * (n - 1) * (n - 2) + 3 * n * (n - 1)  # inclusion-exclusion
+
+
+def test_structure_histogram_cache_normalises_cap(graphs):
+    """Omitted, positional and keyword caps, and the call inside
+    ``filtered_ranks``, are one cache entry."""
+    structure_histogram.cache_clear()
+    rs = graphs["k33"]
+    first = structure_histogram(rs)
+    assert structure_histogram(rs, DEFAULT_STATE_CAP) is first
+    assert structure_histogram(rs, cap=DEFAULT_STATE_CAP) is first
+    filtered_ranks(rs, 2)
+    info = structure_histogram.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)

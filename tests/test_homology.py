@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import vhx
 from vhx.algebra import QuadScalar
 from vhx.homology import (
     ChainComplex,
@@ -18,6 +19,9 @@ from vhx.homology import (
 from vhx.poly import ncolor_vertex_polynomial
 from vhx.states import StateSpaceError
 from vhx.vpd import blowup
+
+# the plane prism C4 x K2
+PRISM4 = "G[V[1,5,20],V[6,3,22],V[7,11,2],V[12,9,4],V[13,17,8],V[18,15,10],V[19,23,14],V[24,21,16]]"
 
 THETA_TABLE_N2 = {
     (0, 0): 1,
@@ -196,3 +200,34 @@ def test_negative_edge_homology_consistency(graphs):
     assert graded_euler(bigraded_homology(cx)) == ncolor_vertex_polynomial(
         graphs["thetaneg"], 2
     )
+
+
+def _dual(table, nv):
+    """(i, j) -> (|V| - i, C - j), C = min j + max j."""
+    js = [j for _, j in table]
+    c = min(js) + max(js)
+    return {(nv - i, c - j): r for (i, j), r in table.items()}
+
+
+ODD_N_DUALITY = [
+    *((name, 3) for name in ("theta", "thetaneg", "k4", "thetab", "p3", "k33", "prism4")),
+    *((name, 5) for name in ("theta", "thetaneg", "k4", "p3")),
+]
+
+
+@pytest.mark.parametrize("name,n", ODD_N_DUALITY)
+def test_odd_n_duality(graphs, name, n):
+    """Observed identity, not yet proven (so not a ``check`` row): for odd n,
+    H^(i,j) = H^(|V|-i, C-j); at n = 3 the chain dimensions obey it too."""
+    rs = vhx.parse_vpd(PRISM4) if name == "prism4" else graphs[name]
+    cx = build_vertex_complex(rs, n)
+    table = bigraded_homology(cx).ranks
+    assert _dual(table, rs.vertex_count) == table
+    if n == 3:
+        dims = {key: len(basis) for key, basis in cx.bases.items()}
+        assert _dual(dims, rs.vertex_count) == dims
+
+
+def test_odd_n_duality_fails_at_even_n(graphs):
+    table = bigraded_homology(build_vertex_complex(graphs["theta"], 2)).ranks
+    assert _dual(table, 2) != table

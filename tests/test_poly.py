@@ -14,6 +14,7 @@ from vhx.poly import (
     state_histogram,
     vertex_polynomial,
 )
+from vhx.states import DEFAULT_STATE_CAP
 from vhx.vpd import blowup, parse_vpd, trace_boundary
 
 THETA_BRACKET_2 = LaurentPoly(
@@ -148,3 +149,14 @@ def test_rotation_invariance(verts, shift):
     rs2 = parse_vpd(text2)
     assert vertex_polynomial(rs) == vertex_polynomial(rs2)
     assert ncolor_vertex_polynomial(rs, 2) == ncolor_vertex_polynomial(rs2, 2)
+
+
+def test_state_histogram_cache_normalises_cap(graphs):
+    """Omitted, positional and keyword caps are one cache entry."""
+    state_histogram.cache_clear()
+    rs = graphs["k33"]
+    first = state_histogram(rs)
+    assert state_histogram(rs, DEFAULT_STATE_CAP) is first
+    assert state_histogram(rs, cap=DEFAULT_STATE_CAP) is first
+    info = state_histogram.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
