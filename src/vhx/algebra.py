@@ -25,20 +25,22 @@ class QuadScalar:
     """Exact element a + b*sqrt(radicand) of Q(sqrt(radicand)).
 
     When the radicand is a perfect square the root is folded into the
-    rational part, so ``b`` is always 0 in that case.
+    rational part, however the scalar is built, so ``b`` is always 0 then.
     """
 
     a: Fraction
     b: Fraction
     radicand: int
 
+    def __post_init__(self):
+        r = _isqrt_exact(self.radicand) if self.b else None
+        if r is not None:
+            object.__setattr__(self, "a", self.a + self.b * r)
+            object.__setattr__(self, "b", Fraction(0))
+
     @staticmethod
     def make(a, b, radicand: int) -> "QuadScalar":
-        a, b = Fraction(a), Fraction(b)
-        r = _isqrt_exact(radicand)
-        if r is not None:
-            return QuadScalar(a + b * r, Fraction(0), radicand)
-        return QuadScalar(a, b, radicand)
+        return QuadScalar(Fraction(a), Fraction(b), radicand)
 
     @staticmethod
     def of_int(c, radicand: int) -> "QuadScalar":

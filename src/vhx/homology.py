@@ -12,13 +12,13 @@ Two complexes share one assembler:
   shift 3m|nu|.
 
 An elementary map is the identity on the circles its band does not touch,
-so each hypercube edge's map is composed on the circles its bands touch
-(:class:`LocalMaps`) and tensored with the identity on the others.  The
-build runs on integer pairs (a, b) meaning a + b sqrt n, turned into
-:class:`QuadScalar` when an entry is emitted.  Ranks and the delta o delta
-check turn entries back into integer pairs; ranks are exact over Q(sqrt n)
-by fraction-free elimination in Z[sqrt n] with a first-nonzero row-major
-pivot rule.
+so each hypercube edge's map is composed on a model of its bands, read off
+the traces of its two end states (:class:`LocalMaps`), and tensored with
+the identity on the untouched circles.  The build runs on integer pairs
+(a, b) meaning a + b sqrt n, turned into :class:`QuadScalar` when an entry
+is emitted.  Ranks and the delta o delta check turn entries back into
+integer pairs; ranks are exact over Q(sqrt n) by fraction-free elimination
+in Z[sqrt n] with a first-nonzero row-major pivot rule.
 """
 
 from __future__ import annotations
@@ -137,9 +137,11 @@ def _step_table(n: int, variant: str) -> dict:
     }
 
 
-def _compose(n: int, k0: int, steps: tuple, variants: tuple) -> list:
-    """Entries (x, y, (a, b)) of a composite on the touched circles, for
-    every exponent tuple x in colexicographic order."""
+def _compose(n: int, k0: int, steps: tuple, variants: tuple, turns: tuple = ()) -> list:
+    """Entries (x, y, (a, b)) of a composite on the touched circles, for every
+    x in colexicographic order; ``turns`` flags the splits to turn around."""
+    turns = iter(turns)
+    steps = [(k, b, a[::-1] if k == "split" and next(turns) else a, *r) for k, b, a, *r in steps]
     out = []
     for x in _codes(n, k0)[0]:
         row: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -166,70 +168,145 @@ def _compose(n: int, k0: int, steps: tuple, variants: tuple) -> list:
     return out
 
 
+def _band_model(partner: tuple[int, ...], swaps: int, path: tuple[int, ...]):
+    """Flips ``path`` on a band model: band i has tokens 4i..4i+3, glued
+    across as q ^ 2 (q ^ 3 while bit i of ``swaps`` is set), and ``partner``
+    joins tokens by the arcs outside the bands.  Returns the ``steps`` of
+    :func:`_compose`, each start circle's first token, the end owner array
+    and first tokens, and the two new walks of each split."""
+    # a ribbon with just the tracing tables, the outside arcs as its corners
+    model = Ribbon.__new__(Ribbon)
+    model.ntok, model.arc, model.sign_mask = len(partner), partner, 0
+    model.succ, model.succ_edge = [q ^ 2 for q in partner], [q >> 2 for q in partner]
+    masks = itertools.accumulate((1 << i for i in path), operator.xor, initial=swaps)
+    states = [model.trace(m) for m in masks]
+    steps, splits = [], []
+    for s, i in enumerate(path):
+        corr = circle_correspondence(states[s], states[s + 1], i + 1)
+        walks = states[s + 1][1]
+        kept = corr.stable_pairs
+        steps.append((corr.kind, corr.active_before, corr.active_after, kept, len(walks)))
+        if corr.kind == "split":
+            splits.append(tuple(tuple(walks[c]) for c in corr.active_after))
+    (_, start), (owner, end) = states[0], states[-1]
+    return tuple(steps), [w[0] for w in start], tuple(owner), [w[0] for w in end], tuple(splits)
+
+
+def _arc_least(walks: list[list[int]], nt: int, r: int, s: int) -> int:
+    """The least token on the arc outside the bands between the band tokens
+    of ranks r and s (circle * nt + walk position).  The arc runs from the
+    even position forward to the odd one, so it passes the walk's start,
+    which holds the circle's least token, when the odd one comes first."""
+    (c, p), q = divmod(min(r, s), nt), max(r, s) % nt
+    return walks[c][0] if p & 1 else min(walks[c][p : q + 1])
+
+
 class LocalMaps:
     """Hypercube-edge maps of one ribbon at one n, composed on the circles
-    the flipped bands touch (circles are :meth:`Ribbon.trace` owner arrays;
-    basis elements are numbered by the codes of :func:`_codes`).  Circles,
-    code tables and local composites are kept for the object's lifetime."""
+    the flipped bands touch (basis elements are numbered by the codes of
+    :func:`_codes`).  An edge map reads the traces of its two end states:
+    the start circles' arcs outside the bands pair up the bands' tokens, and
+    that pairing, the bands' swaps and the flip order key a band model
+    (:func:`_band_model`), whose end circles must be the end state's."""
 
     def __init__(self, ribbon: Ribbon, n: int):
         self.ribbon, self.n = ribbon, n
-        self._traces: dict[int, tuple[list[int], list[list[int]]]] = {}
+        self._traces: dict[int, tuple[list[list[int]], "array"]] = {}
+        self._paths: dict[tuple, tuple] = {}
+        self._models: dict[tuple, tuple] = {}
+        self._steps: dict[tuple, tuple] = {}
         self.codes = functools.cache(functools.partial(_codes, n))
         self._compose = functools.cache(functools.partial(_compose, n))
 
-    def trace(self, mask: int) -> tuple[list[int], list[list[int]]]:
-        """:meth:`Ribbon.trace`, kept per swap mask."""
-        tr = self._traces.get(mask)
-        if tr is None:
-            tr = self._traces[mask] = self.ribbon.trace(mask)
-        return tr
+    def trace(self, mask: int) -> tuple[list[list[int]], "array"]:
+        """The walks of :meth:`Ribbon.trace`, kept per swap mask, and each
+        token's rank: its circle times the token count, plus its position."""
+        if mask not in self._traces:
+            # an array holds a rank in 4 bytes, a list in an int object; its
+            # module loads only in processes that build a complex
+            from array import array
+
+            owner, walks = self.ribbon.trace(mask)
+            rank = [0] * len(owner)
+            for c, walk in enumerate(walks):
+                for r, t in enumerate(walk, c * len(owner)):
+                    rank[t] = r
+            self._traces[mask] = walks, array("I", rank)
+        return self._traces[mask]
 
     def edge_map(self, mask: int, path, variants):
         """The composed band flips on the edges ``path`` from swap mask
         ``mask``, summed over ``variants`` (one variant per step each).
 
         Returns ``(kb, ka, local, stable)``: the circle counts at both ends,
-        entries (source code, target code, (a, b)) on the touched circles,
-        and the (source, target) codes of every exponent assignment of the
-        untouched ones.  Each map entry adds one local entry and one pair.
+        entries (source code, target code, (a, b)) on the touched circles by
+        source code, and the (source, target) codes of every exponent
+        assignment of the untouched ones, one pair per map entry each.
         """
-        n = self.n
-        # a state's circles serve all its hypercube edges; the circles
-        # between two band flips belong to this edge alone
-        traces = [self.trace(mask)]
-        for e in path[:-1]:
-            mask ^= 1 << (e - 1)
-            traces.append(self.ribbon.trace(mask))
-        traces.append(self.trace(mask ^ 1 << (path[-1] - 1)))
-        band = [t for e in path for t in range(4 * e - 4, 4 * e)]
-        groups = [sorted({owner[t] for t in band}) for owner, _ in traces]
-        steps = []
-        for i, e in enumerate(path):
-            corr = circle_correspondence(traces[i], traces[i + 1], e)
-            gb, ga, walks, owner = groups[i], groups[i + 1], traces[i][1], traces[i + 1][0]
-            act_b, act_a = map(gb.index, corr.active_before), map(ga.index, corr.active_after)
-            kept = tuple(
-                (p, ga.index(owner[walks[c][0]]))
-                for p, c in enumerate(gb)
-                if c not in corr.active_before
-            )
-            steps.append((corr.kind, tuple(act_b), tuple(act_a), kept, len(ga)))
-        comp = self._compose(len(groups[0]), tuple(steps), variants)
-        (_, walks), (owner, walks_a) = traces[0], traces[-1]
-        if not comp:
-            return len(walks), len(walks_a), comp, []
-        wb = [n**c for c in groups[0]]
-        wa = [n**c for c in groups[-1]]
-        mul = operator.mul
+        n, nt = self.n, self.ribbon.ntok
+        if path not in self._paths:
+            edges = tuple(dict.fromkeys(path))
+            flip = functools.reduce(operator.xor, (1 << (e - 1) for e in path))
+            band = [t for e in edges for t in range(4 * e - 4, 4 * e)]
+            self._paths[path] = band, edges, tuple(map(edges.index, path)), flip
+        band, edges, lpath, flip = self._paths[path]
+        walks, rank = self.trace(mask)
+        walks_a, rank_a = self.trace(mask ^ flip)
+        # a band crossing is a pair of walk positions (odd, even), so an arc
+        # outside the bands runs from an even position to the next odd one;
+        # the arcs through walk starts run from a circle's last band token
+        # to its first, and are paired last
+        rank = [rank[t] for t in band]
+        partner, loose, prev = [-1] * len(band), [], -1
+        for i in sorted(range(len(band)), key=rank.__getitem__):
+            if rank[i] & 1 and prev >= 0 and rank[prev] // nt == rank[i] // nt:
+                partner[prev], partner[i] = i, prev
+            elif prev >= 0:
+                loose.append(prev)
+            if rank[i] & 1 and partner[i] < 0:
+                loose.append(i)
+            prev = -1 if rank[i] & 1 else i
+        loose += [prev] if prev >= 0 else []
+        for i, j in zip(loose[::2], loose[1::2]):
+            partner[i], partner[j] = j, i
+        if -1 in partner:
+            raise InvariantError("band tokens do not pair up along the circles")
+        sw = mask ^ self.ribbon.sign_mask
+        key = tuple(partner), sum((sw >> (e - 1) & 1) << i for i, e in enumerate(edges)), lpath
+        if key not in self._models:
+            # band models share few step sequences: keep one copy of each
+            steps, *rest = _band_model(*key)
+            self._models[key] = self._steps.setdefault(steps, steps), *rest
+        steps, start, end_owner, end, splits = self._models[key]
+        gb = [rank[t] // nt for t in start]
+        ends = [rank_a[t] // nt for t in band]
+        ga = [ends[t] for t in end]
+        untouched = [(c, rank_a[w[0]] // nt) for c, w in enumerate(walks) if c not in gb]
+        images = sorted(ga + [a for _, a in untouched])
+        if ends != [ga[c] for c in end_owner] or images != list(range(len(walks_a))):
+            raise InvariantError("band model disagrees with the end state's circles")
+        # whether a composite is empty does not depend on its circles' order
+        if not self._compose(len(gb), steps, variants, (False,) * len(splits)):
+            return len(walks), len(walks_a), [], []
+        # circles are numbered by least token, so a split's two new circles
+        # come in the order of the least tokens on their arcs
+        turns = []
+        for sides in splits:
+            least = [
+                min(_arc_least(walks, nt, rank[u], rank[v]) for u, v in zip(w[::2], w[1::2]))
+                for w in sides
+            ]
+            turns.append(least[0] > least[1])
+        comp = self._compose(len(gb), steps, variants, tuple(turns))
+        wb, wa, mul = [n**c for c in gb], [n**c for c in ga], operator.mul
         local = [(sum(map(mul, x, wb)), sum(map(mul, y, wa)), c) for x, y, c in comp]
-        # an untouched circle keeps its tokens through every step (each
-        # correspondence checked that), so its first token finds its image
+        local.sort(key=operator.itemgetter(0))
+        # an untouched circle keeps its tokens through every flip, so its
+        # first token finds its image
         stable = [(0, 0)]
-        for c, walk in enumerate(walks):
-            if c not in groups[0]:
-                xb, xa = n**c, n ** owner[walk[0]]
-                stable = [(s + e * xb, t + e * xa) for s, t in stable for e in range(n)]
+        for c, a in untouched:
+            xb, xa = n**c, n**a
+            stable = [(s + e * xb, t + e * xa) for s, t in stable for e in range(n)]
         return len(walks), len(walks_a), local, stable
 
 
@@ -266,7 +343,7 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
     for s in range(1 << d):
         low = s & -s
         masks.append(masks[s ^ low] ^ site_masks[d - low.bit_length()] if s else 0)
-        k = len(maps.trace(masks[s])[1])
+        k = len(maps.trace(masks[s])[0])
         total += n**k
         if total > MAX_BASIS:
             raise StateSpaceError(

@@ -85,10 +85,10 @@ class CircleCorrespondence:
 def circle_correspondence(before, after, edge: int) -> CircleCorrespondence:
     """Match circles across a single band flip on ``edge``.
 
-    ``before`` and ``after`` are :meth:`~vhx.vpd.Ribbon.trace` results
-    (owner array, walks).  Active circles meet the flipped band's four
-    tokens; every other circle must reappear with the same token set.  The
-    kind follows the circle-count delta.
+    ``before`` and ``after`` are (owner array, walks) traces of a ribbon or
+    of a band model (:class:`~vhx.homology.LocalMaps`).  Active circles meet
+    the flipped band's four tokens; every other circle must reappear with
+    the same token set.  The kind follows the circle-count delta.
     """
     (own_b, walks_b), (own_a, walks_a) = before, after
     q = 4 * edge - 4
@@ -98,26 +98,15 @@ def circle_correspondence(before, after, edge: int) -> CircleCorrespondence:
     # name a stable circle by its partner (the after circle holding its
     # first token) and an active one by -1: the token sets agree exactly
     # when every token gets the same name on both sides
-    partner = [own_a[walk[0]] for walk in walks_b]
-    for c in act_b:
-        partner[c] = -1
-    name_a = list(range(ka))
-    for c in act_a:
-        name_a[c] = -1
+    partner = [-1 if c in act_b else own_a[walk[0]] for c, walk in enumerate(walks_b)]
+    name_a = [-1 if c in act_a else c for c in range(ka)]
     if list(map(partner.__getitem__, own_b)) != list(map(name_a.__getitem__, own_a)):
         raise InvariantError("stable circle has no token-set partner")
     pairs = tuple((b, a) for b, a in enumerate(partner) if a >= 0)
     if len(pairs) != ka - len(act_a):
         raise InvariantError("stable circle matching is not a bijection")
     shape = (len(act_b), len(act_a), ka - kb)
-    if shape == (2, 1, -1):
-        kind = "merge"
-    elif shape == (1, 2, 1):
-        kind = "split"
-    elif shape == (1, 1, 0):
-        kind = "same-circle"
-    else:
-        raise InvariantError(
-            f"impossible correspondence: {len(act_b)} -> {len(act_a)} circles"
-        )
+    kind = {(2, 1, -1): "merge", (1, 2, 1): "split", (1, 1, 0): "same-circle"}.get(shape)
+    if kind is None:
+        raise InvariantError(f"impossible correspondence: {len(act_b)} -> {len(act_a)} circles")
     return CircleCorrespondence(kind, pairs, act_b, act_a)

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from test_ribbon import CORPUS_SEED, SMALL, relabel
 
 import vhx
 from vhx.algebra import QuadScalar
@@ -231,3 +233,18 @@ def test_odd_n_duality(graphs, name, n):
 def test_odd_n_duality_fails_at_even_n(graphs):
     table = bigraded_homology(build_vertex_complex(graphs["theta"], 2)).ranks
     assert _dual(table, 2) != table
+
+
+@pytest.mark.parametrize("name", sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8))
+def test_homology_invariant_under_relabeling(name):
+    """Relabeling renumbers tokens, circles and edges, so each hypercube
+    edge meets its band model under other numbers; the tables must not
+    change."""
+    rs = SMALL[name]
+    rng = random.Random(f"{CORPUS_SEED}-{name}")
+    others = [relabel(rs, rng) for _ in range(2)]
+    for n in (2, 3):
+        want = bigraded_homology(build_vertex_complex(rs, n)).ranks
+        for other in others:
+            assert other != rs
+            assert bigraded_homology(build_vertex_complex(other, n)).ranks == want

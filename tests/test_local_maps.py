@@ -5,6 +5,8 @@
 and the hat matrices of the kernel check must equal the dict-of-monomials
 reference in ``reference_homology.py`` exactly, on the fixtures, the
 lollipop and the generated corpus of ``test_ribbon.py`` up to |V| = 8.
+A build traces each swap mask once, and rejects an end state whose
+circles disagree with an edge's band model.
 """
 
 import itertools
@@ -12,18 +14,21 @@ import itertools
 import numpy as np
 import pytest
 import reference_homology as ref
+from test_homology import PRISM4
 from test_ribbon import SMALL
 
 import vhx
+from vhx import homology
 from vhx.colorings import _hat_matrix
 from vhx.homology import (
     LocalMaps,
+    _placements,
     build_pm_complex,
     build_vertex_complex,
     delta_graded_pieces,
     vertex_edge_map_graded,
 )
-from vhx.states import state_mask
+from vhx.states import InvariantError, state_mask
 from vhx.vpd import blowup
 
 GATED = sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8)
@@ -86,3 +91,59 @@ def test_hat_matrices_match_reference(name, n):
     for bits, v in vertex_flips(rs):
         *_, got = _hat_matrix(maps, state_mask(rs, bits), rs.ribbon.bands[v])
         assert np.array_equal(got, ref.hat_matrix(rs, n, bits, v))
+
+
+def test_build_traces_each_state_once(monkeypatch):
+    """Edge maps read the traces of their end states only, and a state and
+    its complement share a swap mask: 2^(|V|-1) traces per complex.  Circle
+    correspondences run on band models of at most 12 tokens only."""
+    rs = vhx.parse_vpd(PRISM4)
+    trace, calls = rs.ribbon.trace, []
+    monkeypatch.setattr(rs.ribbon, "trace", lambda mask: calls.append(mask) or trace(mask))
+    corr, sizes = homology.circle_correspondence, []
+    monkeypatch.setattr(
+        homology, "circle_correspondence", lambda b, a, e: sizes.append(len(b[0])) or corr(b, a, e)
+    )
+    for t in range(2):
+        calls.clear()
+        build_vertex_complex(rs, 2, tilde_count=t)
+        assert len(calls) == len(set(calls)) == 2 ** (rs.vertex_count - 1) == 128
+    assert sizes and max(sizes) <= 12 < rs.ribbon.ntok
+
+
+@pytest.mark.parametrize("broken", ["band token", "untouched circle"])
+def test_build_rejects_a_broken_end_state_trace(monkeypatch, broken):
+    """The first edge of a build flips vertex 0 from state 0.  Its end
+    state's trace is broken so that a band token moves to another circle
+    (the last one, which no band model circle starts at), or two untouched
+    circles land on one; that edge's map, and so the build, must fail."""
+    rs = vhx.parse_vpd(PRISM4)
+    ribbon = rs.ribbon
+    end, band = ribbon.vertex_masks[0], [t for e in ribbon.bands[0] for t in range(4 * e - 4, 4 * e)]
+    owner, walks = ribbon.trace(end)
+    walks = [list(w) for w in walks]
+    if broken == "band token":
+        t, u = band[-1], walks[(owner[band[-1]] + 1) % len(walks)][0]
+    else:
+        owner_0, walks_0 = ribbon.trace(0)
+        t, u = [w[0] for c, w in enumerate(walks_0) if c not in {owner_0[x] for x in band}][:2]
+    walks[owner[t]].remove(t)
+    walks[owner[u]].append(t)
+    trace = ribbon.trace
+    monkeypatch.setattr(ribbon, "trace", lambda mask: (owner, walks) if mask == end else trace(mask))
+    with pytest.raises(InvariantError, match="band model disagrees"):
+        LocalMaps(ribbon, 2).edge_map(0, ribbon.bands[0], _placements(3, 0))
+    with pytest.raises(InvariantError, match="band model disagrees"):
+        build_vertex_complex(rs, 2)
+
+
+@pytest.mark.parametrize("name", ["k4", "k33", "lollipop", "rand8neg"])
+def test_edge_map_entries_ascend_by_source(name):
+    """``local`` comes in ascending source code whatever the band order."""
+    rs = SMALL[name]
+    maps = LocalMaps(rs.ribbon, 3)
+    for bits, v in vertex_flips(rs):
+        mask = state_mask(rs, bits, flip=v)
+        for order in itertools.permutations(rs.ribbon.bands[v]):
+            sources = [sp for sp, _, _ in maps.edge_map(mask, order, _placements(3, 1))[2]]
+            assert sources == sorted(sources)

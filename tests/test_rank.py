@@ -118,6 +118,17 @@ def test_perfect_square_roots_are_folded(n):
     assert matrix_rank(block, 2, 2) == ref.matrix_rank(block, 2, 2) == 2
 
 
+@pytest.mark.parametrize("n", [4, 9])
+def test_perfect_square_roots_are_folded_however_built(n):
+    """The dataclass constructor folds the root as ``make`` does, so r - x
+    built directly is zero, not a pivot of norm 0."""
+    r = math.isqrt(n)
+    zero = QuadScalar(r, -1, n)
+    assert not zero and zero.b == 0
+    assert zero == QuadScalar.make(r, -1, n) == QuadScalar(Fraction(r), Fraction(-1), n)
+    assert matrix_rank({(0, 0): zero, (1, 0): QuadScalar.of_int(1, n)}, 2, 1) == 1
+
+
 def test_chain_condition_with_non_integral_entries():
     """delta o delta is tested exactly when entries have denominators and a
     path carries sqrt n twice."""
