@@ -61,7 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=int,
             default=DEFAULT_STATE_CAP,
-            help="maximum hypercube dimension (default %(default)s)",
+            help="maximum hypercube dimension of homology and filtered ranks; "
+            "state sums sweep the vertices instead and refuse a cut of more "
+            "than CAP open strands, two per cut edge (default %(default)s)",
         )
         if needs_n:
             p.add_argument(

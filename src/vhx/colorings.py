@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .poly import _Poly
 from .states import DEFAULT_STATE_CAP, cache_per_graph, hypercube_ribbon, state_mask
@@ -295,11 +296,17 @@ def harmonic_kernel_check(
             C = np.kron(C, base)
         return C, np.linalg.inv(C)
 
+    @lru_cache(maxsize=None)
+    def colorings(mask):  # circles and harmonic colorings, on the maps' trace
+        walks, rank = maps.trace(mask)
+        circles = tuple(itemgetter(*walk)(ribbon.tokens) for walk in walks)
+        corner_map = tuple(tuple(rank[a] // ribbon.ntok for a in outs) for outs in ribbon.corners)
+        return len(walks), count_partial_colorings(CircleDecomposition(circles, corner_map), n)
+
     per_state: dict[tuple[int, ...], tuple[int, int, str]] = {}
     for bits in itertools.product([0, 1], repeat=nv):
         mask = state_mask(rs, bits)
-        dec = ribbon.decomposition(mask)
-        k = dec.circle_count
+        k, count = colorings(mask)
         dim = n**k
         C_here, C_here_inv = cob(k)
         blocks = []
@@ -312,7 +319,6 @@ def harmonic_kernel_check(
                 kb, _, mat = _hat_matrix(maps, mask ^ ribbon.vertex_masks[v], path)
                 mc = C_here_inv @ mat @ cob(kb)[0]
                 blocks.append(mc.conj().T)
-        count = count_partial_colorings(dec, n)
         if not blocks:
             per_state[bits] = (count, dim, "ok" if count == dim else "mismatch")
             continue

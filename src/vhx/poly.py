@@ -7,8 +7,10 @@ circles:
 * n-color vertex polynomial  sum_nu (-1)^|nu| q^(3m|nu|) L(q)^(k_nu)
 * vertex polynomial          sum_nu (-1)^|nu| n^(k_nu)
 
-The histogram streams half of the vertex hypercube through the compiled
-:class:`~vhx.vpd.Ribbon`: a state and its complement have the same circles.
+The histogram is a transfer matrix over the tables of the compiled
+:class:`~vhx.vpd.Ribbon`: the vertices are swept one by one, and the states
+are counted by how the strands cut open at the sweep's frontier pair up,
+never one by one.  Its cost grows with the widest cut, not with 2^|V|.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .algebra import half_m
-from .states import DEFAULT_STATE_CAP, cache_per_graph, hypercube_ribbon
+from .states import DEFAULT_STATE_CAP, StateSpaceError, cache_per_graph
 from .vpd import RotationSystem
 
 
@@ -144,20 +146,113 @@ def loop_polynomial(n: int) -> LaurentPoly:
 # state histogram
 
 
+def _sweep_order(rs: RotationSystem) -> list[int]:
+    """Vertices in greedy sweep order: next comes the vertex that grows the
+    cut least (its edges to unswept vertices less those to swept ones,
+    loops counting neither), ties to the lowest index.  Without loops that
+    is the vertex with the most swept neighbours."""
+    ends = rs.edge_endpoints()
+    far = [[] for _ in range(rs.vertex_count)]  # the far end of each half-edge
+    for u, w in ends.values():
+        if u != w:
+            far[u].append(w)
+            far[w].append(u)
+    swept = [False] * rs.vertex_count
+    order = []
+    for _ in range(rs.vertex_count):
+        v = min(
+            (v for v in range(rs.vertex_count) if not swept[v]),
+            key=lambda v: (sum(1 - 2 * swept[w] for w in far[v]), v),
+        )
+        swept[v] = True
+        order.append(v)
+    return order
+
+
+def _sweep_steps(rs: RotationSystem, cap: int):
+    """One step per vertex of :func:`_sweep_order`, on the working tokens:
+    the open tokens before it (the two sides of each half-edge at a swept
+    vertex whose edge is cut), then the vertex's own six.  A step holds the
+    working partner of each own token under a 0- and a 1-smoothing, the
+    token pairs glued across the edges it closes, the working tokens left
+    open, in order, and each working token's place among those.  Refuses a
+    cut with more than ``cap`` open tokens."""
+    ribbon = rs.ribbon
+    ends = rs.edge_endpoints()
+    swept: set[int] = set()
+    opened: list[int] = []
+    steps = []
+    for v in _sweep_order(rs):
+        swept.add(v)
+        own = [t for a in ribbon.corners[v] for t in (a, ribbon.arc[a])]
+        local = {t: i for i, t in enumerate(opened + own)}
+        # a 1-smoothing half-twists the vertex's bands: its corner arcs join
+        # the other side of each half-edge, and every edge glues by its sign
+        arcs = tuple([local[ribbon.arc[t ^ x] ^ x] for t in own] for x in (0, 1))
+        glues = []
+        for e in dict.fromkeys(ribbon.bands[v]):
+            if all(u in swept for u in ends[e]):
+                for t in (4 * e - 4, 4 * e - 3):
+                    glues.append((local[t], local[t ^ 2 ^ (ribbon.sign_mask >> (e - 1) & 1)]))
+        shut = {i for pair in glues for i in pair}
+        keep = [i for i in range(len(local)) if i not in shut]
+        opened = [t for t, i in local.items() if i not in shut]
+        if len(opened) > cap:
+            raise StateSpaceError(
+                f"the vertex sweep cuts {len(opened) // 2} edges ({len(opened)} "
+                f"open strands), over the state cap {cap}"
+            )
+        where = [-1] * len(local)
+        for j, i in enumerate(keep):
+            where[i] = j
+        steps.append((arcs, glues, keep, where))
+    return steps
+
+
 @cache_per_graph
 def state_histogram(
     rs: RotationSystem, cap: int = DEFAULT_STATE_CAP
 ) -> list[dict[int, int]]:
-    """hist[w][k] = number of weight-w vertex states with k circles."""
-    ribbon = hypercube_ribbon(rs, cap)
+    """hist[w][k] = number of weight-w vertex states with k circles.
+
+    A transfer matrix: the vertices are swept in :func:`_sweep_order`,
+    keeping, for every way the open tokens pair up along paths through the
+    swept part, how many states of each weight close how many circles.
+    Those counts are one integer per pairing, sum count * 2^(B(w + (|V| +
+    1)k)) with B bits per count.  The first vertex stays 0-smoothed: a
+    state and its complement have the same circles.
+    """
+    if not rs.is_trivalent():
+        raise StateSpaceError("vertex state sums require a trivalent diagram")
     nv = rs.vertex_count
-    count = ribbon.circle_count
+    bits = nv + 1  # every count is at most 2^|V| - 1
+    k_shift = bits * (nv + 1)
+    table = {(): 1}
+    for s, (arcs, glues, keep, where) in enumerate(_sweep_steps(rs, cap)):
+        nxt: dict[tuple[int, ...], int] = {}
+        for pairing, counts in table.items():
+            for x in (0, 1) if s else (0,):
+                p = [*pairing, *arcs[x]]
+                shift = bits * x
+                for a, b in glues:
+                    pa = p[a]
+                    if pa == b:  # the path from a ends at b: a circle closes
+                        shift += k_shift
+                    else:
+                        pb = p[b]
+                        p[pa], p[pb] = pb, pa
+                key = tuple([where[p[i]] for i in keep])
+                nxt[key] = nxt.get(key, 0) + (counts << shift)
+        table = nxt
+    (counts,) = table.values()
     hist: list[dict[int, int]] = [dict() for _ in range(nv + 1)]
-    for w, mask in ribbon.half_cube():
-        k = count(mask)
-        # the state and its complement share their circles
-        for row in (hist[w], hist[nv - w]):
-            row[k] = row.get(k, 0) + 1
+    full = (1 << bits) - 1
+    for slot in range(counts.bit_length() // bits + 1):
+        c = counts >> (bits * slot) & full
+        if c:
+            k, w = divmod(slot, nv + 1)
+            for row in (hist[w], hist[nv - w]):
+                row[k] = row.get(k, 0) + c
     return hist
 
 

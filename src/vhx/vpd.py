@@ -292,32 +292,14 @@ class Ribbon:
         self.bands = tuple(tuple((abs(h) + 1) // 2 for h in v) for v in rs.vertices)
         self.tokens = tuple((t // 2 + 1, t % 2 + 1) for t in range(ntok))
 
-    def circle_count(self, mask: int) -> int:
-        """Number of boundary circles under swap mask ``mask``.
-
-        Walks each circle once, starting from its first unvisited corner;
-        every circle crosses at least one corner arc.
-        """
-        sw = mask ^ self.sign_mask
-        succ, succ_edge, corner_of = self.succ, self.succ_edge, self.corner_of
-        seen = [0] * self.ntok
-        k = 0
-        for s in self.outs:
-            if seen[s]:
-                continue
-            k += 1
-            p = s
-            while True:
-                seen[corner_of[p]] = 1
-                p = succ[p] ^ (sw >> succ_edge[p] & 1)
-                if p == s:
-                    break
-        return k
-
     def corner_labels(self, mask: int) -> tuple[list[int], int]:
         """Circle label of every corner in vertex and tuple order, circles
-        numbered by first occurrence, and the number of circles: the walk of
-        :meth:`circle_count`, labelling corners instead of marking them."""
+        numbered by first occurrence, and the number of circles under swap
+        mask ``mask``.
+
+        Walks each circle once, starting from its first unlabelled corner;
+        every circle crosses at least one corner arc.
+        """
         sw = mask ^ self.sign_mask
         succ, succ_edge, corner_of = self.succ, self.succ_edge, self.corner_of
         label = [-1] * self.ntok

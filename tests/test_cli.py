@@ -2,8 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from test_ribbon import prism
 
+from vhx import oracles
 from vhx.cli import main
+from vhx.poly import IntPoly
+from vhx.vpd import serialize_vpd
 
 DATA = str(Path(__file__).resolve().parent.parent / "src" / "vhx" / "data")
 # the plane prism C_5 x K_2, |V| = 10
@@ -152,6 +156,28 @@ def test_homology_preflight_admits_prism5(capsys, tmp_path):
     code, out, _ = run(capsys, "homology", "--n", "2", "--json", str(p))
     assert code == 0
     assert json.loads(out)["ranks"]
+
+
+@pytest.mark.parametrize("command", [("vertex-poly",), ("ncolor-poly", "--n", "2"), ("check", "--n", "2")])
+def test_state_sum_refuses_a_wide_cut(capsys, command):
+    """k33's sweep cuts 5 edges, 10 open strands: over a cap of 8."""
+    code, out, err = run(capsys, *command, "--cap", "8", f"{DATA}/k33.vpd")
+    assert code == 2 and out == ""
+    assert "10 open strands" in err and "cap 8" in err
+    code, _, _ = run(capsys, *command, "--cap", "10", f"{DATA}/k33.vpd")
+    assert code == 0
+
+
+def test_vertex_poly_past_the_hypercube_cap(capsys, tmp_path, monkeypatch):
+    """A plane prism with |V| = 26 > 24: V(2) = 2^13 #Tait."""
+    rs = prism(13)
+    p = tmp_path / "prism13.vpd"
+    p.write_text(serialize_vpd(rs))
+    code, out, _ = run(capsys, "vertex-poly", "--json", str(p))
+    assert code == 0
+    poly = IntPoly(dict(json.loads(out)["terms"]))
+    monkeypatch.setattr(oracles, "TAIT_EDGE_CAP", rs.edge_count)
+    assert poly(2) == 2**13 * oracles.count_tait_colorings(oracles.AbstractGraph.from_rotation_system(rs))
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

@@ -195,6 +195,20 @@ def test_harmonic_kernel_matches_counts(graphs, name, n):
     check_harmonic_kernel(graphs[name], n)
 
 
+def test_harmonic_kernel_traces_each_mask_once(graphs, monkeypatch):
+    """A state, its complement (the same swap mask) and the hat maps at both
+    share one trace: 2^(|V|-1) distinct traces on p3."""
+    rs = graphs["p3"]
+    trace, calls = rs.ribbon.trace, []
+    monkeypatch.setattr(rs.ribbon, "trace", lambda mask: calls.append(mask) or trace(mask))
+    report = harmonic_kernel_check(rs, 2)
+    assert len(calls) == len(set(calls)) == 2 ** (rs.vertex_count - 1) == 32
+    monkeypatch.undo()
+    assert report.ok and len(report.per_state) == 64
+    for bits, (cnt, _, _) in report.per_state.items():
+        assert cnt == count_partial_colorings(state_decomposition(rs, bits), 2, use_memo=False)
+
+
 @given(st.integers(2, 6))
 @settings(max_examples=5, deadline=None)
 def test_counts_scale_with_free_circles(n):

@@ -1,7 +1,7 @@
 """Gate tests for the compiled ribbon kernel.
 
-``circle_count``, ``decomposition``, ``state_mask`` and
-``state_histogram`` must agree exactly with the reference tracer in
+The circle count of ``corner_labels``, ``decomposition``, ``state_mask``
+and ``state_histogram`` must agree exactly with the reference tracer in
 ``reference_tracer.py`` on the fixtures and on a seeded corpus of generated
 cubic ribbon graphs with negative edges and loops.  ``corner_labels`` and
 ``structure_histogram`` must agree with ``decomposition``, and the filtered
@@ -25,9 +25,10 @@ from vhx.colorings import (
     structure_histogram,
     total_matching_polynomial,
 )
-from vhx.poly import state_histogram
+from vhx.oracles import AbstractGraph, count_tait_colorings
+from vhx.poly import state_histogram, vertex_polynomial
 from vhx.states import state_mask
-from vhx.vpd import VPDError, parse_vpd, serialize_vpd
+from vhx.vpd import VPDError, genus_and_orientability, parse_vpd, serialize_vpd
 
 from conftest import LOLLIPOP, SMALL_FIXTURES
 
@@ -51,6 +52,20 @@ def random_cubic(rng: random.Random, nv: int, neg_prob: float) -> vhx.RotationSy
             return parse_vpd(serialize_vpd(vhx.RotationSystem(tuple(map(tuple, verts)))))
         except VPDError:  # disconnected draw
             continue
+
+
+def prism(k: int) -> vhx.RotationSystem:
+    """The plane prism C_k x K_2 (|V| = 2k): outer cycle u_i = 2i, inner
+    cycle v_i = 2i + 1, counterclockwise u_i -> (u_(i+1), v_i, u_(i-1)) and
+    v_i -> (u_i, v_(i+1), v_(i-1))."""
+    verts = [[0, 0, 0] for _ in range(2 * k)]
+    ends = []
+    for i in range(k):
+        j = (i + 1) % k
+        ends += [((2 * i, 0), (2 * j, 2)), ((2 * i + 1, 1), (2 * j + 1, 2)), ((2 * i, 1), (2 * i + 1, 0))]
+    for e, ((v, s), (w, t)) in enumerate(ends, start=1):
+        verts[v][s], verts[w][t] = 2 * e - 1, 2 * e
+    return parse_vpd(serialize_vpd(vhx.RotationSystem(tuple(map(tuple, verts)))))
 
 
 def _corpus():
@@ -101,7 +116,7 @@ def test_kernel_matches_reference_on_vertex_states(name):
     ribbon = rs.ribbon
     for bits, ref in reference_states(name).items():
         mask = state_mask(rs, bits)
-        assert ribbon.circle_count(mask) == ref.circle_count
+        assert ribbon.corner_labels(mask)[1] == ref.circle_count
         assert ribbon.decomposition(mask) == ref
         assert ribbon.decomposition(sum(1 << (e - 1) for e in vertex_swaps(rs, bits))) == ref
 
@@ -117,7 +132,7 @@ def test_kernel_matches_reference_on_edge_swaps(name):
     for mask in masks:
         swaps = frozenset(e for e in range(1, ne + 1) if mask >> (e - 1) & 1)
         ref = reference_trace(rs, swaps)
-        assert rs.ribbon.circle_count(mask) == ref.circle_count
+        assert rs.ribbon.corner_labels(mask)[1] == ref.circle_count
         assert rs.ribbon.decomposition(mask) == ref
 
 
@@ -138,10 +153,65 @@ def test_dodec_histogram_against_reference_sample():
     for _ in range(400):
         bits = tuple(rng.getrandbits(1) for _ in range(nv))
         k = reference_trace(rs, vertex_swaps(rs, bits)).circle_count
-        assert rs.ribbon.circle_count(state_mask(rs, bits)) == k
+        assert rs.ribbon.corner_labels(state_mask(rs, bits))[1] == k
         cells.add((sum(bits), k))
     # every sampled (weight, circle count) cell is populated in the histogram
     assert all(hist[w].get(k) for w, k in cells)
+
+
+def _histogram_graphs():
+    out = {name: vhx.load_fixture(name) for name in vhx.FIXTURES}
+    out |= {f"prism{k}": prism(k) for k in range(4, 8)}
+    rng = random.Random(f"{CORPUS_SEED}-sweep")
+    for nv in (10, 12, 14, 14):
+        out[f"sweep{nv}neg-{len(out)}"] = random_cubic(rng, nv, 0.3)
+    return out
+
+
+HISTOGRAM_GRAPHS = _histogram_graphs()
+
+
+@pytest.mark.parametrize("name", sorted(HISTOGRAM_GRAPHS))
+def test_histogram_matches_structure_histogram(name):
+    """The transfer matrix against the half cube: the structure histogram
+    grouped by circle count.  Rows are palindromic."""
+    rs = HISTOGRAM_GRAPHS[name]
+    hist = state_histogram(rs)
+    by_k = [dict() for _ in range(rs.vertex_count + 1)]
+    for k, row in structure_histogram(rs).values():
+        for w, states in enumerate(row):
+            if states:
+                by_k[w][k] = by_k[w].get(k, 0) + states
+    # dodec's structure histogram holds ~100 MB
+    structure_histogram.cache_clear()
+    assert hist == by_k
+    assert hist == hist[::-1]
+
+
+def test_histogram_graphs_cover_negative_edges_and_fourteen_vertices():
+    graphs = HISTOGRAM_GRAPHS.values()
+    assert sum(rs.edge_sign(e) < 0 for rs in graphs for e in range(1, rs.edge_count + 1)) > 10
+    assert {rs.vertex_count for rs in graphs} >= {8, 10, 12, 14, 20}
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_plane_prism_vertex_polynomial_counts_tait_colorings(k):
+    """V(Gamma, 2) = 2^(|V|/2) #Tait on plane graphs, up to |V| = 24."""
+    rs = prism(k)
+    assert genus_and_orientability(rs) == (True, 0)
+    tait = count_tait_colorings(AbstractGraph.from_rotation_system(rs))
+    assert vertex_polynomial(rs)(2) == 2**k * tait
+
+
+@pytest.mark.parametrize("name", [*sorted(SMALL), "prism5"])
+def test_state_histogram_invariant_under_relabeling(name):
+    """The sweep order follows the vertex labels; the histogram must not."""
+    rs = SMALL[name] if name in SMALL else prism(5)
+    rng = random.Random(f"{CORPUS_SEED}-hist-{name}")
+    for _ in range(2):
+        other = relabel(rs, rng)
+        assert other != rs
+        assert state_histogram(other) == state_histogram(rs)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
