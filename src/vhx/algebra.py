@@ -11,8 +11,8 @@ maps of k[x]/(x^n - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+
+from .vpd import Frozen
 
 
 def _isqrt_exact(n: int) -> int | None:
@@ -20,26 +20,37 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-@dataclass(frozen=True)
-class QuadScalar:
+class QuadScalar(Frozen):
     """Exact element a + b*sqrt(radicand) of Q(sqrt(radicand)).
 
     When the radicand is a perfect square the root is folded into the
     rational part, however the scalar is built, so ``b`` is always 0 then.
+    ``fractions`` is imported where a scalar is made or folded, so the
+    state sums, which need only :func:`half_m`, never load it.
     """
 
-    a: Fraction
-    b: Fraction
-    radicand: int
-
-    def __post_init__(self):
-        r = _isqrt_exact(self.radicand) if self.b else None
+    def __init__(self, a: Fraction, b: Fraction, radicand: int):
+        r = _isqrt_exact(radicand) if b else None
         if r is not None:
-            object.__setattr__(self, "a", self.a + self.b * r)
-            object.__setattr__(self, "b", Fraction(0))
+            from fractions import Fraction
+
+            a, b = a + b * r, Fraction(0)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "radicand", radicand)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.radicand) == (other.a, other.b, other.radicand)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.radicand))
 
     @staticmethod
     def make(a, b, radicand: int) -> "QuadScalar":
+        from fractions import Fraction
+
         return QuadScalar(Fraction(a), Fraction(b), radicand)
 
     @staticmethod

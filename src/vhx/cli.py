@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 parse/usage error, 3 invariant-suite failure or
 violated internal invariant.
+
+Each command imports the layers it runs in its handler, so ``faces`` loads
+only :mod:`~vhx.vpd` and a state sum only the state-sum layers.
 """
 
 from __future__ import annotations
@@ -11,22 +14,6 @@ import json
 import sys
 
 from . import __version__
-from .colorings import filtered_ranks
-from .homology import (
-    bigraded_homology,
-    build_vertex_complex,
-    chain_condition_holds,
-    graded_euler,
-)
-from .oracles import (
-    TAIT_EDGE_CAP,
-    AbstractGraph,
-    bridges,
-    classify_matching,
-    count_tait_colorings,
-    perfect_matchings,
-)
-from .poly import ncolor_vertex_polynomial, vertex_polynomial
 from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError
 from .vpd import VPDError, genus_and_orientability, parse_vpd, trace_boundary
 
@@ -134,6 +121,8 @@ def cmd_faces(rs, args) -> int:
 
 
 def cmd_ncolor_poly(rs, args) -> int:
+    from .poly import ncolor_vertex_polynomial
+
     for n in args.n:
         poly = ncolor_vertex_polynomial(rs, n, cap=args.cap)
         if args.json:
@@ -145,12 +134,16 @@ def cmd_ncolor_poly(rs, args) -> int:
 
 
 def cmd_vertex_poly(rs, args) -> int:
+    from .poly import vertex_polynomial
+
     poly = vertex_polynomial(rs, cap=args.cap)
     print(poly.to_json() if args.json else poly.to_text())
     return 0
 
 
 def cmd_homology(rs, args) -> int:
+    from .homology import bigraded_homology, build_vertex_complex
+
     for n in args.n:
         table = bigraded_homology(build_vertex_complex(rs, n, cap=args.cap))
         if args.json:
@@ -163,6 +156,8 @@ def cmd_homology(rs, args) -> int:
 
 
 def cmd_filtered(rs, args) -> int:
+    from .colorings import filtered_ranks
+
     for n in args.n:
         fr = filtered_ranks(rs, n, cap=args.cap)
         if args.json:
@@ -174,6 +169,8 @@ def cmd_filtered(rs, args) -> int:
 
 
 def cmd_tm_poly(rs, args) -> int:
+    from .colorings import filtered_ranks
+
     results = [(n, filtered_ranks(rs, n, cap=args.cap)) for n in args.n]
     if args.two_var:
         if args.json:
@@ -202,6 +199,8 @@ def cmd_tm_poly(rs, args) -> int:
 
 
 def cmd_matchings(rs, args) -> int:
+    from .oracles import AbstractGraph, classify_matching, perfect_matchings
+
     g = AbstractGraph.from_rotation_system(rs)
     pms = perfect_matchings(g)
     if args.json:
@@ -227,6 +226,8 @@ def cmd_matchings(rs, args) -> int:
 
 
 def cmd_tait(rs, args) -> int:
+    from .oracles import AbstractGraph, count_tait_colorings
+
     g = AbstractGraph.from_rotation_system(rs)
     count = count_tait_colorings(g)
     print(json.dumps({"tait": count}) if args.json else str(count))
@@ -234,6 +235,22 @@ def cmd_tait(rs, args) -> int:
 
 
 def cmd_check(rs, args) -> int:
+    from .colorings import filtered_ranks
+    from .homology import (
+        bigraded_homology,
+        build_vertex_complex,
+        chain_condition_holds,
+        graded_euler,
+    )
+    from .oracles import (
+        TAIT_EDGE_CAP,
+        AbstractGraph,
+        bridges,
+        count_tait_colorings,
+        perfect_matchings,
+    )
+    from .poly import ncolor_vertex_polynomial, vertex_polynomial
+
     results: list[tuple[str, str]] = []  # (name, "ok" | "FAIL..." | "skipped")
 
     def record(name, ok):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
@@ -111,18 +110,34 @@ def enumerate_partial_colorings(dec: CircleDecomposition, n: int):
 # filtered ranks
 
 
-@dataclass
 class FaceColoring:
     """A circle coloring of one vertex state (0/1 smoothing per vertex)."""
 
-    state: tuple[int, ...]
-    colors: tuple[int, ...]
+    def __init__(self, state: tuple[int, ...], colors: tuple[int, ...]):
+        self.state = state
+        self.colors = colors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.state, self.colors) == (other.state, other.colors)
+
+    def __repr__(self):
+        return f"FaceColoring(state={self.state!r}, colors={self.colors!r})"
 
 
-@dataclass
 class FilteredRanks:
-    n: int
-    ranks: list[int]  # indexed by homological degree i
+    def __init__(self, n: int, ranks: list[int]):
+        self.n = n
+        self.ranks = ranks  # indexed by homological degree i
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.ranks) == (other.n, other.ranks)
+
+    def __repr__(self):
+        return f"FilteredRanks(n={self.n!r}, ranks={self.ranks!r})"
 
     @property
     def euler(self) -> int:
@@ -238,10 +253,18 @@ def induced_matching(coloring: FaceColoring, rs: RotationSystem) -> tuple[frozen
 # numeric cross-check of the harmonic characterization
 
 
-@dataclass
 class KernelReport:
-    n: int
-    per_state: dict[tuple[int, ...], tuple[int, int, str]]  # (count, numeric, status)
+    def __init__(self, n: int, per_state: dict[tuple[int, ...], tuple[int, int, str]]):
+        self.n = n
+        self.per_state = per_state  # (count, numeric, status) per state
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.per_state) == (other.n, other.per_state)
+
+    def __repr__(self):
+        return f"KernelReport(n={self.n!r}, per_state={self.per_state!r})"
 
     @property
     def ok(self) -> bool:

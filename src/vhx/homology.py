@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 
 from .algebra import QuadScalar, half_m, map_delta, map_eta, map_m
 from .states import (
@@ -49,10 +48,18 @@ BasisElement = tuple[tuple[int, ...], tuple[int, ...]]  # (state bits, exponents
 MAX_BASIS = 1 << 18
 
 
-@dataclass
 class RankTable:
-    n: int
-    ranks: dict[tuple[int, int], int]
+    def __init__(self, n: int, ranks: dict[tuple[int, int], int]):
+        self.n = n
+        self.ranks = ranks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.ranks) == (other.n, other.ranks)
+
+    def __repr__(self):
+        return f"RankTable(n={self.n!r}, ranks={self.ranks!r})"
 
     def rank(self, i: int, j: int) -> int:
         return self.ranks.get((i, j), 0)
@@ -78,7 +85,6 @@ class RankTable:
         return "\n".join(lines)
 
 
-@dataclass
 class ChainComplex:
     """Per-(i, j) bases of labeled monomials with sparse differentials.
 
@@ -86,10 +92,31 @@ class ChainComplex:
     dict (row, col) -> QuadScalar.
     """
 
-    n: int
-    bases: dict[tuple[int, int], list[BasisElement]]
-    diff: dict[tuple[int, int], dict[tuple[int, int], QuadScalar]]
-    bigrade_j: int = 0
+    def __init__(
+        self,
+        n: int,
+        bases: dict[tuple[int, int], list[BasisElement]],
+        diff: dict[tuple[int, int], dict[tuple[int, int], QuadScalar]],
+        bigrade_j: int = 0,
+    ):
+        self.n = n
+        self.bases = bases
+        self.diff = diff
+        self.bigrade_j = bigrade_j
+
+    def _key(self):
+        return (self.n, self.bases, self.diff, self.bigrade_j)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (
+            f"ChainComplex(n={self.n!r}, bases={self.bases!r}, diff={self.diff!r}, "
+            f"bigrade_j={self.bigrade_j!r})"
+        )
 
     def dim(self, i: int, j: int) -> int:
         return len(self.bases.get((i, j), ()))

@@ -12,9 +12,8 @@ is the one conversion.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .vpd import Ribbon, RotationSystem
+from .vpd import Frozen, Ribbon, RotationSystem
 
 DEFAULT_STATE_CAP = 24
 
@@ -74,12 +73,35 @@ def state_mask(rs: RotationSystem, bits, flip: int | None = None) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class CircleCorrespondence:
-    kind: str  # merge | split | same-circle
-    stable_pairs: tuple[tuple[int, int], ...]  # (before idx, after idx)
-    active_before: tuple[int, ...]
-    active_after: tuple[int, ...]
+class CircleCorrespondence(Frozen):
+    def __init__(
+        self,
+        kind: str,  # merge | split | same-circle
+        stable_pairs: tuple[tuple[int, int], ...],  # (before idx, after idx)
+        active_before: tuple[int, ...],
+        active_after: tuple[int, ...],
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "stable_pairs", stable_pairs)
+        object.__setattr__(self, "active_before", active_before)
+        object.__setattr__(self, "active_after", active_after)
+
+    def _key(self):
+        return (self.kind, self.stable_pairs, self.active_before, self.active_after)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"CircleCorrespondence(kind={self.kind!r}, stable_pairs={self.stable_pairs!r}, "
+            f"active_before={self.active_before!r}, active_after={self.active_after!r})"
+        )
 
 
 def circle_correspondence(before, after, edge: int) -> CircleCorrespondence:

@@ -18,7 +18,6 @@ rotation system into integer tables keyed by an edge-swap bitmask.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -27,19 +26,45 @@ class VPDError(ValueError):
     """Malformed or invalid VPD input."""
 
 
+class Frozen:
+    """Base of the value classes that refuse attribute assignment and
+    deletion once ``__init__`` has set their fields (``cached_property``
+    still caches: it writes the instance dict directly)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # rotation systems
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(Frozen):
     """Signed rotation system: cyclic half-edge orders plus edge signs.
 
     ``vertices[v]`` is the tuple of (possibly negative) half-edge labels at
     vertex ``v`` in counterclockwise order, exactly as written in the VPD.
+    Equal vertex tuples make equal, equally hashed systems.
     """
 
-    vertices: tuple[tuple[int, ...], ...]
+    def __init__(self, vertices: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "vertices", vertices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self):
+        return f"RotationSystem(vertices={self.vertices!r})"
 
     @property
     def vertex_count(self) -> int:
@@ -95,25 +120,48 @@ class RotationSystem:
         return len(seen) == self.vertex_count
 
 
-@dataclass(frozen=True)
-class PerfectMatchingDiagram:
-    """A rotation system together with a perfect matching of non-loop edges."""
+class PerfectMatchingDiagram(Frozen):
+    """A rotation system together with a perfect matching of non-loop edges.
 
-    rs: RotationSystem
-    matching: tuple[int, ...]
-    # for bubbled blowups: matching site -> (original vertex, position 0..2)
-    site_origin: tuple[tuple[int, int], ...] = field(default=())
+    For bubbled blowups ``site_origin`` maps each matching site to its
+    (original vertex, position 0..2).
+    """
 
-    def __post_init__(self):
-        ends = self.rs.edge_endpoints()
+    def __init__(
+        self,
+        rs: RotationSystem,
+        matching: tuple[int, ...],
+        site_origin: tuple[tuple[int, int], ...] = (),
+    ):
+        ends = rs.edge_endpoints()
         covered: list[int] = []
-        for e in self.matching:
+        for e in matching:
             u, w = ends[e]
             if u == w:
                 raise VPDError(f"matching edge e{e} is a loop")
             covered += [u, w]
-        if sorted(covered) != list(range(self.rs.vertex_count)):
+        if sorted(covered) != list(range(rs.vertex_count)):
             raise VPDError("matching does not cover every vertex exactly once")
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "site_origin", site_origin)
+
+    def _key(self):
+        return (self.rs, self.matching, self.site_origin)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"PerfectMatchingDiagram(rs={self.rs!r}, matching={self.matching!r}, "
+            f"site_origin={self.site_origin!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +264,7 @@ def serialize_vpd(rs: RotationSystem) -> str:
 Token = tuple[int, int]  # (half-edge magnitude, side 1|2)
 
 
-@dataclass(frozen=True)
-class CircleDecomposition:
+class CircleDecomposition(Frozen):
     """Boundary circles of a ribbon state plus per-vertex corner incidences.
 
     ``circles[c]`` lists the tokens of circle ``c`` in traversal order;
@@ -227,8 +274,22 @@ class CircleDecomposition:
     half-edge ``i`` toward half-edge ``i+1``.
     """
 
-    circles: tuple[tuple[Token, ...], ...]
-    corner_map: tuple[tuple[int, ...], ...]
+    def __init__(
+        self, circles: tuple[tuple[Token, ...], ...], corner_map: tuple[tuple[int, ...], ...]
+    ):
+        object.__setattr__(self, "circles", circles)
+        object.__setattr__(self, "corner_map", corner_map)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.circles, self.corner_map) == (other.circles, other.corner_map)
+
+    def __hash__(self):
+        return hash((self.circles, self.corner_map))
+
+    def __repr__(self):
+        return f"CircleDecomposition(circles={self.circles!r}, corner_map={self.corner_map!r})"
 
     @property
     def circle_count(self) -> int:

@@ -224,3 +224,48 @@ def test_invariant_violation_exit_3(capsys, theta_path, monkeypatch):
     assert code == 3
     assert out == ""
     assert "negative homology rank" in err
+
+
+# modules the CLI's import and its faces and state-sum commands must not load
+COLD_START_UNLOADED = (
+    "dataclasses",
+    "inspect",
+    "typing",
+    "fractions",
+    "decimal",
+    "numpy",
+    "importlib.resources",
+    "vhx.homology",
+    "vhx.colorings",
+    "vhx.oracles",
+)
+
+
+def test_cold_start_loads_only_the_layers_a_command_runs():
+    """Under ``python -S`` (no site preloads), importing the CLI and running
+    faces, vertex-poly and ncolor-poly loads no heavy standard-library module
+    and none of the layers those commands do not run."""
+    import os
+    import subprocess
+    import sys
+
+    theta = f"{DATA}/theta.vpd"
+    code = (
+        "import json, sys\n"
+        "import vhx.cli\n"
+        f"unloaded = {COLD_START_UNLOADED!r}\n"
+        "loaded = [[m for m in unloaded if m in sys.modules]]\n"
+        f"for argv in (['faces', {theta!r}], ['vertex-poly', {theta!r}],\n"
+        f"             ['ncolor-poly', '--n', '2,3', {theta!r}]):\n"
+        "    assert vhx.cli.main(argv) == 0\n"
+        "    loaded.append([m for m in unloaded if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(DATA).parent.parent))
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0].startswith("vertices 2") and lines[1] == "2*n^3 - 2*n"
+    assert json.loads(lines[-1]) == [[], [], [], []]

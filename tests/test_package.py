@@ -1,0 +1,228 @@
+"""The package surface: lazily resolved public names, and the value
+semantics of vhx's record classes (equality, hashing, repr, immutability)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vhx
+from vhx.algebra import QuadScalar
+from vhx.colorings import FaceColoring, FilteredRanks, KernelReport, filtered_ranks
+from vhx.homology import ChainComplex, RankTable
+from vhx.oracles import AbstractGraph
+from vhx.poly import state_histogram
+from vhx.states import CircleCorrespondence
+from vhx.vpd import PerfectMatchingDiagram, VPDError, parse_vpd, trace_boundary
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+THETA = "G[V[1,6,4],V[2,3,5]]"
+
+# every public name `vhx` has exported since its first release, by layer
+EXPORTS = {
+    "colorings": (
+        "count_partial_colorings",
+        "filtered_ranks",
+        "harmonic_kernel_check",
+        "induced_matching",
+        "total_matching_polynomial",
+    ),
+    "homology": (
+        "bigraded_homology",
+        "build_pm_complex",
+        "build_vertex_complex",
+        "chain_condition_holds",
+        "delta_graded_pieces",
+        "graded_euler",
+    ),
+    "oracles": (
+        "AbstractGraph",
+        "bridges",
+        "classify_matching",
+        "count_tait_colorings",
+        "perfect_matchings",
+    ),
+    "poly": ("abstract_vertex_polynomial", "ncolor_vertex_polynomial", "vertex_polynomial"),
+    "vpd": (
+        "PerfectMatchingDiagram",
+        "RotationSystem",
+        "VPDError",
+        "blowup",
+        "bubbled_blowup",
+        "genus_and_orientability",
+        "parse_vpd",
+        "serialize_vpd",
+        "trace_boundary",
+    ),
+}
+
+
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh ``python -S`` with vhx on the path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+# ---------------------------------------------------------------------------
+# exports
+
+
+def test_every_public_name_resolves_both_ways():
+    import importlib
+
+    for layer, names in EXPORTS.items():
+        module = importlib.import_module(f"vhx.{layer}")
+        for name in names:
+            ns: dict = {}
+            exec(f"from vhx import {name}", ns)
+            assert ns[name] is getattr(vhx, name) is getattr(module, name), name
+            assert name in vhx.__all__
+    star: dict = {}
+    exec("from vhx import *", star)
+    assert {name for names in EXPORTS.values() for name in names} <= set(star)
+
+
+def test_import_vhx_loads_no_layer_until_asked():
+    out = run_fresh(
+        "import sys, vhx\n"
+        "print(sorted(m for m in sys.modules if m.startswith('vhx.')))\n"
+        "print(vhx.poly.vertex_polynomial(vhx.load_fixture('theta')).to_text())\n"
+        "from vhx import bigraded_homology\n"
+        "print(bigraded_homology.__module__, vhx.homology.__name__)\n"
+    )
+    assert out.splitlines() == ["[]", "2*n^3 - 2*n", "vhx.homology vhx.homology"]
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vhx.no_such_name
+    with pytest.raises(ImportError):
+        exec("from vhx import no_such_name", {})
+
+
+def test_load_fixture_still_parses():
+    theta = vhx.load_fixture("theta")
+    assert theta == parse_vpd(THETA)
+    assert vhx.fixture_text("theta").strip() == THETA
+    with pytest.raises(KeyError):
+        vhx.fixture_text("no-such-graph")
+
+
+# ---------------------------------------------------------------------------
+# value semantics, as recorded from the dataclass versions of these classes
+
+
+def test_equal_parses_are_equal_keys_of_the_state_cache():
+    a, b = parse_vpd(THETA), parse_vpd(" G[ V[1, 6, 4], V[2, 3, 5] ] ")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse_vpd("G[V[1,4,6],V[2,3,5]]")
+    assert a != a.vertices and a.__eq__(a.vertices) is NotImplemented
+    first = state_histogram(a)
+    before = state_histogram.cache_info()
+    assert state_histogram(b) is first
+    after = state_histogram.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_frozen_classes_keep_their_repr():
+    theta = parse_vpd(THETA)
+    assert repr(theta) == "RotationSystem(vertices=((1, 6, 4), (2, 3, 5)))"
+    assert repr(PerfectMatchingDiagram(theta, (1,))) == (
+        "PerfectMatchingDiagram(rs=RotationSystem(vertices=((1, 6, 4), (2, 3, 5))), "
+        "matching=(1,), site_origin=())"
+    )
+    assert repr(trace_boundary(theta)) == (
+        "CircleDecomposition(circles=(((1, 1), (4, 1), (3, 1), (2, 1)), "
+        "((1, 2), (6, 2), (5, 2), (2, 2)), ((3, 2), (5, 1), (6, 1), (4, 2))), "
+        "corner_map=((1, 2, 0), (0, 2, 1)))"
+    )
+    assert repr(CircleCorrespondence("merge", ((0, 1),), (1, 2), (0,))) == (
+        "CircleCorrespondence(kind='merge', stable_pairs=((0, 1),), "
+        "active_before=(1, 2), active_after=(0,))"
+    )
+    assert repr(QuadScalar.make(1, 2, 3)) == "(1 + 2*sqrt(3))"
+    assert repr(AbstractGraph(2, ((0, 1), (0, 1)))) == (
+        "AbstractGraph(n_vertices=2, edges=((0, 1), (0, 1)))"
+    )
+    assert repr(AbstractGraph.from_rotation_system(theta)) == (
+        "AbstractGraph(n_vertices=2, edges=([0, 1], [0, 1], [0, 1]))"
+    )
+
+
+def test_frozen_classes_refuse_assignment():
+    theta = parse_vpd(THETA)
+    frozen = {
+        theta: "vertices",
+        PerfectMatchingDiagram(theta, (1,)): "matching",
+        trace_boundary(theta): "circles",
+        CircleCorrespondence("merge", ((0, 1),), (1, 2), (0,)): "kind",
+        QuadScalar.make(1, 2, 3): "a",
+        AbstractGraph(2, ((0, 1), (0, 1))): "edges",
+    }
+    for obj, field in frozen.items():
+        with pytest.raises(AttributeError, match=f"'{field}'"):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            obj.not_a_field = None
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    # the compiled ribbon is still cached on the frozen system
+    assert theta.ribbon is theta.ribbon
+
+
+def test_frozen_classes_hash_by_value():
+    theta = parse_vpd(THETA)
+    pairs = [
+        (PerfectMatchingDiagram(theta, (1,)), PerfectMatchingDiagram(parse_vpd(THETA), (1,), ())),
+        (trace_boundary(theta), parse_vpd(THETA).ribbon.decomposition(0)),
+        (CircleCorrespondence("split", (), (0,), (0, 1)), CircleCorrespondence("split", (), (0,), (0, 1))),
+        (QuadScalar.make(1, 2, 3), QuadScalar(1, 2, 3)),
+        (AbstractGraph(2, ((0, 1),)), AbstractGraph(2, ((0, 1),))),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert QuadScalar.make(1, 2, 3) != QuadScalar.make(1, 2, 5)
+    with pytest.raises(TypeError):  # its edges are lists
+        hash(AbstractGraph.from_rotation_system(theta))
+
+
+def test_matching_diagram_defaults_and_validates():
+    theta = parse_vpd(THETA)
+    pmd = PerfectMatchingDiagram(theta, (1,))
+    assert pmd.site_origin == () and pmd.rs is theta and pmd.matching == (1,)
+    with pytest.raises(VPDError, match="exactly once"):
+        PerfectMatchingDiagram(theta, (1, 2))
+    lolly = parse_vpd("G[V[1,5,9],V[2,3,4],V[6,7,8],V[10,11,12]]")
+    with pytest.raises(VPDError, match="is a loop"):
+        PerfectMatchingDiagram(lolly, (2, 5))
+
+
+def test_quadscalar_folds_a_perfect_square_root():
+    zero = QuadScalar(2, -1, 4)
+    assert zero == QuadScalar.of_int(0, 4) and not zero
+    assert zero.b == 0 and repr(zero) == "0"
+
+
+def test_mutable_records_compare_by_value_and_are_unhashable():
+    theta = parse_vpd(THETA)
+    records = [
+        (FaceColoring((0, 0), (0, 1, 2)), "FaceColoring(state=(0, 0), colors=(0, 1, 2))"),
+        (filtered_ranks(theta, 2), "FilteredRanks(n=2, ranks=[6, 0, 6])"),
+        (KernelReport(2, {(0, 0): (1, 1, "ok")}), "KernelReport(n=2, per_state={(0, 0): (1, 1, 'ok')})"),
+        (RankTable(2, {(0, 1): 1}), "RankTable(n=2, ranks={(0, 1): 1})"),
+        (ChainComplex(2, {}, {}), "ChainComplex(n=2, bases={}, diff={}, bigrade_j=0)"),
+    ]
+    for obj, text in records:
+        assert repr(obj) == text
+        assert obj == eval(text) and obj != text
+        with pytest.raises(TypeError):
+            hash(obj)
+    fr = FilteredRanks(2, [6, 0, 6])
+    fr.ranks = [1]  # not frozen
+    assert fr != filtered_ranks(theta, 2)
