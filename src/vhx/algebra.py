@@ -29,6 +29,8 @@ class QuadScalar(Frozen):
     state sums, which need only :func:`half_m`, never load it.
     """
 
+    _fields = ("a", "b", "radicand")
+
     def __init__(self, a: Fraction, b: Fraction, radicand: int):
         r = _isqrt_exact(radicand) if b else None
         if r is not None:
@@ -38,14 +40,6 @@ class QuadScalar(Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "radicand", radicand)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.radicand) == (other.a, other.b, other.radicand)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.radicand))
 
     @staticmethod
     def make(a, b, radicand: int) -> "QuadScalar":
@@ -98,13 +92,12 @@ class QuadScalar(Frozen):
 
 def half_m(n: int) -> int:
     """The integer m of the grading: n/2 (even) or (n-1)/2 (odd)."""
-    return n // 2 if n % 2 == 0 else (n - 1) // 2
+    return n // 2
 
 
 def qdeg(n: int, k: int) -> int:
     """Quantum degree of the basis element x^k."""
-    if not 0 <= k < n:
-        raise ValueError(f"exponent {k} out of range for n={n}")
+    _check(n, k)
     return half_m(n) - k
 
 

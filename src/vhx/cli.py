@@ -120,16 +120,21 @@ def cmd_faces(rs, args) -> int:
     return 0
 
 
+def _print_poly(args, n: int, poly) -> None:
+    """One n's polynomial: JSON tagged with n, or text prefixed by ``n=``
+    when several n were asked for."""
+    if args.json:
+        print(json.dumps({"n": n} | json.loads(poly.to_json())))
+    else:
+        prefix = f"n={n}: " if len(args.n) > 1 else ""
+        print(prefix + poly.to_text())
+
+
 def cmd_ncolor_poly(rs, args) -> int:
     from .poly import ncolor_vertex_polynomial
 
     for n in args.n:
-        poly = ncolor_vertex_polynomial(rs, n, cap=args.cap)
-        if args.json:
-            print(json.dumps({"n": n} | json.loads(poly.to_json())))
-        else:
-            prefix = f"n={n}: " if len(args.n) > 1 else ""
-            print(prefix + poly.to_text())
+        _print_poly(args, n, ncolor_vertex_polynomial(rs, n, cap=args.cap))
     return 0
 
 
@@ -189,12 +194,7 @@ def cmd_tm_poly(rs, args) -> int:
                 print(f"{n:>3} |" + "".join(f"{r:>{width + 1}}" for r in fr.ranks))
     else:
         for n, fr in results:
-            poly = fr.tm_poly()
-            if args.json:
-                print(json.dumps({"n": n} | json.loads(poly.to_json())))
-            else:
-                prefix = f"n={n}: " if len(args.n) > 1 else ""
-                print(prefix + poly.to_text())
+            _print_poly(args, n, fr.tm_poly())
     return 0
 
 

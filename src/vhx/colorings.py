@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from .poly import _Poly
 from .states import DEFAULT_STATE_CAP, cache_per_graph, hypercube_ribbon, state_mask
-from .vpd import CircleDecomposition, RotationSystem
+from .vpd import CircleDecomposition, Record, RotationSystem
 
 
 class TPoly(_Poly):
@@ -110,34 +110,22 @@ def enumerate_partial_colorings(dec: CircleDecomposition, n: int):
 # filtered ranks
 
 
-class FaceColoring:
+class FaceColoring(Record):
     """A circle coloring of one vertex state (0/1 smoothing per vertex)."""
+
+    _fields = ("state", "colors")
 
     def __init__(self, state: tuple[int, ...], colors: tuple[int, ...]):
         self.state = state
         self.colors = colors
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.state, self.colors) == (other.state, other.colors)
 
-    def __repr__(self):
-        return f"FaceColoring(state={self.state!r}, colors={self.colors!r})"
+class FilteredRanks(Record):
+    _fields = ("n", "ranks")
 
-
-class FilteredRanks:
     def __init__(self, n: int, ranks: list[int]):
         self.n = n
         self.ranks = ranks  # indexed by homological degree i
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.ranks) == (other.n, other.ranks)
-
-    def __repr__(self):
-        return f"FilteredRanks(n={self.n!r}, ranks={self.ranks!r})"
 
     @property
     def euler(self) -> int:
@@ -253,18 +241,12 @@ def induced_matching(coloring: FaceColoring, rs: RotationSystem) -> tuple[frozen
 # numeric cross-check of the harmonic characterization
 
 
-class KernelReport:
+class KernelReport(Record):
+    _fields = ("n", "per_state")
+
     def __init__(self, n: int, per_state: dict[tuple[int, ...], tuple[int, int, str]]):
         self.n = n
         self.per_state = per_state  # (count, numeric, status) per state
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.per_state) == (other.n, other.per_state)
-
-    def __repr__(self):
-        return f"KernelReport(n={self.n!r}, per_state={self.per_state!r})"
 
     @property
     def ok(self) -> bool:

@@ -39,7 +39,7 @@ from .states import (
     hypercube_ribbon,
     state_mask,
 )
-from .vpd import PerfectMatchingDiagram, Ribbon, RotationSystem
+from .vpd import PerfectMatchingDiagram, Record, Ribbon, RotationSystem
 
 BasisElement = tuple[tuple[int, ...], tuple[int, ...]]  # (state bits, exponents)
 
@@ -48,18 +48,12 @@ BasisElement = tuple[tuple[int, ...], tuple[int, ...]]  # (state bits, exponents
 MAX_BASIS = 1 << 18
 
 
-class RankTable:
+class RankTable(Record):
+    _fields = ("n", "ranks")
+
     def __init__(self, n: int, ranks: dict[tuple[int, int], int]):
         self.n = n
         self.ranks = ranks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.ranks) == (other.n, other.ranks)
-
-    def __repr__(self):
-        return f"RankTable(n={self.n!r}, ranks={self.ranks!r})"
 
     def rank(self, i: int, j: int) -> int:
         return self.ranks.get((i, j), 0)
@@ -85,12 +79,14 @@ class RankTable:
         return "\n".join(lines)
 
 
-class ChainComplex:
+class ChainComplex(Record):
     """Per-(i, j) bases of labeled monomials with sparse differentials.
 
     ``diff[(i, j)]`` maps block C^(i,j) -> C^(i+1, j + bigrade_j) as a sparse
     dict (row, col) -> QuadScalar.
     """
+
+    _fields = ("n", "bases", "diff", "bigrade_j")
 
     def __init__(
         self,
@@ -103,20 +99,6 @@ class ChainComplex:
         self.bases = bases
         self.diff = diff
         self.bigrade_j = bigrade_j
-
-    def _key(self):
-        return (self.n, self.bases, self.diff, self.bigrade_j)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (
-            f"ChainComplex(n={self.n!r}, bases={self.bases!r}, diff={self.diff!r}, "
-            f"bigrade_j={self.bigrade_j!r})"
-        )
 
     def dim(self, i: int, j: int) -> int:
         return len(self.bases.get((i, j), ()))

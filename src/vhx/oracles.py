@@ -16,26 +16,17 @@ TAIT_EDGE_CAP = 36
 class AbstractGraph(Frozen):
     """A multigraph (loops allowed) as a vertex count plus an edge list."""
 
+    _fields = ("n_vertices", "edges")
+
     def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n_vertices, self.edges) == (other.n_vertices, other.edges)
-
-    def __hash__(self):
-        return hash((self.n_vertices, self.edges))
-
-    def __repr__(self):
-        return f"AbstractGraph(n_vertices={self.n_vertices!r}, edges={self.edges!r})"
 
     @staticmethod
     def from_rotation_system(rs: RotationSystem) -> "AbstractGraph":
         ends = rs.edge_endpoints()
         return AbstractGraph(
-            rs.vertex_count, tuple(ends[e] for e in sorted(ends))
+            rs.vertex_count, tuple(tuple(ends[e]) for e in sorted(ends))
         )
 
     def incident(self) -> list[list[int]]:

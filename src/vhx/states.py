@@ -74,6 +74,8 @@ def state_mask(rs: RotationSystem, bits, flip: int | None = None) -> int:
 
 
 class CircleCorrespondence(Frozen):
+    _fields = ("kind", "stable_pairs", "active_before", "active_after")
+
     def __init__(
         self,
         kind: str,  # merge | split | same-circle
@@ -85,23 +87,6 @@ class CircleCorrespondence(Frozen):
         object.__setattr__(self, "stable_pairs", stable_pairs)
         object.__setattr__(self, "active_before", active_before)
         object.__setattr__(self, "active_after", active_after)
-
-    def _key(self):
-        return (self.kind, self.stable_pairs, self.active_before, self.active_after)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"CircleCorrespondence(kind={self.kind!r}, stable_pairs={self.stable_pairs!r}, "
-            f"active_before={self.active_before!r}, active_after={self.active_after!r})"
-        )
 
 
 def circle_correspondence(before, after, edge: int) -> CircleCorrespondence:

@@ -26,12 +26,41 @@ class VPDError(ValueError):
     """Malformed or invalid VPD input."""
 
 
-class Frozen:
-    """Base of the value classes that refuse attribute assignment and
-    deletion once ``__init__`` has set their fields (``cached_property``
-    still caches: it writes the instance dict directly)."""
+class Record:
+    """Base of vhx's value classes: equality and a dataclass-style repr over
+    the attributes a subclass names in ``_fields``, in constructor order.
+
+    Records of different classes never compare equal, and a mutable record
+    is unhashable; :class:`Frozen` records hash by value.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """Base of the records that hash by value and refuse attribute
+    assignment and deletion once ``__init__`` has set their fields
+    (``cached_property`` still caches: it writes the instance dict directly)."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -52,19 +81,10 @@ class RotationSystem(Frozen):
     Equal vertex tuples make equal, equally hashed systems.
     """
 
+    _fields = ("vertices",)
+
     def __init__(self, vertices: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "vertices", vertices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash((self.vertices,))
-
-    def __repr__(self):
-        return f"RotationSystem(vertices={self.vertices!r})"
 
     @property
     def vertex_count(self) -> int:
@@ -127,6 +147,8 @@ class PerfectMatchingDiagram(Frozen):
     (original vertex, position 0..2).
     """
 
+    _fields = ("rs", "matching", "site_origin")
+
     def __init__(
         self,
         rs: RotationSystem,
@@ -146,23 +168,6 @@ class PerfectMatchingDiagram(Frozen):
         object.__setattr__(self, "matching", matching)
         object.__setattr__(self, "site_origin", site_origin)
 
-    def _key(self):
-        return (self.rs, self.matching, self.site_origin)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"PerfectMatchingDiagram(rs={self.rs!r}, matching={self.matching!r}, "
-            f"site_origin={self.site_origin!r})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # parsing and serialization
@@ -172,6 +177,11 @@ _TOKEN = re.compile(r"\s*(G\s*\[|V\s*\[|\]|,|-?\s*\d+)")
 
 def parse_vpd(text: str, any_valence: bool = False) -> RotationSystem:
     """Parse VPD text ``G[V[...],...]`` into a validated RotationSystem."""
+    def fail(msg: str, at: int) -> None:
+        line = text.count("\n", 0, at) + 1
+        col = at - (text.rfind("\n", 0, at) + 1) + 1
+        raise VPDError(f"{msg} at line {line}, column {col}")
+
     pos = 0
     tokens: list[tuple[str, int]] = []
     while pos < len(text):
@@ -179,16 +189,9 @@ def parse_vpd(text: str, any_valence: bool = False) -> RotationSystem:
         if not m:
             if text[pos:].strip() == "":
                 break
-            line = text.count("\n", 0, pos) + 1
-            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-            raise VPDError(f"unexpected character {text[pos]!r} at line {line}, column {col}")
+            fail(f"unexpected character {text[pos]!r}", pos)
         tokens.append((re.sub(r"\s+", "", m.group(1)), m.start(1)))
         pos = m.end()
-
-    def fail(msg: str, at: int) -> None:
-        line = text.count("\n", 0, at) + 1
-        col = at - (text.rfind("\n", 0, at) + 1) + 1
-        raise VPDError(f"{msg} at line {line}, column {col}")
 
     i = 0
 
@@ -274,22 +277,13 @@ class CircleDecomposition(Frozen):
     half-edge ``i`` toward half-edge ``i+1``.
     """
 
+    _fields = ("circles", "corner_map")
+
     def __init__(
         self, circles: tuple[tuple[Token, ...], ...], corner_map: tuple[tuple[int, ...], ...]
     ):
         object.__setattr__(self, "circles", circles)
         object.__setattr__(self, "corner_map", corner_map)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.circles, self.corner_map) == (other.circles, other.corner_map)
-
-    def __hash__(self):
-        return hash((self.circles, self.corner_map))
-
-    def __repr__(self):
-        return f"CircleDecomposition(circles={self.circles!r}, corner_map={self.corner_map!r})"
 
     @property
     def circle_count(self) -> int:

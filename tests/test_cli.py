@@ -92,6 +92,24 @@ def test_tm_poly(capsys, theta_path):
     assert out.strip() == "6*t^2 + 6"
 
 
+def test_tm_poly_multi_n(capsys):
+    code, out, _ = run(capsys, "tm-poly", "--n", "2,3", f"{DATA}/k33.vpd")
+    assert code == 0
+    assert out.splitlines() == [
+        "n=2: 2*t^6 + 8*t^5 + 22*t^4 + 32*t^3 + 22*t^2 + 8*t + 2",
+        "n=3: 12*t^6 + 48*t^5 + 120*t^4 + 168*t^3 + 120*t^2 + 48*t + 12",
+    ]
+
+
+def test_tm_poly_multi_n_json(capsys):
+    code, out, _ = run(capsys, "tm-poly", "--n", "2,3", "--json", f"{DATA}/k33.vpd")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"n": 2, "var": "t", "terms": [[6, 2], [5, 8], [4, 22], [3, 32], [2, 22], [1, 8], [0, 2]]},
+        {"n": 3, "var": "t", "terms": [[6, 12], [5, 48], [4, 120], [3, 168], [2, 120], [1, 48], [0, 12]]},
+    ]
+
+
 def test_tm_poly_two_var(capsys):
     code, out, _ = run(capsys, "tm-poly", "--n", "2,3", "--two-var", f"{DATA}/k33.vpd")
     assert code == 0

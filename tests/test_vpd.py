@@ -56,6 +56,12 @@ def test_parse_error_reports_position():
         parse_vpd("G[V[1,6,4],\nV[2,3,x]]")
 
 
+def test_unexpected_character_reports_line_and_column():
+    with pytest.raises(VPDError) as err:
+        parse_vpd("G[V[1,6,4],\nV[#2,3,5]]")
+    assert str(err.value) == "unexpected character '#' at line 2, column 3"
+
+
 def test_any_valence():
     with pytest.raises(VPDError):
         parse_vpd("G[V[1,4,3,6],V[2,5]]")
