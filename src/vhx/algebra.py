@@ -1,6 +1,5 @@
 """The coefficient field Q(sqrt n), the graded algebra V_t = k[x]/(x^n - t),
-its structure maps m / Delta / eta with tilde and hat variants, and the color
-basis used for numeric validation.
+and its structure maps m / Delta / eta with tilde and hat variants.
 
 Conventions: exponents live in 0..n-1; m = n/2 for even n and (n-1)/2 for odd
 n; qdeg(x^k) = m - k.  Tilde maps carry the degree-n part (they raise qdeg by
@@ -156,62 +155,3 @@ def map_eta(n: int, variant: str, k: int) -> list[tuple[tuple[int, ...], QuadSca
         out.append(((k + m - n,), rt))
     return out
 
-
-# ---------------------------------------------------------------------------
-# color basis (numeric validation layer)
-
-
-def color_change_matrix(n: int):
-    """Columns are the color vectors c_i = (1/n) sum_j lambda^(i j) x^j."""
-    import numpy as np
-
-    lam = np.exp(2j * math.pi / n)
-    return np.array(
-        [[lam ** (i * j) / n for i in range(n)] for j in range(n)],
-        dtype=complex,
-    )
-
-
-def _mono_matrix(n: int, fn, arity_in: int, arity_out: int):
-    import numpy as np
-    from itertools import product
-
-    M = np.zeros((n**arity_out, n**arity_in), dtype=complex)
-    for col, exps in enumerate(product(range(n), repeat=arity_in)):
-        for out_exps, coeff in fn(*exps):
-            row = 0
-            for e in out_exps:
-                row = row * n + e
-            M[row, col] += float(coeff)
-    return M
-
-
-def color_maps(n: int):
-    """Hat maps and their adjoints as matrices in the color basis.
-
-    Returns a dict with keys ``m``, ``delta``, ``eta`` and ``m*``,
-    ``delta*``, ``eta*``.  Adjoints are conjugate transposes in the color
-    basis, where the Hermitian metric is orthonormal.
-    """
-    import numpy as np
-
-    C = color_change_matrix(n)
-    Cinv = np.linalg.inv(C)
-    C2 = np.kron(C, C)
-    C2inv = np.linalg.inv(C2)
-
-    m_hat = _mono_matrix(n, lambda i, j: map_m(n, "hat", i, j), 2, 1)
-    d_hat = _mono_matrix(n, lambda k: map_delta(n, "hat", k), 1, 2)
-    e_hat = _mono_matrix(n, lambda k: map_eta(n, "hat", k), 1, 1)
-
-    m_c = Cinv @ m_hat @ C2
-    d_c = C2inv @ d_hat @ C
-    e_c = Cinv @ e_hat @ C
-    return {
-        "m": m_c,
-        "delta": d_c,
-        "eta": e_c,
-        "m*": m_c.conj().T,
-        "delta*": d_c.conj().T,
-        "eta*": e_c.conj().T,
-    }

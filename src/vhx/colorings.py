@@ -8,13 +8,12 @@ once per graph into a histogram of these structures, and colorings are
 counted once per distinct structure and n, up to a permutation of the
 colors.  This module also derives the total matching polynomial, extracts
 the matching a coloring induces, and cross-checks the combinatorics against
-a numeric kernel computation.
+exact kernels of the hat maps and their adjoints.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from operator import itemgetter
 
@@ -238,7 +237,7 @@ def induced_matching(coloring: FaceColoring, rs: RotationSystem) -> tuple[frozen
 
 
 # ---------------------------------------------------------------------------
-# numeric cross-check of the harmonic characterization
+# exact cross-check of the harmonic characterization
 
 
 class KernelReport(Record):
@@ -246,7 +245,7 @@ class KernelReport(Record):
 
     def __init__(self, n: int, per_state: dict[tuple[int, ...], tuple[int, int, str]]):
         self.n = n
-        self.per_state = per_state  # (count, numeric, status) per state
+        self.per_state = per_state  # (count, kernel dimension, status) per state
 
     @property
     def ok(self) -> bool:
@@ -254,20 +253,8 @@ class KernelReport(Record):
 
     @property
     def inconclusive(self) -> bool:
-        return any(s == "inconclusive" for _, _, s in self.per_state.values())
-
-
-def _hat_matrix(maps, mask: int, path: tuple[int, ...]):
-    """Circle counts at both ends and the numeric matrix (monomial basis) of
-    the hat map flipping the bands ``path`` from swap mask ``mask``."""
-    import numpy as np
-
-    kb, ka, local, stable = maps.edge_map(mask, path, (("hat",) * 3,))
-    mat = np.zeros((maps.n**ka, maps.n**kb))
-    for sp, tp, (a, b) in local:
-        for ss, st in stable:
-            mat[tp + st, sp + ss] += a + b * math.sqrt(maps.n)
-    return kb, ka, mat
+        """Always false: the kernel is an exact rank, never an estimate."""
+        return False
 
 
 def harmonic_kernel_check(
@@ -279,27 +266,16 @@ def harmonic_kernel_check(
     """Check dim(ker delta-hat intersect ker of its adjoint) per state
     against the combinatorial coloring count.
 
-    Adjoints are taken in the color basis, where the metric is orthonormal,
-    so the adjoint is the conjugate transpose.  States whose smallest kept
-    and largest dropped singular values sit within a factor 10 of the
-    threshold are reported ``inconclusive`` rather than failed.
+    The kernel is n^k minus the exact rank over Q(sqrt n) of the state's
+    outgoing hat maps stacked on the transposes of its incoming ones.
+    ``threshold`` is accepted for compatibility and has no effect.
     """
-    import numpy as np
-
-    from .algebra import color_change_matrix
-    from .homology import LocalMaps
+    from .algebra import QuadScalar
+    from .homology import LocalMaps, matrix_rank
 
     ribbon = hypercube_ribbon(rs, cap)
     maps = LocalMaps(ribbon, n)
-    nv = rs.vertex_count
-
-    @lru_cache(maxsize=None)
-    def cob(k):  # the color-change matrix on k circles and its inverse
-        C = np.eye(1, dtype=complex)
-        base = color_change_matrix(n)
-        for _ in range(k):
-            C = np.kron(C, base)
-        return C, np.linalg.inv(C)
+    scalar = lru_cache(maxsize=None)(lambda a, b: QuadScalar.make(a, b, n))
 
     @lru_cache(maxsize=None)
     def colorings(mask):  # circles and harmonic colorings, on the maps' trace
@@ -309,35 +285,22 @@ def harmonic_kernel_check(
         return len(walks), count_partial_colorings(CircleDecomposition(circles, corner_map), n)
 
     per_state: dict[tuple[int, ...], tuple[int, int, str]] = {}
-    for bits in itertools.product([0, 1], repeat=nv):
+    for bits in itertools.product([0, 1], repeat=rs.vertex_count):
         mask = state_mask(rs, bits)
         k, count = colorings(mask)
-        dim = n**k
-        C_here, C_here_inv = cob(k)
-        blocks = []
+        # monomials are orthogonal of norm n^k, so an adjoint is a scaled transpose
+        block, rows = {}, 0
         for v, path in enumerate(ribbon.bands):
-            if bits[v] == 0:
-                _, ka, mat = _hat_matrix(maps, mask, path)
-                blocks.append(cob(ka)[1] @ mat @ C_here)
-            else:
-                # the edge into this state starts where vertex v is 0-smoothed
-                kb, _, mat = _hat_matrix(maps, mask ^ ribbon.vertex_masks[v], path)
-                mc = C_here_inv @ mat @ cob(kb)[0]
-                blocks.append(mc.conj().T)
-        if not blocks:
-            per_state[bits] = (count, dim, "ok" if count == dim else "mismatch")
-            continue
-        stacked = np.vstack(blocks)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        kept = [s for s in sv if s > threshold]
-        dropped = [s for s in sv if s <= threshold]
-        numeric = dim - len(kept)
-        near = (kept and min(kept) < 10 * threshold) or (
-            dropped and max(dropped) > threshold / 10
-        )
-        if near:
-            status = "inconclusive"
-        else:
-            status = "ok" if numeric == count else "mismatch"
-        per_state[bits] = (count, numeric, status)
+            incoming = bits[v]
+            # an incoming edge starts where vertex v is 0-smoothed
+            kb, ka, local, stable = maps.edge_map(
+                mask ^ ribbon.vertex_masks[v] if incoming else mask, path, (("hat",) * 3,)
+            )
+            for sp, tp, (a, b) in local:
+                for ss, st in stable:
+                    src, tgt = sp + ss, tp + st
+                    block[(rows + src, tgt) if incoming else (rows + tgt, src)] = scalar(a, b)
+            rows += n ** (kb if incoming else ka)
+        kernel = n**k - matrix_rank(block, rows, n**k)
+        per_state[bits] = (count, kernel, "ok" if kernel == count else "mismatch")
     return KernelReport(n, per_state)

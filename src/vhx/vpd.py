@@ -187,9 +187,10 @@ def parse_vpd(text: str, any_valence: bool = False) -> RotationSystem:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            at = len(text) - len(text[pos:].lstrip())
+            if at == len(text):
                 break
-            fail(f"unexpected character {text[pos]!r}", pos)
+            fail(f"unexpected character {text[at]!r}", at)
         tokens.append((re.sub(r"\s+", "", m.group(1)), m.start(1)))
         pos = m.end()
 

@@ -273,21 +273,6 @@ def build_pm_complex(pmd: PerfectMatchingDiagram, n: int) -> ChainComplex:
     return ChainComplex(n, bases, diff, bigrade_j=0)
 
 
-def hat_matrix(rs, n, bits, vertex):
-    """Dense monomial-basis matrix of the hat map for one vertex flip."""
-    import numpy as np
-
-    decs, _ = site_path(rs, bits, vertex)
-    kb, ka = decs[0].circle_count, decs[3].circle_count
-    col_of = {e: i for i, e in enumerate(monomials(n, kb))}
-    row_of = {e: i for i, e in enumerate(monomials(n, ka))}
-    mat = np.zeros((n**ka, n**kb))
-    for a, lst in vertex_edge_map(rs, n, bits, vertex, ("hat",) * 3).items():
-        for b, c in lst:
-            mat[row_of[b], col_of[a]] += float(c)
-    return mat
-
-
 def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int) -> int:
     """Rank over Q(sqrt n) by elimination; pivots are the first nonzero
     entry in row-major order."""

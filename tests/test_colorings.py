@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+import reference_color
+from conftest import SMALL_FIXTURES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,14 +175,19 @@ def test_bridge_always_induced(graphs):
 
 
 def check_harmonic_kernel(graph, n):
+    """Each state's exact kernel equals its coloring count and the SVD count
+    in the color basis (the paper's definition, on the reference assembly's
+    hat maps), and the per-degree sums reproduce the filtered ranks."""
     report = harmonic_kernel_check(graph, n)
-    assert report.ok
-    # per-degree sums reproduce the filtered ranks
+    assert report.ok and not report.inconclusive
+    assert {bits: kernel for bits, (_, kernel, _) in report.per_state.items()} == (
+        reference_color.kernel_dims(graph, n)
+    )
     fr = filtered_ranks(graph, n)
     sums = [0] * (graph.vertex_count + 1)
-    for bits, (cnt, numeric, _) in report.per_state.items():
-        assert cnt == numeric
-        sums[sum(bits)] += numeric
+    for bits, (cnt, kernel, _) in report.per_state.items():
+        assert cnt == kernel
+        sums[sum(bits)] += kernel
     assert sums == fr.ranks
 
 
@@ -189,8 +196,11 @@ def test_harmonic_kernel_theta(graphs, n):
     check_harmonic_kernel(graphs["theta"], n)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("name", ["thetaneg", "k4", "p3"])
+# n = 4 folds sqrt(n) into the rational part
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, n) for name in SMALL_FIXTURES if name != "theta" for n in (2, 3)] + [("k4", 4)],
+)
 def test_harmonic_kernel_matches_counts(graphs, name, n):
     check_harmonic_kernel(graphs[name], n)
 

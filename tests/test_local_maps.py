@@ -2,7 +2,7 @@
 
 ``build_vertex_complex`` (every graded piece, with path verification on),
 ``delta_graded_pieces``, ``build_pm_complex``, ``vertex_edge_map_graded``
-and the hat matrices of the kernel check must equal the dict-of-monomials
+and the hat maps of the kernel check must equal the dict-of-monomials
 reference in ``reference_homology.py`` exactly, on the fixtures, the
 lollipop and the generated corpus of ``test_ribbon.py`` up to |V| = 8.
 A build traces each swap mask once, and rejects an end state whose
@@ -11,7 +11,6 @@ circles disagree with an edge's band model.
 
 import itertools
 
-import numpy as np
 import pytest
 import reference_homology as ref
 from test_homology import PRISM4
@@ -19,7 +18,7 @@ from test_ribbon import SMALL
 
 import vhx
 from vhx import homology
-from vhx.colorings import _hat_matrix
+from vhx.algebra import QuadScalar
 from vhx.homology import (
     LocalMaps,
     _placements,
@@ -86,11 +85,21 @@ def test_vertex_edge_maps_match_reference(name, n):
 
 @pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 3)])
 def test_hat_matrices_match_reference(name, n):
+    """The hat variant the kernel check reads, expanded over the untouched
+    circles, equals the reference composition exactly."""
     rs = SMALL[name]
     maps = LocalMaps(rs.ribbon, n)
     for bits, v in vertex_flips(rs):
-        *_, got = _hat_matrix(maps, state_mask(rs, bits), rs.ribbon.bands[v])
-        assert np.array_equal(got, ref.hat_matrix(rs, n, bits, v))
+        kb, ka, local, stable = maps.edge_map(
+            state_mask(rs, bits), rs.ribbon.bands[v], (("hat",) * 3,)
+        )
+        exps_b, exps_a = maps.codes(kb)[0], maps.codes(ka)[0]
+        got: dict = {}
+        for sp, tp, (a, b) in local:
+            for ss, st in stable:
+                got.setdefault(exps_b[sp + ss], {})[exps_a[tp + st]] = QuadScalar.make(a, b, n)
+        want = ref.vertex_edge_map(rs, n, bits, v, ("hat",) * 3)
+        assert got == {x: dict(row) for x, row in want.items()}
 
 
 def test_build_traces_each_state_once(monkeypatch):

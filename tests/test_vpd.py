@@ -57,9 +57,16 @@ def test_parse_error_reports_position():
 
 
 def test_unexpected_character_reports_line_and_column():
-    with pytest.raises(VPDError) as err:
-        parse_vpd("G[V[1,6,4],\nV[#2,3,5]]")
-    assert str(err.value) == "unexpected character '#' at line 2, column 3"
+    """The error names the first non-whitespace character that no token
+    starts with, and its position."""
+    for text, at in [
+        ("G[V[1,6,4],\nV[#2,3,5]]", "'#' at line 2, column 3"),
+        ("G[V[1,2,3]] x", "'x' at line 1, column 13"),
+        ("G[V[1,6,4],\n  #V[2,3,5]]", "'#' at line 2, column 3"),
+    ]:
+        with pytest.raises(VPDError) as err:
+            parse_vpd(text)
+        assert str(err.value) == f"unexpected character {at}"
 
 
 def test_any_valence():
