@@ -25,7 +25,7 @@ class QuadScalar(Frozen):
     When the radicand is a perfect square the root is folded into the
     rational part, however the scalar is built, so ``b`` is always 0 then.
     ``fractions`` is imported where a scalar is made or folded, so the
-    state sums, which need only :func:`half_m`, never load it.
+    state sums and homology, which compute on integers, never load it.
     """
 
     _fields = ("a", "b", "radicand")
@@ -103,8 +103,7 @@ def qdeg(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # elementary maps
 #
-# Each map returns a list of (exponents, QuadScalar) pairs; variants:
-#   "plain" = t=0 part, "tilde" = degree-n part, "hat" = both summed.
+# Variants: "plain" = t=0 part, "tilde" = degree-n part, "hat" = both summed.
 
 
 def _check(n: int, *ks: int) -> None:
@@ -113,45 +112,37 @@ def _check(n: int, *ks: int) -> None:
             raise ValueError(f"exponent {k} out of range for n={n}")
 
 
+def structure_terms(n: int, variant: str, kind: str, x: tuple[int, ...]) -> list:
+    """m ("merge"), Delta ("split") or eta ("same-circle") of the monomial
+    with exponents ``x``, as (output exponents, (a, b)) terms: the
+    coefficient a + b sqrt n in integers, a perfect square's root folded
+    into a.  The plain part comes first, then the tilde part."""
+    _check(n, *x)
+    m, k = half_m(n), sum(x)
+    shifts = [s for s, v in ((0, "plain"), (n, "tilde")) if variant in (v, "hat")]
+    if kind == "merge":
+        return [((k - s,), (1, 0)) for s in shifts if 0 <= k - s < n]
+    if kind == "split":
+        targets = [k + 2 * m - s for s in shifts]
+        return [((i, t - i), (1, 0)) for t in targets for i in range(n) if 0 <= t - i < n]
+    r = _isqrt_exact(n)
+    return [((k + m - s,), (0, 1) if r is None else (r, 0)) for s in shifts if 0 <= k + m - s < n]
+
+
+def _scalars(n: int, terms: list) -> list[tuple[tuple[int, ...], QuadScalar]]:
+    return [(out, QuadScalar.make(a, b, n)) for out, (a, b) in terms]
+
+
 def map_m(n: int, variant: str, i: int, j: int) -> list[tuple[tuple[int, ...], QuadScalar]]:
     """Multiplication V (x) V -> V."""
-    _check(n, i, j)
-    one = QuadScalar.of_int(1, n)
-    out = []
-    if variant in ("plain", "hat") and i + j < n:
-        out.append(((i + j,), one))
-    if variant in ("tilde", "hat") and i + j >= n:
-        out.append(((i + j - n,), one))
-    return out
+    return _scalars(n, structure_terms(n, variant, "merge", (i, j)))
 
 
 def map_delta(n: int, variant: str, k: int) -> list[tuple[tuple[int, ...], QuadScalar]]:
     """Comultiplication V -> V (x) V."""
-    _check(n, k)
-    m = half_m(n)
-    one = QuadScalar.of_int(1, n)
-    out = []
-    targets = []
-    if variant in ("plain", "hat"):
-        targets.append(k + 2 * m)
-    if variant in ("tilde", "hat"):
-        targets.append(k + 2 * m - n)
-    for s in targets:
-        for i in range(n):
-            if 0 <= s - i < n:
-                out.append(((i, s - i), one))
-    return out
+    return _scalars(n, structure_terms(n, variant, "split", (k,)))
 
 
 def map_eta(n: int, variant: str, k: int) -> list[tuple[tuple[int, ...], QuadScalar]]:
     """Same-circle map V -> V, with coefficient sqrt(n)."""
-    _check(n, k)
-    m = half_m(n)
-    rt = QuadScalar.root(n)
-    out = []
-    if variant in ("plain", "hat") and k + m < n:
-        out.append(((k + m,), rt))
-    if variant in ("tilde", "hat") and 0 <= k + m - n < n:
-        out.append(((k + m - n,), rt))
-    return out
-
+    return _scalars(n, structure_terms(n, variant, "same-circle", (k,)))

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 parse/usage error, 3 invariant-suite failure or
 violated internal invariant.
 
 Each command imports the layers it runs in its handler, so ``faces`` loads
-only :mod:`~vhx.vpd` and a state sum only the state-sum layers.
+only :mod:`~vhx.vpd` and a state sum only the state-sum layers, and a run
+that names a command builds that command's argument parser alone.
 """
 
 from __future__ import annotations
@@ -32,61 +33,69 @@ def _parse_n_list(text: str) -> list[int]:
     return ns
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="vhx",
-        description="Invariants of trivalent ribbon graphs in VPD notation.",
-    )
-    ap.add_argument("--version", action="version", version=f"vhx {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, needs_n=False, **extra):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("input", help="path to a .vpd file")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_STATE_CAP,
-            help="maximum hypercube dimension of homology and filtered ranks; "
-            "state sums sweep the vertices instead and refuse a cut of more "
-            "than CAP open strands, two per cut edge (default %(default)s)",
+def _build_parser(command: str | None = None, p=None) -> argparse.ArgumentParser:
+    """The full parser; or the parser of ``command`` alone, made as the full
+    parser makes that subparser (``p``), so that it prints and fails alike."""
+    if command is None:
+        ap = argparse.ArgumentParser(
+            prog="vhx",
+            description="Invariants of trivalent ribbon graphs in VPD notation.",
         )
-        if needs_n:
-            p.add_argument(
-                "--n",
-                type=_parse_n_list,
-                default=[2],
-                help="number of colors; accepts a comma list (default 2)",
-            )
-        return p
+        ap.add_argument("--version", action="version", version=f"vhx {__version__}")
+        sub = ap.add_subparsers(dest="command", required=True)
+        for name, (_, help_, _) in _COMMANDS.items():
+            _build_parser(name, sub.add_parser(name, help=help_))
+        return ap
+    if p is None:
+        p = argparse.ArgumentParser(prog=f"vhx {command}")
+    p.add_argument("input", help="path to a .vpd file")
+    p.add_argument("--json", action="store_true", help="emit JSON")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_STATE_CAP,
+        help="maximum hypercube dimension of homology and filtered ranks; "
+        "state sums sweep the vertices instead and refuse a cut of more "
+        "than CAP open strands, two per cut edge (default %(default)s)",
+    )
+    if _COMMANDS[command][2]:
+        p.add_argument(
+            "--n",
+            type=_parse_n_list,
+            default=[2],
+            help="number of colors; accepts a comma list (default 2)",
+        )
+    if command == "tm-poly":
+        p.add_argument(
+            "--two-var",
+            action="store_true",
+            help="print the rank table over all requested n (rows n, columns t-degree)",
+        )
+    if command == "check":
+        p.add_argument(
+            "--verify-paths",
+            action="store_true",
+            help="also verify independence of the six elementary-map orders",
+        )
+        p.add_argument(
+            "--no-memo",
+            action="store_true",
+            help="count every distinct coloring structure afresh, bypassing the "
+            "process-global coloring-count memo (verification mode)",
+        )
+    return p
 
-    add("faces", "boundary circles, Euler characteristic, genus")
-    add("ncolor-poly", "n-color vertex polynomial in q", needs_n=True)
-    add("vertex-poly", "vertex polynomial, symbolic in n")
-    add("homology", "bigraded homology rank table", needs_n=True)
-    add("filtered", "filtered homology ranks, Euler characteristic, TM", needs_n=True)
-    tm = add("tm-poly", "total matching polynomial", needs_n=True)
-    tm.add_argument(
-        "--two-var",
-        action="store_true",
-        help="print the rank table over all requested n (rows n, columns t-degree)",
-    )
-    add("matchings", "perfect matchings with even/odd classification")
-    add("tait", "number of proper 3-edge-colorings")
-    chk = add("check", "run the invariant suite", needs_n=True)
-    chk.add_argument(
-        "--verify-paths",
-        action="store_true",
-        help="also verify independence of the six elementary-map orders",
-    )
-    chk.add_argument(
-        "--no-memo",
-        action="store_true",
-        help="count every distinct coloring structure afresh, bypassing the "
-        "process-global coloring-count memo (verification mode)",
-    )
-    return ap
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone, a fraction of the cost of
+    all nine; the full parser takes any other argv, and one with arguments
+    that parser leaves over, for its usage and errors."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _load(path: str):
@@ -327,28 +336,29 @@ def cmd_check(rs, args) -> int:
     return 3 if failed else 0
 
 
-_DISPATCH = {
-    "faces": cmd_faces,
-    "ncolor-poly": cmd_ncolor_poly,
-    "vertex-poly": cmd_vertex_poly,
-    "homology": cmd_homology,
-    "filtered": cmd_filtered,
-    "tm-poly": cmd_tm_poly,
-    "matchings": cmd_matchings,
-    "tait": cmd_tait,
-    "check": cmd_check,
+# command -> (handler, help, whether it takes --n)
+_COMMANDS = {
+    "faces": (cmd_faces, "boundary circles, Euler characteristic, genus", False),
+    "ncolor-poly": (cmd_ncolor_poly, "n-color vertex polynomial in q", True),
+    "vertex-poly": (cmd_vertex_poly, "vertex polynomial, symbolic in n", False),
+    "homology": (cmd_homology, "bigraded homology rank table", True),
+    "filtered": (cmd_filtered, "filtered homology ranks, Euler characteristic, TM", True),
+    "tm-poly": (cmd_tm_poly, "total matching polynomial", True),
+    "matchings": (cmd_matchings, "perfect matchings with even/odd classification", False),
+    "tait": (cmd_tait, "number of proper 3-edge-colorings", False),
+    "check": (cmd_check, "run the invariant suite", True),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         rs = _load(args.input)
     except (VPDError, OSError) as exc:
         print(f"vhx: {exc}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[args.command](rs, args)
+        return _COMMANDS[args.command][0](rs, args)
     except InvariantError as exc:
         print(f"vhx: invariant violated: {exc}", file=sys.stderr)
         return 3

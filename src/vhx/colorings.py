@@ -267,15 +267,15 @@ def harmonic_kernel_check(
     against the combinatorial coloring count.
 
     The kernel is n^k minus the exact rank over Q(sqrt n) of the state's
-    outgoing hat maps stacked on the transposes of its incoming ones.
+    outgoing hat maps stacked on the transposes of its incoming ones, their
+    entries kept as integer pairs.  The traces and band models are the
+    ribbon's, shared with the complexes built on it.
     ``threshold`` is accepted for compatibility and has no effect.
     """
-    from .algebra import QuadScalar
     from .homology import LocalMaps, matrix_rank
 
     ribbon = hypercube_ribbon(rs, cap)
     maps = LocalMaps(ribbon, n)
-    scalar = lru_cache(maxsize=None)(lambda a, b: QuadScalar.make(a, b, n))
 
     @lru_cache(maxsize=None)
     def colorings(mask):  # circles and harmonic colorings, on the maps' trace
@@ -296,11 +296,11 @@ def harmonic_kernel_check(
             kb, ka, local, stable = maps.edge_map(
                 mask ^ ribbon.vertex_masks[v] if incoming else mask, path, (("hat",) * 3,)
             )
-            for sp, tp, (a, b) in local:
+            for sp, tp, ab in local:
                 for ss, st in stable:
                     src, tgt = sp + ss, tp + st
-                    block[(rows + src, tgt) if incoming else (rows + tgt, src)] = scalar(a, b)
+                    block[(rows + src, tgt) if incoming else (rows + tgt, src)] = ab
             rows += n ** (kb if incoming else ka)
-        kernel = n**k - matrix_rank(block, rows, n**k)
+        kernel = n**k - matrix_rank(block, rows, n**k, n)
         per_state[bits] = (count, kernel, "ok" if kernel == count else "mismatch")
     return KernelReport(n, per_state)

@@ -14,11 +14,13 @@ Two complexes share one assembler:
 An elementary map is the identity on the circles its band does not touch,
 so each hypercube edge's map is composed on a model of its bands, read off
 the traces of its two end states (:class:`LocalMaps`), and tensored with
-the identity on the untouched circles.  The build runs on integer pairs
-(a, b) meaning a + b sqrt n, turned into :class:`QuadScalar` when an entry
-is emitted.  Ranks and the delta o delta check turn entries back into
-integer pairs; ranks are exact over Q(sqrt n) by fraction-free elimination
-in Z[sqrt n] with a first-nonzero row-major pivot rule.
+the identity on the untouched circles; traces and band models are kept on
+the ribbon and shared by every n.  Coefficients are integer pairs (a, b)
+meaning a + b sqrt n, a perfect square's root folded into a, from the step
+tables to the ranks (:class:`QuadScalar` appears only in
+:func:`vertex_edge_map_graded`, so homology never loads ``fractions``);
+ranks are exact over Q(sqrt n) by fraction-free elimination in Z[sqrt n]
+with a first-nonzero row-major pivot rule.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import json
 import math
 import operator
 
-from .algebra import QuadScalar, half_m, map_delta, map_eta, map_m
+from .algebra import QuadScalar, _isqrt_exact, half_m, structure_terms
 from .states import (
     DEFAULT_STATE_CAP,
     InvariantError,
@@ -83,7 +85,7 @@ class ChainComplex(Record):
     """Per-(i, j) bases of labeled monomials with sparse differentials.
 
     ``diff[(i, j)]`` maps block C^(i,j) -> C^(i+1, j + bigrade_j) as a sparse
-    dict (row, col) -> QuadScalar.
+    dict (row, col) -> (a, b), the integers of a + b sqrt n.
     """
 
     _fields = ("n", "bases", "diff", "bigrade_j")
@@ -92,7 +94,7 @@ class ChainComplex(Record):
         self,
         n: int,
         bases: dict[tuple[int, int], list[BasisElement]],
-        diff: dict[tuple[int, int], dict[tuple[int, int], QuadScalar]],
+        diff: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]],
         bigrade_j: int = 0,
     ):
         self.n = n
@@ -130,20 +132,9 @@ def _codes(n: int, k: int) -> tuple[list, list[int], list[int]]:
     return exps, dsum, rank
 
 
-@functools.cache
-def _step_table(n: int, variant: str) -> dict:
-    """m, Delta and eta by correspondence kind and input exponents, with
-    coefficients as integer pairs (a, b)."""
-    r = range(n)
-    maps = {
-        "merge": {(i, j): map_m(n, variant, i, j) for i in r for j in r},
-        "split": {(k,): map_delta(n, variant, k) for k in r},
-        "same-circle": {(k,): map_eta(n, variant, k) for k in r},
-    }
-    return {
-        kind: {x: [(out, (int(c.a), int(c.b))) for out, c in terms] for x, terms in tab.items()}
-        for kind, tab in maps.items()
-    }
+# m, Delta and eta by correspondence kind and input exponents, with
+# coefficients as integer pairs (a, b)
+_step_terms = functools.cache(structure_terms)
 
 
 def _compose(n: int, k0: int, steps: tuple, variants: tuple, turns: tuple = ()) -> list:
@@ -157,10 +148,9 @@ def _compose(n: int, k0: int, steps: tuple, variants: tuple, turns: tuple = ()) 
         for variant in variants:
             front = {x: (1, 0)}
             for (kind, act_b, act_a, stable, k1), var in zip(steps, variant):
-                table = _step_table(n, var)[kind]
                 nxt: dict[tuple[int, ...], tuple[int, int]] = {}
                 for y, (a, b) in front.items():
-                    for outs, (c, d) in table[tuple(y[p] for p in act_b)]:
+                    for outs, (c, d) in _step_terms(n, var, kind, tuple(y[p] for p in act_b)):
                         z = [0] * k1
                         for p, o in zip(act_a, outs):
                             z[p] = o
@@ -216,21 +206,22 @@ class LocalMaps:
     :func:`_codes`).  An edge map reads the traces of its two end states:
     the start circles' arcs outside the bands pair up the bands' tokens, and
     that pairing, the bands' swaps and the flip order key a band model
-    (:func:`_band_model`), whose end circles must be the end state's."""
+    (:func:`_band_model`), whose end circles must be the end state's.
+    Traces and models do not depend on n, so they are the ribbon's
+    ``traces`` and ``band_models``.  Band tokens are numbered from the
+    flipped vertex's end, so no key depends on which end is odd."""
 
     def __init__(self, ribbon: Ribbon, n: int):
         self.ribbon, self.n = ribbon, n
-        self._traces: dict[int, tuple[list[list[int]], "array"]] = {}
         self._paths: dict[tuple, tuple] = {}
-        self._models: dict[tuple, tuple] = {}
-        self._steps: dict[tuple, tuple] = {}
         self.codes = functools.cache(functools.partial(_codes, n))
         self._compose = functools.cache(functools.partial(_compose, n))
 
     def trace(self, mask: int) -> tuple[list[list[int]], "array"]:
         """The walks of :meth:`Ribbon.trace`, kept per swap mask, and each
         token's rank: its circle times the token count, plus its position."""
-        if mask not in self._traces:
+        traces = self.ribbon.traces
+        if mask not in traces:
             # an array holds a rank in 4 bytes, a list in an int object; its
             # module loads only in processes that build a complex
             from array import array
@@ -240,8 +231,8 @@ class LocalMaps:
             for c, walk in enumerate(walks):
                 for r, t in enumerate(walk, c * len(owner)):
                     rank[t] = r
-            self._traces[mask] = walks, array("I", rank)
-        return self._traces[mask]
+            traces[mask] = walks, array("I", rank)
+        return traces[mask]
 
     def edge_map(self, mask: int, path, variants):
         """The composed band flips on the edges ``path`` from swap mask
@@ -252,11 +243,18 @@ class LocalMaps:
         source code, and the (source, target) codes of every exponent
         assignment of the untouched ones, one pair per map entry each.
         """
-        n, nt = self.n, self.ribbon.ntok
+        n, nt, arc = self.n, self.ribbon.ntok, self.ribbon.arc
         if path not in self._paths:
             edges = tuple(dict.fromkeys(path))
             flip = functools.reduce(operator.xor, (1 << (e - 1) for e in path))
-            band = [t for e in edges for t in range(4 * e - 4, 4 * e)]
+            # a band's end at the flipped vertex is the one whose two corner
+            # arcs lead to the path's bands (theta: both ends, the odd one is
+            # taken); its in side is +0 at an odd label, +3 at an even one,
+            # so the band reads [+0, +1, +2, +3] or [+3, +2, +1, +0]
+            on = {e - 1 for e in edges}
+            ins = [4 * e - 4 for e in edges]
+            ins = [q if {arc[q] >> 2, arc[q + 1] >> 2} <= on else q + 3 for q in ins]
+            band = [q ^ i for q in ins for i in range(4)]
             self._paths[path] = band, edges, tuple(map(edges.index, path)), flip
         band, edges, lpath, flip = self._paths[path]
         walks, rank = self.trace(mask)
@@ -282,11 +280,10 @@ class LocalMaps:
             raise InvariantError("band tokens do not pair up along the circles")
         sw = mask ^ self.ribbon.sign_mask
         key = tuple(partner), sum((sw >> (e - 1) & 1) << i for i, e in enumerate(edges)), lpath
-        if key not in self._models:
-            # band models share few step sequences: keep one copy of each
-            steps, *rest = _band_model(*key)
-            self._models[key] = self._steps.setdefault(steps, steps), *rest
-        steps, start, end_owner, end, splits = self._models[key]
+        models = self.ribbon.band_models
+        if key not in models:
+            models[key] = _band_model(*key)
+        steps, start, end_owner, end, splits = models[key]
         gb = [rank[t] // nt for t in start]
         ends = [rank_a[t] // nt for t in band]
         ga = [ends[t] for t in end]
@@ -347,7 +344,7 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
     """
     n, d = maps.n, len(paths)
     m = half_m(n)
-    scalar = functools.cache(lambda a, b: QuadScalar.make(a, b, n))
+    values: dict[tuple[int, int], tuple[int, int]] = {}  # entries share one tuple per value
     masks, ks, total = [], [], 0
     for s in range(1 << d):
         low = s & -s
@@ -372,7 +369,7 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
         for t, e in zip(dsum, exps):
             blocks[t].append((bits, e))
 
-    diff: dict[tuple[int, int], dict[tuple[int, int], QuadScalar]] = {}
+    diff: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
     for s, (mask, kb, offs_b) in enumerate(zip(masks, ks, offsets)):
         i = s.bit_count()
         _, dsum_b, rank_b = maps.codes(kb)
@@ -395,7 +392,8 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
             negate = (s >> (d - v)).bit_count() & 1  # 1s left of site v
             jb0, ja0 = kb * m + shift * i, ka * m + shift * (i + 1)
             for sp, tp, (a, b) in local:
-                val = scalar(-a, -b) if negate else scalar(a, b)
+                val = (-a, -b) if negate else (a, b)
+                val = values.setdefault(val, val)
                 for ss, st in stable:
                     src, tgt = sp + ss, tp + st
                     ds, dt = dsum_b[src], dsum_a[tgt]
@@ -460,32 +458,26 @@ def delta_graded_pieces(
 # exact rank computation
 
 
-def _pairs(entries: dict) -> dict:
-    """Values a + b sqrt n as integer pairs (a, b), scaled by the lcm of all denominators."""
-    den = math.lcm(*(x.denominator for v in entries.values() for x in (v.a, v.b)))
-    return {
-        k: (v.a.numerator * (den // v.a.denominator), v.b.numerator * (den // v.b.denominator))
-        for k, v in entries.items()
-    }
+def matrix_rank(block: dict, nrows: int, ncols: int, n: int) -> int:
+    """Rank over Q(sqrt n) of a block of integer pairs (a, b) meaning
+    a + b sqrt n, by fraction-free elimination in Z[sqrt n]; pivots are the
+    first nonzero entry in row-major order.
 
-
-def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int) -> int:
-    """Rank over Q(sqrt n) by fraction-free elimination in Z[sqrt n]; pivots
-    are the first nonzero entry in row-major order.
-
-    Rows are integer pairs (a, b), cleared of denominators by their lcm.  A
-    pivot row is kept times its pivot's conjugate, so the pivot is its norm
-    d, a nonzero integer (``QuadScalar.make`` folds a perfect square's root
-    into a: b = 0, and no zero divisor of Z[x]/(x^2 - n) occurs).  A row with
-    c there becomes (d * row - c * pivot_row) / gcd(d, c), then is divided
-    by the gcd of its integers."""
-    rows: list[dict[int, QuadScalar]] = [dict() for _ in range(nrows)]
-    n = 0
+    A perfect square's root is folded into a first (b = 0), so no zero
+    divisor of Z[x]/(x^2 - n) occurs.  A pivot row is kept times its
+    pivot's conjugate, so the pivot is its norm d, a nonzero integer.  A row
+    with c there becomes (d * row - c * pivot_row) / gcd(d, c), then is
+    divided by the gcd of its integers."""
+    root = _isqrt_exact(n)
+    rows: dict[int, dict[int, tuple[int, int]]] = {}
     for (r, c), v in block.items():
-        if v:
-            rows[r][c], n = v, v.radicand
+        if root is not None:
+            v = (v[0] + root * v[1], 0)
+        if v[0] or v[1]:
+            rows.setdefault(r, {})[c] = v
     pivots: dict[int, tuple[int, dict[int, tuple[int, int]]]] = {}
-    for cur in map(_pairs, filter(None, rows)):
+    for r in sorted(rows):
+        cur = rows.pop(r)  # eliminated in place, and freed once done
         # a pivot row's other entries lie right of its pivot, so pivot
         # columns are eliminated left to right, each once (a sorted list is
         # a heap; a column pushed twice is gone by its second pop)
@@ -522,11 +514,11 @@ def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int
 
 def chain_condition_holds(cx: ChainComplex) -> bool:
     """delta(i+1) o delta(i) = 0 for every consecutive pair of blocks, in
-    integer pairs (a, b) (each block scaled by a positive integer)."""
-    n, k = cx.n, cx.bigrade_j
-    diff = {key: _pairs(block) for key, block in cx.diff.items()}
-    for (i, j), block in diff.items():
-        nxt = diff.get((i + 1, j + k))
+    integer pairs (a, b); a perfect square's root is folded into a sum when
+    it is tested."""
+    n, k, root = cx.n, cx.bigrade_j, _isqrt_exact(cx.n)
+    for (i, j), block in cx.diff.items():
+        nxt = cx.diff.get((i + 1, j + k))
         if not nxt:
             continue
         nxt_cols: dict[int, list[tuple[int, int, int]]] = {}
@@ -537,7 +529,9 @@ def chain_condition_holds(cx: ChainComplex) -> bool:
             for r2, x, y in nxt_cols.get(mid, ()):
                 sa, sb = acc.get((r2, c), (0, 0))
                 acc[(r2, c)] = (sa + a * x + n * b * y, sb + a * y + b * x)
-        if any(v != (0, 0) for v in acc.values()):
+        if root is not None:
+            acc = {key: (a + root * b, 0) for key, (a, b) in acc.items()}
+        if any(a or b for a, b in acc.values()):
             return False
     return True
 
@@ -551,7 +545,7 @@ def bigraded_homology(cx: ChainComplex) -> RankTable:
     @functools.cache
     def block_rank(i, j):
         block = cx.diff.get((i, j))
-        return matrix_rank(block, cx.dim(i + 1, j), cx.dim(i, j)) if block else 0
+        return matrix_rank(block, cx.dim(i + 1, j), cx.dim(i, j), cx.n) if block else 0
 
     for i, j in sorted(cx.bases):
         dim = cx.dim(i, j)

@@ -347,6 +347,8 @@ class Ribbon:
         # each vertex's band edges in tuple order: the 3-edge path of its flip
         self.bands = tuple(tuple((abs(h) + 1) // 2 for h in v) for v in rs.vertices)
         self.tokens = tuple((t // 2 + 1, t % 2 + 1) for t in range(ntok))
+        # homology.LocalMaps' swap-mask traces and band models, for every n
+        self.traces, self.band_models = {}, {}
 
     def corner_labels(self, mask: int) -> tuple[list[int], int]:
         """Circle label of every corner in vertex and tuple order, circles

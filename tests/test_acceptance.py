@@ -150,13 +150,13 @@ def test_criterion_7_property_suites(graphs):
                 nxt = B.diff.get((i + 1, j + p))
                 if not nxt:
                     continue
+                # entries are integer pairs (a, b) = a + b sqrt 2
                 for (r1, c1), v1 in blk.items():
                     for (r2, c2), v2 in nxt.items():
                         if c2 == r1:
                             key = (i, j, r2, c1)
-                            total[key] = (
-                                total.get(key, QuadScalar.of_int(0, 2)) + v2 * v1
-                            )
+                            prod = QuadScalar.make(*v2, 2) * QuadScalar.make(*v1, 2)
+                            total[key] = total.get(key, QuadScalar.of_int(0, 2)) + prod
         assert all(not v for v in total.values()), f"k={k}"
     r2 = QuadScalar.root(2)
     assert vertex_edge_map_graded(graphs["theta"], 2, (0, 0), 0, 0) == {

@@ -5,6 +5,7 @@ import pytest
 from test_ribbon import prism
 
 from vhx import oracles
+from vhx import cli
 from vhx.cli import main
 from vhx.poly import IntPoly
 from vhx.vpd import serialize_vpd
@@ -144,7 +145,7 @@ def test_check_reports_invariant_failure_and_runs_on(capsys, theta_path, monkeyp
     from vhx import homology
 
     # an impossible rank makes some homology rank negative
-    monkeypatch.setattr(homology, "matrix_rank", lambda block, nrows, ncols: nrows + ncols)
+    monkeypatch.setattr(homology, "matrix_rank", lambda block, nrows, ncols, n: nrows + ncols)
     code, out, _ = run(capsys, "check", "--n", "2", theta_path)
     assert code == 3
     rows = out.splitlines()
@@ -237,7 +238,7 @@ def test_invariant_violation_exit_3(capsys, theta_path, monkeypatch):
     # a usage-error handler catching ValueError must not swallow it
     assert not issubclass(InvariantError, ValueError)
     # an impossible rank makes some homology rank negative
-    monkeypatch.setattr(homology, "matrix_rank", lambda block, nrows, ncols: nrows + ncols)
+    monkeypatch.setattr(homology, "matrix_rank", lambda block, nrows, ncols, n: nrows + ncols)
     code, out, err = run(capsys, "homology", "--n", "2", theta_path)
     assert code == 3
     assert out == ""
@@ -291,7 +292,9 @@ def test_cold_start_loads_only_the_layers_a_command_runs():
 
 def test_commands_and_the_kernel_check_run_without_numpy():
     """Under ``python -S``, homology, filtered, check, matchings and tait on
-    theta, and the harmonic kernel check after them, never load numpy."""
+    theta, and the harmonic kernel check after them, never load numpy; nor,
+    since homology computes on integer pairs, ``fractions`` or ``decimal``
+    (n = 4 takes the perfect-square fold)."""
     import os
     import subprocess
     import sys
@@ -300,11 +303,13 @@ def test_commands_and_the_kernel_check_run_without_numpy():
     code = (
         "import sys\n"
         "import vhx, vhx.cli\n"
-        f"for argv in (['homology', '--n', '2', {theta!r}], ['filtered', '--n', '2', {theta!r}],\n"
-        f"             ['check', '--n', '2', {theta!r}], ['matchings', {theta!r}],\n"
+        f"for argv in (['homology', '--n', '2,4', {theta!r}], ['filtered', '--n', '2', {theta!r}],\n"
+        f"             ['check', '--n', '2,4', {theta!r}], ['matchings', {theta!r}],\n"
         f"             ['tait', {theta!r}]):\n"
         "    assert vhx.cli.main(argv) == 0, argv\n"
         "assert vhx.harmonic_kernel_check(vhx.load_fixture('theta'), 2).ok\n"
+        "assert vhx.harmonic_kernel_check(vhx.load_fixture('theta'), 4).ok\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(DATA).parent.parent))
@@ -312,4 +317,31 @@ def test_commands_and_the_kernel_check_run_without_numpy():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "False"
+    assert res.stdout.splitlines()[-2:] == ["[]", "False"]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, theta_path, name):
+    """A run naming a command parses with that command's parser alone; its
+    help, its usage errors (a bad --n, a missing or unknown argument), a
+    missing input file and a good run print byte for byte what the full
+    parser prints, with the same exit codes."""
+    cases = [["--help"], [], ["--json"], [theta_path, "extra"], [theta_path, "--bogus"]]
+    cases += [["--cap", "x", theta_path], [str(Path(theta_path).parent / "missing.vpd")]]
+    if cli._COMMANDS[name][2]:
+        cases += [["--n", "1", theta_path], ["--n", "a,b", theta_path], ["--n"]]
+    cases += [["--json", theta_path]]
+    argvs = [[name, *rest] for rest in cases] + [["--help"], ["--version"], ["nope", theta_path]]
+    fast = [_outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert [_outcome(capsys, argv) for argv in argvs] == fast
+    assert [code for code, _, _ in fast] == [0] + [2] * (len(cases) - 2) + [0, 0, 0, 2]

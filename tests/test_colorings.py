@@ -205,10 +205,14 @@ def test_harmonic_kernel_matches_counts(graphs, name, n):
     check_harmonic_kernel(graphs[name], n)
 
 
-def test_harmonic_kernel_traces_each_mask_once(graphs, monkeypatch):
+def test_harmonic_kernel_traces_each_mask_once(monkeypatch):
     """A state, its complement (the same swap mask) and the hat maps at both
-    share one trace: 2^(|V|-1) distinct traces on p3."""
-    rs = graphs["p3"]
+    share one trace: 2^(|V|-1) distinct traces on p3.  Traces are kept on
+    the ribbon, so the graph is parsed afresh rather than shared with tests
+    that built a complex on it."""
+    import vhx
+
+    rs = vhx.load_fixture("p3")
     trace, calls = rs.ribbon.trace, []
     monkeypatch.setattr(rs.ribbon, "trace", lambda mask: calls.append(mask) or trace(mask))
     report = harmonic_kernel_check(rs, 2)

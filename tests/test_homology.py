@@ -39,14 +39,14 @@ THETA_TABLE_N2 = {
 
 
 def test_matrix_rank():
-    one = QuadScalar.of_int(1, 2)
-    r = QuadScalar.root(2)
+    # entries are integer pairs (a, b) = a + b sqrt 2
+    one, r = (1, 0), (0, 1)
     # [[1, r], [r, 2]] is singular over Q(sqrt 2)
-    block = {(0, 0): one, (0, 1): r, (1, 0): r, (1, 1): QuadScalar.of_int(2, 2)}
-    assert matrix_rank(block, 2, 2) == 1
-    block[(1, 1)] = QuadScalar.of_int(3, 2)
-    assert matrix_rank(block, 2, 2) == 2
-    assert matrix_rank({}, 4, 5) == 0
+    block = {(0, 0): one, (0, 1): r, (1, 0): r, (1, 1): (2, 0)}
+    assert matrix_rank(block, 2, 2, 2) == 1
+    block[(1, 1)] = (3, 0)
+    assert matrix_rank(block, 2, 2, 2) == 2
+    assert matrix_rank({}, 4, 5, 2) == 0
 
 
 def test_theta_homology_table(graphs):
@@ -125,7 +125,8 @@ def test_vertex_edge_map_refuses_a_missing_hypercube_edge(graphs, bits, vertex):
 
 
 def _compose_blocks(A, B, p):
-    """Entries of B o A where A has q-jump p (blocks (i, j) -> (i+1, j+p))."""
+    """Entries of B o A where A has q-jump p (blocks (i, j) -> (i+1, j+p)),
+    the integer pairs of both read as ``QuadScalar``s."""
     out = {}
     for (i, j), blk in A.diff.items():
         nxt = B.diff.get((i + 1, j + p))
@@ -135,7 +136,8 @@ def _compose_blocks(A, B, p):
             for (r2, c2), v2 in nxt.items():
                 if c2 == r1:
                     key = (i, j, r2, c1)
-                    out[key] = out.get(key, QuadScalar.of_int(0, A.n)) + v2 * v1
+                    prod = QuadScalar.make(*v2, B.n) * QuadScalar.make(*v1, A.n)
+                    out[key] = out.get(key, QuadScalar.of_int(0, A.n)) + prod
     return out
 
 
@@ -161,12 +163,12 @@ def test_graded_pieces_bigrades(graphs):
 
 
 def test_chain_condition_detects_nonzero_square():
-    one = QuadScalar.of_int(1, 2)
+    one = (1, 0)
     # C^0 -> C^1 (dim 2) -> C^2: [1, 1]^T then [1, -1] composes to zero
     cx = ChainComplex(
         2,
         {(0, 0): [None], (1, 0): [None, None], (2, 0): [None]},
-        {(0, 0): {(0, 0): one, (1, 0): one}, (1, 0): {(0, 0): one, (0, 1): -one}},
+        {(0, 0): {(0, 0): one, (1, 0): one}, (1, 0): {(0, 0): one, (0, 1): (-1, 0)}},
     )
     assert chain_condition_holds(cx)
     cx.diff[(1, 0)][(0, 1)] = one

@@ -5,16 +5,20 @@
 and the hat maps of the kernel check must equal the dict-of-monomials
 reference in ``reference_homology.py`` exactly, on the fixtures, the
 lollipop and the generated corpus of ``test_ribbon.py`` up to |V| = 8.
-A build traces each swap mask once, and rejects an end state whose
-circles disagree with an edge's band model.
+A ribbon traces each swap mask and builds each band model once for all
+the complexes built on it, a relabeled ribbon needs no more band models
+than the original, and a build rejects an end state whose circles disagree
+with an edge's band model.
 """
 
+import functools
 import itertools
+import random
 
 import pytest
 import reference_homology as ref
 from test_homology import PRISM4
-from test_ribbon import SMALL
+from test_ribbon import SMALL, prism, relabel
 
 import vhx
 from vhx import homology
@@ -36,9 +40,13 @@ CASES = [(name, n) for name in GATED for n in (2, 3)] + [("k4", 4)]
 
 
 def assert_same(cx, want):
+    """Equal bases, and equal differentials once the complex's integer
+    pairs (a, b) are read as the reference's ``QuadScalar``s."""
     assert cx.bigrade_j == want.bigrade_j
     assert cx.bases == want.bases
-    assert cx.diff == want.diff
+    scalar = functools.cache(lambda ab: QuadScalar.make(*ab, cx.n))
+    scalars = {key: {rc: scalar(ab) for rc, ab in blk.items()} for key, blk in cx.diff.items()}
+    assert scalars == want.diff
 
 
 def vertex_flips(rs):
@@ -104,8 +112,9 @@ def test_hat_matrices_match_reference(name, n):
 
 def test_build_traces_each_state_once(monkeypatch):
     """Edge maps read the traces of their end states only, and a state and
-    its complement share a swap mask: 2^(|V|-1) traces per complex.  Circle
-    correspondences run on band models of at most 12 tokens only."""
+    its complement share a swap mask: 2^(|V|-1) traces, kept on the ribbon,
+    for all the complexes built on it.  Circle correspondences run on band
+    models of at most 12 tokens only."""
     rs = vhx.parse_vpd(PRISM4)
     trace, calls = rs.ribbon.trace, []
     monkeypatch.setattr(rs.ribbon, "trace", lambda mask: calls.append(mask) or trace(mask))
@@ -114,10 +123,29 @@ def test_build_traces_each_state_once(monkeypatch):
         homology, "circle_correspondence", lambda b, a, e: sizes.append(len(b[0])) or corr(b, a, e)
     )
     for t in range(2):
-        calls.clear()
         build_vertex_complex(rs, 2, tilde_count=t)
-        assert len(calls) == len(set(calls)) == 2 ** (rs.vertex_count - 1) == 128
+    build_vertex_complex(rs, 3)
+    assert len(calls) == len(set(calls)) == 2 ** (rs.vertex_count - 1) == 128
     assert sizes and max(sizes) <= 12 < rs.ribbon.ntok
+
+
+def _band_model_count(rs):
+    """The band models that every hypercube edge of ``rs`` at n = 2 needs."""
+    maps = LocalMaps(rs.ribbon, 2)
+    for bits, v in vertex_flips(rs):
+        maps.edge_map(state_mask(rs, bits, flip=v), rs.ribbon.bands[v], _placements(3, 0))
+    return len(rs.ribbon.band_models)
+
+
+def test_band_models_are_shared_across_relabelings():
+    """A band's tokens are numbered from its end at the flipped vertex, so
+    moving the odd label to an edge's other end, renumbering edges or
+    rotating tuples keeps every band model's key: prism5 and its relabelings
+    need the same band models, at most 96."""
+    plain = _band_model_count(prism(5))
+    assert plain <= 96
+    for seed in (1, 2, 7101, 7102):
+        assert _band_model_count(relabel(prism(5), random.Random(seed))) == plain
 
 
 @pytest.mark.parametrize("broken", ["band token", "untouched circle"])

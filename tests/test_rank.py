@@ -4,7 +4,9 @@
 ``reference_homology.py`` on every differential block of the complexes the
 other tests build, and a known rank on random blocks with planted
 dependencies, non-integral entries and perfect-square n.  Where sympy is
-installed it cross-checks small blocks as well.
+installed it cross-checks small blocks as well.  ``matrix_rank`` and
+``chain_condition_holds`` take integer pairs (a, b) meaning a + b sqrt n;
+:func:`_pairs` turns the ``QuadScalar`` blocks built here into those.
 """
 
 import math
@@ -21,6 +23,15 @@ from vhx.homology import ChainComplex, build_vertex_complex, chain_condition_hol
 
 from conftest import SMALL_FIXTURES
 
+def _pairs(entries: dict) -> dict:
+    """Values a + b sqrt n as integer pairs (a, b), scaled by the lcm of all denominators."""
+    den = math.lcm(*(x.denominator for v in entries.values() for x in (v.a, v.b)))
+    return {
+        k: (v.a.numerator * (den // v.a.denominator), v.b.numerator * (den // v.b.denominator))
+        for k, v in entries.items()
+    }
+
+
 GATED = sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8)
 COMPLEXES = (
     [(name, n) for name in SMALL_FIXTURES for n in (2, 3, 4)]
@@ -34,7 +45,8 @@ def test_rank_matches_reference_on_every_block(name, n):
     cx = build_vertex_complex(SMALL[name], n)
     for (i, j), block in cx.diff.items():
         nrows, ncols = cx.dim(i + 1, j), cx.dim(i, j)
-        assert matrix_rank(block, nrows, ncols) == ref.matrix_rank(block, nrows, ncols)
+        scalars = {k: QuadScalar.make(a, b, n) for k, (a, b) in block.items()}
+        assert matrix_rank(block, nrows, ncols, n) == ref.matrix_rank(scalars, nrows, ncols)
 
 
 def _scalars(n):
@@ -85,8 +97,8 @@ def planted_blocks(draw, max_rows=8, max_cols=7):
 @given(planted_blocks())
 @settings(max_examples=300, deadline=None)
 def test_rank_of_planted_blocks(case):
-    block, nrows, ncols, rank, _ = case
-    assert matrix_rank(block, nrows, ncols) == rank == ref.matrix_rank(block, nrows, ncols)
+    block, nrows, ncols, rank, n = case
+    assert matrix_rank(_pairs(block), nrows, ncols, n) == rank == ref.matrix_rank(block, nrows, ncols)
 
 
 @given(planted_blocks(max_rows=6, max_cols=6))
@@ -99,23 +111,26 @@ def test_rank_matches_sympy(case):
         mat[r, c] = sympy.Rational(v.a) + sympy.Rational(v.b) * sympy.sqrt(n)
     # rationalized and expanded, an element of Q(sqrt n) is a + b sqrt n
     exact_zero = lambda x: sympy.radsimp(x).expand() == 0  # noqa: E731
-    assert matrix_rank(block, nrows, ncols) == mat.rank(iszerofunc=exact_zero)
+    assert matrix_rank(_pairs(block), nrows, ncols, n) == mat.rank(iszerofunc=exact_zero)
 
 
 @pytest.mark.parametrize("n", [4, 9])
 def test_perfect_square_roots_are_folded(n):
     """Z[x]/(x^2 - n) has zero divisors when n is a perfect square, such as
-    r - x with r^2 = n; ``QuadScalar.make`` folds x into r first, so the
-    rank never sees one."""
+    r - x with r^2 = n; ``QuadScalar.make`` folds x into r first, and so
+    does the rank with the pairs it is given, so it never sees one."""
     r = math.isqrt(n)
     assert QuadScalar.make(r, -1, n).b == 0 and not QuadScalar.make(r, -1, n)
     root, one = QuadScalar.root(n), QuadScalar.of_int(1, n)
     assert root.b == 0
     # [[sqrt n, r], [1, 1]] is singular, [[sqrt n, 1], [1, 1]] is not
     block = {(0, 0): root, (0, 1): QuadScalar.of_int(r, n), (1, 0): one, (1, 1): one}
-    assert matrix_rank(block, 2, 2) == ref.matrix_rank(block, 2, 2) == 1
+    assert matrix_rank(_pairs(block), 2, 2, n) == ref.matrix_rank(block, 2, 2) == 1
     block[(0, 1)] = one
-    assert matrix_rank(block, 2, 2) == ref.matrix_rank(block, 2, 2) == 2
+    assert matrix_rank(_pairs(block), 2, 2, n) == ref.matrix_rank(block, 2, 2) == 2
+    # the rank folds unfolded pairs itself: r - sqrt n is 0, r + sqrt n is 2r
+    assert matrix_rank({(0, 0): (0, 1), (0, 1): (r, 0), (1, 0): (1, 0), (1, 1): (1, 0)}, 2, 2, n) == 1
+    assert matrix_rank({(0, 0): (r, -1), (1, 1): (r, 1)}, 2, 2, n) == 1
 
 
 @pytest.mark.parametrize("n", [4, 9])
@@ -126,23 +141,39 @@ def test_perfect_square_roots_are_folded_however_built(n):
     zero = QuadScalar(r, -1, n)
     assert not zero and zero.b == 0
     assert zero == QuadScalar.make(r, -1, n) == QuadScalar(Fraction(r), Fraction(-1), n)
-    assert matrix_rank({(0, 0): zero, (1, 0): QuadScalar.of_int(1, n)}, 2, 1) == 1
+    assert matrix_rank(_pairs({(0, 0): zero, (1, 0): QuadScalar.of_int(1, n)}), 2, 1, n) == 1
+
+
+def test_integer_pair_rank_folds_perfect_squares():
+    """2 - sqrt 4 = 0, so the 1 x 1 block (2, -1) has rank 0 at n = 4, and
+    rank 1 at n = 2, where 2 - sqrt 2 is a unit's multiple."""
+    assert matrix_rank({(0, 0): (2, -1)}, 1, 1, 4) == 0
+    assert matrix_rank({(0, 0): (2, -1)}, 1, 1, 2) == 1
+    assert matrix_rank({}, 3, 2, 4) == 0
 
 
 def test_chain_condition_with_non_integral_entries():
     """delta o delta is tested exactly when entries have denominators and a
-    path carries sqrt n twice."""
+    path carries sqrt n twice (each block is cleared of its denominators by
+    a positive integer, which keeps a zero square zero and a nonzero one
+    nonzero)."""
     r = QuadScalar.root(3)
     half, third = QuadScalar.make(Fraction(1, 2), 0, 3), QuadScalar.make(Fraction(1, 3), 0, 3)
     # [sqrt3/2, 1/3]^T then [sqrt3/3, -3/2] composes to 3/6 - 3/6 = 0
-    cx = ChainComplex(
-        3,
-        {(0, 0): [None], (1, 0): [None, None], (2, 0): [None]},
-        {
-            (0, 0): {(0, 0): r * half, (1, 0): third},
-            (1, 0): {(0, 0): r * third, (0, 1): -(half + half + half)},
-        },
-    )
+    bases = {(0, 0): [None], (1, 0): [None, None], (2, 0): [None]}
+    first = _pairs({(0, 0): r * half, (1, 0): third})
+    second = _pairs({(0, 0): r * third, (0, 1): -(half + half + half)})
+    cx = ChainComplex(3, bases, {(0, 0): first, (1, 0): second})
     assert chain_condition_holds(cx)
-    cx.diff[(1, 0)][(0, 1)] = half + half + half
+    cx.diff[(1, 0)] = _pairs({(0, 0): r * third, (0, 1): half + half + half})
+    assert not chain_condition_holds(cx)
+
+
+def test_chain_condition_folds_perfect_squares():
+    """At n = 4, (1, 1) o (2, -1) is (2 - sqrt 4)(1 + sqrt 4) = 0, though
+    the product's pairs read (-2, 1) before the root is folded."""
+    bases = {(0, 0): [None], (1, 0): [None], (2, 0): [None]}
+    cx = ChainComplex(4, bases, {(0, 0): {(0, 0): (2, -1)}, (1, 0): {(0, 0): (1, 1)}})
+    assert chain_condition_holds(cx)
+    cx.diff[(0, 0)] = {(0, 0): (2, 1)}
     assert not chain_condition_holds(cx)
