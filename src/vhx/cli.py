@@ -77,12 +77,6 @@ def _build_parser(command: str | None = None, p=None) -> argparse.ArgumentParser
             action="store_true",
             help="also verify independence of the six elementary-map orders",
         )
-        p.add_argument(
-            "--no-memo",
-            action="store_true",
-            help="count every distinct coloring structure afresh, bypassing the "
-            "process-global coloring-count memo (verification mode)",
-        )
     return p
 
 
@@ -99,7 +93,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _load(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_vpd(fh.read())
 
 
@@ -277,7 +271,7 @@ def cmd_check(rs, args) -> int:
     for n in args.n:
         fr = None
         if nv <= CHECK_FILTERED_MAX_V:
-            fr = filtered_ranks(rs, n, cap=args.cap, use_memo=not args.no_memo)
+            fr = filtered_ranks(rs, n, cap=args.cap)
             record(f"euler(filtered, n={n}) == V(Gamma, {n})", fr.euler == vp(n))
         else:
             skip(f"euler(filtered, n={n}) == V(Gamma, {n})", f"|V| = {nv}")
@@ -304,27 +298,22 @@ def cmd_check(rs, args) -> int:
         else:
             skip(f"homology identities (n={n})", f"|V| = {nv}")
 
-        if plane and n == 2 and fr is not None:
-            pms = perfect_matchings(g)
-            br = bridges(g)
-            record("plane: rank0 == 2 * #PM (n=2)", fr.ranks[0] == 2 * len(pms))
-            record(
-                "plane: rank1 == 4 * #PM * #bridges (n=2)",
-                fr.ranks[1] == 4 * len(pms) * len(br),
-            )
-            if len(g.edges) <= TAIT_EDGE_CAP:
-                tait = count_tait_colorings(g)
+        if plane and n == 2:
+            if fr is not None:
+                pms = perfect_matchings(g)
+                record("plane: rank0 == 2 * #PM (n=2)", fr.ranks[0] == 2 * len(pms))
                 record(
-                    "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait",
-                    fr.euler == 2 ** (nv // 2) * tait,
+                    "plane: rank1 == 4 * #PM * #bridges (n=2)",
+                    fr.ranks[1] == 4 * len(pms) * len(bridges(g)),
                 )
-        if plane and n == 2 and fr is None and len(g.edges) <= TAIT_EDGE_CAP:
-            # the Euler characteristic equals V(Gamma, 2), computable at scale
-            tait = count_tait_colorings(g)
-            record(
-                "plane: V(Gamma, 2) == 2^(|V|/2) * #Tait",
-                vp(2) == 2 ** (nv // 2) * tait,
-            )
+            if len(g.edges) <= TAIT_EDGE_CAP:
+                # past the filtered gate the Euler characteristic is V(Gamma, 2),
+                # computable at scale
+                lhs, value = (
+                    ("V(Gamma, 2)", vp(2)) if fr is None else ("euler(filtered, n=2)", fr.euler)
+                )
+                tait = count_tait_colorings(g)
+                record(f"plane: {lhs} == 2^(|V|/2) * #Tait", value == 2 ** (nv // 2) * tait)
 
     width = max(len(name) for name, _ in results)
     failed = any(status.startswith("FAIL") for _, status in results)
@@ -354,7 +343,7 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         rs = _load(args.input)
-    except (VPDError, OSError) as exc:
+    except (VPDError, OSError, UnicodeDecodeError) as exc:
         print(f"vhx: {exc}", file=sys.stderr)
         return 2
     try:

@@ -5,17 +5,16 @@ n-colorings of the boundary circles, summed over weight-i states, in which
 every vertex sees at least two colors among its three corner arcs.  A
 state's count depends only on its corner triples, so the half cube is walked
 once per graph into a histogram of these structures, and colorings are
-counted once per distinct structure and n, up to a permutation of the
-colors.  This module also derives the total matching polynomial, extracts
-the matching a coloring induces, and cross-checks the combinatorics against
-exact kernels of the hat maps and their adjoints.
+counted once per distinct structure in each call, up to a permutation of
+the colors, with no cache across calls.  This module also derives the total
+matching polynomial, extracts the matching a coloring induces, and
+cross-checks the combinatorics against exact kernels of the hat maps and
+their adjoints.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from operator import itemgetter
 
 from .poly import _Poly
 from .states import DEFAULT_STATE_CAP, cache_per_graph, hypercube_ribbon, state_mask
@@ -32,15 +31,11 @@ class TPoly(_Poly):
 # counting
 
 
-def _structure(dec: CircleDecomposition) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Constraints with circles relabeled by first occurrence, plus the
-    number of circles they name (any other circle is a free factor n)."""
-    relabel: dict[int, int] = {}
-    constraints = [
-        tuple(relabel.setdefault(c, len(relabel)) for c in corners)
-        for corners in dec.corner_map
-    ]
-    return tuple(sorted(constraints)), len(relabel)
+def _structure(labels: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Sorted corner triples of flat corner labels numbered by first
+    occurrence, as :meth:`~vhx.vpd.Ribbon.corner_labels` returns them."""
+    it = iter(labels)
+    return tuple(sorted(zip(it, it, it)))
 
 
 def _count_constrained(constraints, ncircles: int, n: int) -> int:
@@ -79,23 +74,12 @@ def _count_constrained(constraints, ncircles: int, n: int) -> int:
     return rec(0, 0)
 
 
-_memo: dict[tuple, int] = {}
-
-
-def _count(constraints, ncircles: int, n: int, use_memo: bool) -> int:
-    """:func:`_count_constrained` through ``_memo`` (keyed by constraints and
-    n), or afresh without ``use_memo``."""
-    memo = _memo if use_memo else {}
-    key = (constraints, n)
-    if key not in memo:
-        memo[key] = _count_constrained(constraints, ncircles, n)
-    return memo[key]
-
-
-def count_partial_colorings(dec: CircleDecomposition, n: int, use_memo: bool = True) -> int:
+def count_partial_colorings(dec: CircleDecomposition, n: int) -> int:
     """Number of n-colorings of the circles with no monochromatic vertex."""
-    constraints, k = _structure(dec)
-    return _count(constraints, k, n, use_memo) * n ** (dec.circle_count - k)
+    relabel: dict[int, int] = {}
+    labels = [relabel.setdefault(c, len(relabel)) for corners in dec.corner_map for c in corners]
+    k = len(relabel)  # any circle no corner names is a free factor n
+    return _count_constrained(_structure(labels), k, n) * n ** (dec.circle_count - k)
 
 
 def enumerate_partial_colorings(dec: CircleDecomposition, n: int):
@@ -157,9 +141,8 @@ def structure_histogram(
     # kept keys share one tuple per distinct triple: a third of the memory
     triples: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w, mask in ribbon.half_cube():
-        flat, k = ribbon.corner_labels(mask)
-        it = iter(flat)
-        key = tuple(sorted(zip(it, it, it)))
+        labels, k = ribbon.corner_labels(mask)
+        key = _structure(labels)
         entry = hist.get(key)
         if entry is None:
             key = tuple(map(triples.setdefault, key, key))
@@ -177,17 +160,14 @@ def filtered_ranks(
     rs: RotationSystem,
     n: int,
     cap: int = DEFAULT_STATE_CAP,
-    use_memo: bool = True,
 ) -> FilteredRanks:
     """Filtered homology ranks: harmonic-coloring counts, one per distinct
-    structure of :func:`structure_histogram`, summed by state weight.
-    ``use_memo=False`` counts every distinct structure afresh, bypassing the
-    process-global ``_memo``."""
+    structure of :func:`structure_histogram`, summed by state weight."""
     if n < 2:
         raise ValueError("n must be >= 2")
     ranks = [0] * (rs.vertex_count + 1)
     for constraints, (k, row) in structure_histogram(rs, cap).items():
-        cnt = _count(constraints, k, n, use_memo)
+        cnt = _count_constrained(constraints, k, n)
         for w, states in enumerate(row):
             ranks[w] += states * cnt
     return FilteredRanks(n, ranks)
@@ -277,17 +257,11 @@ def harmonic_kernel_check(
     ribbon = hypercube_ribbon(rs, cap)
     maps = LocalMaps(ribbon, n)
 
-    @lru_cache(maxsize=None)
-    def colorings(mask):  # circles and harmonic colorings, on the maps' trace
-        walks, rank = maps.trace(mask)
-        circles = tuple(itemgetter(*walk)(ribbon.tokens) for walk in walks)
-        corner_map = tuple(tuple(rank[a] // ribbon.ntok for a in outs) for outs in ribbon.corners)
-        return len(walks), count_partial_colorings(CircleDecomposition(circles, corner_map), n)
-
     per_state: dict[tuple[int, ...], tuple[int, int, str]] = {}
     for bits in itertools.product([0, 1], repeat=rs.vertex_count):
         mask = state_mask(rs, bits)
-        k, count = colorings(mask)
+        labels, k = ribbon.corner_labels(mask)
+        count = _count_constrained(_structure(labels), k, n)
         # monomials are orthogonal of norm n^k, so an adjoint is a scaled transpose
         block, rows = {}, 0
         for v, path in enumerate(ribbon.bands):

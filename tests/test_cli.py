@@ -136,9 +136,30 @@ def test_check_passes(capsys, theta_path):
     assert "FAIL" not in out and "ok" in out
 
 
-def test_check_no_memo(capsys, theta_path):
-    code, out, _ = run(capsys, "check", "--n", "2", "--no-memo", theta_path)
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        (
+            "k4",  # filtered ranks ran: the Tait row reads their Euler characteristic
+            "euler(filtered, n=2) == V(Gamma, 2)               ok\n"
+            "delta o delta = 0 (n=2)                           ok\n"
+            "graded Euler == n-color polynomial (n=2)          ok\n"
+            "plane: rank0 == 2 * #PM (n=2)                     ok\n"
+            "plane: rank1 == 4 * #PM * #bridges (n=2)          ok\n"
+            "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  ok\n"
+        ),
+        (
+            "dodec",  # past the filtered gate: the Tait row reads V(Gamma, 2)
+            "euler(filtered, n=2) == V(Gamma, 2)      skipped (|V| = 20)\n"
+            "homology identities (n=2)                skipped (|V| = 20)\n"
+            "plane: V(Gamma, 2) == 2^(|V|/2) * #Tait  ok\n"
+        ),
+    ],
+)
+def test_check_text_pinned(capsys, name, expected):
+    code, out, _ = run(capsys, "check", "--n", "2", f"{DATA}/{name}.vpd")
     assert code == 0
+    assert out == expected
 
 
 def test_check_reports_invariant_failure_and_runs_on(capsys, theta_path, monkeypatch):
@@ -205,6 +226,14 @@ def test_parse_error_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "faces", str(bad))
     assert code == 2
     assert "vhx:" in err
+
+
+def test_undecodable_file_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.vpd"
+    bad.write_bytes(b"G[V[1,2,3\xff]]")
+    code, _, err = run(capsys, "faces", str(bad))
+    assert code == 2
+    assert err.startswith("vhx:") and "utf-8" in err
 
 
 def test_missing_file_exit_2(capsys):

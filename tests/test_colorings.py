@@ -85,12 +85,21 @@ def test_k33_single_smoothing_states(graphs, n):
     assert sum(counts) == 4 * n * (n - 1) ** 2
 
 
-def test_memo_matches_no_memo(graphs):
-    for name in ("theta", "k4", "k33", "lollipop"):
-        for n in (2, 3, 4):
-            a = filtered_ranks(graphs[name], n, use_memo=True)
-            b = filtered_ranks(graphs[name], n, use_memo=False)
-            assert a.ranks == b.ranks
+def test_filtered_ranks_count_afresh_each_call(graphs, monkeypatch):
+    """No coloring count is kept between calls: each call counts every
+    distinct structure of the histogram once."""
+    from vhx import colorings
+
+    rs = graphs["k33"]
+    structures = len(structure_histogram(rs))
+    count, calls = colorings._count_constrained, []
+    monkeypatch.setattr(
+        colorings, "_count_constrained", lambda *a: calls.append(a) or count(*a)
+    )
+    for _ in range(2):
+        calls.clear()
+        assert filtered_ranks(rs, 2).ranks == k33_formulas(2)
+        assert len(calls) == structures
 
 
 def test_count_matches_enumeration(graphs):
@@ -220,7 +229,7 @@ def test_harmonic_kernel_traces_each_mask_once(monkeypatch):
     monkeypatch.undo()
     assert report.ok and len(report.per_state) == 64
     for bits, (cnt, _, _) in report.per_state.items():
-        assert cnt == count_partial_colorings(state_decomposition(rs, bits), 2, use_memo=False)
+        assert cnt == count_partial_colorings(state_decomposition(rs, bits), 2)
 
 
 @given(st.integers(2, 6))
