@@ -94,7 +94,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _load(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_vpd(fh.read())
+        # the utf-8-sig codec would drop a byte order mark, but costs an import
+        return parse_vpd(fh.read().removeprefix("\ufeff"))
 
 
 def cmd_faces(rs, args) -> int:

@@ -231,17 +231,9 @@ class KernelReport(Record):
     def ok(self) -> bool:
         return all(s == "ok" for _, _, s in self.per_state.values())
 
-    @property
-    def inconclusive(self) -> bool:
-        """Always false: the kernel is an exact rank, never an estimate."""
-        return False
-
 
 def harmonic_kernel_check(
-    rs: RotationSystem,
-    n: int,
-    cap: int = DEFAULT_STATE_CAP,
-    threshold: float = 1e-7,
+    rs: RotationSystem, n: int, cap: int = DEFAULT_STATE_CAP
 ) -> KernelReport:
     """Check dim(ker delta-hat intersect ker of its adjoint) per state
     against the combinatorial coloring count.
@@ -250,7 +242,6 @@ def harmonic_kernel_check(
     outgoing hat maps stacked on the transposes of its incoming ones, their
     entries kept as integer pairs.  The traces and band models are the
     ribbon's, shared with the complexes built on it.
-    ``threshold`` is accepted for compatibility and has no effect.
     """
     from .homology import LocalMaps, matrix_rank
 

@@ -15,12 +15,15 @@ An elementary map is the identity on the circles its band does not touch,
 so each hypercube edge's map is composed on a model of its bands, read off
 the traces of its two end states (:class:`LocalMaps`), and tensored with
 the identity on the untouched circles; traces and band models are kept on
-the ribbon and shared by every n.  Coefficients are integer pairs (a, b)
-meaning a + b sqrt n, a perfect square's root folded into a, from the step
-tables to the ranks (:class:`QuadScalar` appears only in
-:func:`vertex_edge_map_graded`, so homology never loads ``fractions``);
-ranks are exact over Q(sqrt n) by fraction-free elimination in Z[sqrt n]
-with a first-nonzero row-major pivot rule.
+the ribbon and shared by every n.  The algebra is commutative and
+cocommutative, so an edge map is an unordered sum of terms that does not
+depend on which of a split's two new circles is listed first.
+Coefficients are integer pairs (a, b) meaning a + b sqrt n, a perfect
+square's root folded into a, from the step tables to the ranks
+(:class:`QuadScalar` appears only in :func:`vertex_edge_map_graded`, so
+homology never loads ``fractions``); ranks are exact over Q(sqrt n) by
+fraction-free elimination in Z[sqrt n] with a first-nonzero row-major
+pivot rule.
 """
 
 from __future__ import annotations
@@ -137,11 +140,10 @@ def _codes(n: int, k: int) -> tuple[list, list[int], list[int]]:
 _step_terms = functools.cache(structure_terms)
 
 
-def _compose(n: int, k0: int, steps: tuple, variants: tuple, turns: tuple = ()) -> list:
+def _compose(n: int, k0: int, steps: tuple, variants: tuple) -> list:
     """Entries (x, y, (a, b)) of a composite on the touched circles, for every
-    x in colexicographic order; ``turns`` flags the splits to turn around."""
-    turns = iter(turns)
-    steps = [(k, b, a[::-1] if k == "split" and next(turns) else a, *r) for k, b, a, *r in steps]
+    x in colexicographic order; Delta is cocommutative, so the band model's
+    order of a split's two new circles gives the same entries as any other."""
     out = []
     for x in _codes(n, k0)[0]:
         row: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -170,46 +172,35 @@ def _compose(n: int, k0: int, steps: tuple, variants: tuple, turns: tuple = ()) 
 def _band_model(partner: tuple[int, ...], swaps: int, path: tuple[int, ...]):
     """Flips ``path`` on a band model: band i has tokens 4i..4i+3, glued
     across as q ^ 2 (q ^ 3 while bit i of ``swaps`` is set), and ``partner``
-    joins tokens by the arcs outside the bands.  Returns the ``steps`` of
-    :func:`_compose`, each start circle's first token, the end owner array
-    and first tokens, and the two new walks of each split."""
+    joins tokens by the arcs outside the bands.  Gives the ``steps`` of
+    :func:`_compose`, each start circle's first token, and the end owner
+    array and first tokens."""
     # a ribbon with just the tracing tables, the outside arcs as its corners
     model = Ribbon.__new__(Ribbon)
     model.ntok, model.arc, model.sign_mask = len(partner), partner, 0
     model.succ, model.succ_edge = [q ^ 2 for q in partner], [q >> 2 for q in partner]
     masks = itertools.accumulate((1 << i for i in path), operator.xor, initial=swaps)
     states = [model.trace(m) for m in masks]
-    steps, splits = [], []
+    steps = []
     for s, i in enumerate(path):
         corr = circle_correspondence(states[s], states[s + 1], i + 1)
-        walks = states[s + 1][1]
-        kept = corr.stable_pairs
-        steps.append((corr.kind, corr.active_before, corr.active_after, kept, len(walks)))
-        if corr.kind == "split":
-            splits.append(tuple(tuple(walks[c]) for c in corr.active_after))
+        kept, k1 = corr.stable_pairs, len(states[s + 1][1])
+        steps.append((corr.kind, corr.active_before, corr.active_after, kept, k1))
     (_, start), (owner, end) = states[0], states[-1]
-    return tuple(steps), [w[0] for w in start], tuple(owner), [w[0] for w in end], tuple(splits)
-
-
-def _arc_least(walks: list[list[int]], nt: int, r: int, s: int) -> int:
-    """The least token on the arc outside the bands between the band tokens
-    of ranks r and s (circle * nt + walk position).  The arc runs from the
-    even position forward to the odd one, so it passes the walk's start,
-    which holds the circle's least token, when the odd one comes first."""
-    (c, p), q = divmod(min(r, s), nt), max(r, s) % nt
-    return walks[c][0] if p & 1 else min(walks[c][p : q + 1])
+    return tuple(steps), [w[0] for w in start], tuple(owner), [w[0] for w in end]
 
 
 class LocalMaps:
     """Hypercube-edge maps of one ribbon at one n, composed on the circles
     the flipped bands touch (basis elements are numbered by the codes of
-    :func:`_codes`).  An edge map reads the traces of its two end states:
-    the start circles' arcs outside the bands pair up the bands' tokens, and
-    that pairing, the bands' swaps and the flip order key a band model
-    (:func:`_band_model`), whose end circles must be the end state's.
-    Traces and models do not depend on n, so they are the ribbon's
-    ``traces`` and ``band_models``.  Band tokens are numbered from the
-    flipped vertex's end, so no key depends on which end is odd."""
+    :func:`_codes`).  An edge map reads the traces of its two end states,
+    each circle's first token and each token's rank: the start circles'
+    arcs outside the bands pair up the bands' tokens, and that pairing, the
+    bands' swaps and the flip order key a band model (:func:`_band_model`),
+    whose end circles must be the end state's.  Traces and models do not
+    depend on n, so they are the ribbon's ``traces`` and ``band_models``.
+    Band tokens are numbered from the flipped vertex's end, so no key
+    depends on which end is odd."""
 
     def __init__(self, ribbon: Ribbon, n: int):
         self.ribbon, self.n = ribbon, n
@@ -217,9 +208,10 @@ class LocalMaps:
         self.codes = functools.cache(functools.partial(_codes, n))
         self._compose = functools.cache(functools.partial(_compose, n))
 
-    def trace(self, mask: int) -> tuple[list[list[int]], "array"]:
-        """The walks of :meth:`Ribbon.trace`, kept per swap mask, and each
-        token's rank: its circle times the token count, plus its position."""
+    def trace(self, mask: int) -> tuple[tuple[int, ...], "array"]:
+        """Each circle's first token on the walks of :meth:`Ribbon.trace`,
+        and each token's rank: its circle times the token count, plus its
+        position on its walk.  Kept per swap mask; the walks are not."""
         traces = self.ribbon.traces
         if mask not in traces:
             # an array holds a rank in 4 bytes, a list in an int object; its
@@ -231,16 +223,16 @@ class LocalMaps:
             for c, walk in enumerate(walks):
                 for r, t in enumerate(walk, c * len(owner)):
                     rank[t] = r
-            traces[mask] = walks, array("I", rank)
+            traces[mask] = tuple(w[0] for w in walks), array("I", rank)
         return traces[mask]
 
     def edge_map(self, mask: int, path, variants):
         """The composed band flips on the edges ``path`` from swap mask
         ``mask``, summed over ``variants`` (one variant per step each).
 
-        Returns ``(kb, ka, local, stable)``: the circle counts at both ends,
-        entries (source code, target code, (a, b)) on the touched circles by
-        source code, and the (source, target) codes of every exponent
+        Gives ``(kb, ka, local, stable)``: the circle counts at both ends,
+        entries (source code, target code, (a, b)) on the touched circles in
+        no fixed order, and the (source, target) codes of every exponent
         assignment of the untouched ones, one pair per map entry each.
         """
         n, nt, arc = self.n, self.ribbon.ntok, self.ribbon.arc
@@ -257,8 +249,8 @@ class LocalMaps:
             band = [q ^ i for q in ins for i in range(4)]
             self._paths[path] = band, edges, tuple(map(edges.index, path)), flip
         band, edges, lpath, flip = self._paths[path]
-        walks, rank = self.trace(mask)
-        walks_a, rank_a = self.trace(mask ^ flip)
+        firsts, rank = self.trace(mask)
+        firsts_a, rank_a = self.trace(mask ^ flip)
         # a band crossing is a pair of walk positions (odd, even), so an arc
         # outside the bands runs from an even position to the next odd one;
         # the arcs through walk starts run from a circle's last band token
@@ -283,42 +275,33 @@ class LocalMaps:
         models = self.ribbon.band_models
         if key not in models:
             models[key] = _band_model(*key)
-        steps, start, end_owner, end, splits = models[key]
+        steps, start, end_owner, end = models[key]
         gb = [rank[t] // nt for t in start]
         ends = [rank_a[t] // nt for t in band]
         ga = [ends[t] for t in end]
-        untouched = [(c, rank_a[w[0]] // nt) for c, w in enumerate(walks) if c not in gb]
+        untouched = [(c, rank_a[t] // nt) for c, t in enumerate(firsts) if c not in gb]
         images = sorted(ga + [a for _, a in untouched])
-        if ends != [ga[c] for c in end_owner] or images != list(range(len(walks_a))):
+        if ends != [ga[c] for c in end_owner] or images != list(range(len(firsts_a))):
             raise InvariantError("band model disagrees with the end state's circles")
-        # whether a composite is empty does not depend on its circles' order
-        if not self._compose(len(gb), steps, variants, (False,) * len(splits)):
-            return len(walks), len(walks_a), [], []
-        # circles are numbered by least token, so a split's two new circles
-        # come in the order of the least tokens on their arcs
-        turns = []
-        for sides in splits:
-            least = [
-                min(_arc_least(walks, nt, rank[u], rank[v]) for u, v in zip(w[::2], w[1::2]))
-                for w in sides
-            ]
-            turns.append(least[0] > least[1])
-        comp = self._compose(len(gb), steps, variants, tuple(turns))
+        comp = self._compose(len(gb), steps, variants)
+        if not comp:
+            return len(firsts), len(firsts_a), [], []
         wb, wa, mul = [n**c for c in gb], [n**c for c in ga], operator.mul
         local = [(sum(map(mul, x, wb)), sum(map(mul, y, wa)), c) for x, y, c in comp]
-        local.sort(key=operator.itemgetter(0))
         # an untouched circle keeps its tokens through every flip, so its
         # first token finds its image
         stable = [(0, 0)]
         for c, a in untouched:
             xb, xa = n**c, n**a
             stable = [(s + e * xb, t + e * xa) for s, t in stable for e in range(n)]
-        return len(walks), len(walks_a), local, stable
+        return len(firsts), len(firsts_a), local, stable
 
 
 def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
     """Sum of compositions with exactly ``tilde_count`` tilde factors, on the
-    hypercube edge that 1-smooths ``vertex`` from the vertex state ``bits``."""
+    hypercube edge that 1-smooths ``vertex`` from the vertex state ``bits``,
+    as {source exponents: [(target exponents, coefficient)]}; each target
+    appears once per source, and terms come in no fixed order."""
     mask = state_mask(rs, bits, flip=vertex)
     path = tuple(rs.ribbon.bands[vertex][i] for i in order)
     maps = LocalMaps(rs.ribbon, n)

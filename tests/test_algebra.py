@@ -13,6 +13,7 @@ from vhx.algebra import (
     map_eta,
     map_m,
     qdeg,
+    structure_terms,
 )
 
 
@@ -140,3 +141,15 @@ def test_color_maps_diagonalize_eta(n):
     e = maps["eta"]
     assert np.allclose(e, np.diag(np.diag(e)))  # eta-hat is diagonal on colors
     assert np.allclose(maps["eta*"], e.conj().T)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("variant", ["plain", "tilde", "hat"])
+def test_delta_is_cocommutative(n, variant):
+    """Delta's terms are unchanged, as a multiset, when each output pair is
+    reversed, so an edge map cannot depend on which of a split's two new
+    circles is listed first."""
+    for k in range(n):
+        terms = structure_terms(n, variant, "split", (k,))
+        flipped = [(out[::-1], c) for out, c in terms]
+        assert sorted(terms) == sorted(flipped)

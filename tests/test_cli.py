@@ -236,6 +236,13 @@ def test_undecodable_file_exit_2(capsys, tmp_path):
     assert err.startswith("vhx:") and "utf-8" in err
 
 
+def test_byte_order_mark_is_skipped(capsys, theta_path, tmp_path):
+    """A file saved with a UTF-8 byte order mark reads like one without."""
+    bom = tmp_path / "bom.vpd"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(theta_path).read_bytes())
+    assert run(capsys, "faces", str(bom)) == run(capsys, "faces", theta_path)
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "faces", "no-such-file.vpd")
     assert code == 2

@@ -5,6 +5,8 @@
 and the hat maps of the kernel check must equal the dict-of-monomials
 reference in ``reference_homology.py`` exactly, on the fixtures, the
 lollipop and the generated corpus of ``test_ribbon.py`` up to |V| = 8.
+An edge map is an unordered sum, so each source's terms are compared as
+a {target: coefficient} dict; each target appears once per source.
 A ribbon traces each swap mask and builds each band model once for all
 the complexes built on it, a relabeled ribbon needs no more band models
 than the original, and a build rejects an end state whose circles disagree
@@ -49,6 +51,14 @@ def assert_same(cx, want):
     assert scalars == want.diff
 
 
+def rows(emap):
+    """{source: {target: coefficient}} of an edge map's term lists, which
+    name each target once per source."""
+    out = {x: dict(terms) for x, terms in emap.items()}
+    assert all(len(out[x]) == len(terms) for x, terms in emap.items())
+    return out
+
+
 def vertex_flips(rs):
     for bits in itertools.product([0, 1], repeat=rs.vertex_count):
         for v in range(rs.vertex_count):
@@ -82,13 +92,14 @@ def test_pm_complex_matches_reference(name, n):
 
 @pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 2), ("rand4neg", 3)])
 def test_vertex_edge_maps_match_reference(name, n):
-    """Same keys, and the same target lists in the same order."""
+    """Same sources, and each source's terms equal as a {target: scalar}
+    dict, in whatever order they come."""
     rs = SMALL[name]
     for bits, v in vertex_flips(rs):
         for t in range(4):
             for order in itertools.permutations(range(3)):
                 got = vertex_edge_map_graded(rs, n, bits, v, t, order)
-                assert got == ref.vertex_edge_map_graded(rs, n, bits, v, t, order)
+                assert rows(got) == rows(ref.vertex_edge_map_graded(rs, n, bits, v, t, order))
 
 
 @pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 3)])
@@ -106,8 +117,7 @@ def test_hat_matrices_match_reference(name, n):
         for sp, tp, (a, b) in local:
             for ss, st in stable:
                 got.setdefault(exps_b[sp + ss], {})[exps_a[tp + st]] = QuadScalar.make(a, b, n)
-        want = ref.vertex_edge_map(rs, n, bits, v, ("hat",) * 3)
-        assert got == {x: dict(row) for x, row in want.items()}
+        assert got == rows(ref.vertex_edge_map(rs, n, bits, v, ("hat",) * 3))
 
 
 def test_build_traces_each_state_once(monkeypatch):
@@ -172,15 +182,3 @@ def test_build_rejects_a_broken_end_state_trace(monkeypatch, broken):
         LocalMaps(ribbon, 2).edge_map(0, ribbon.bands[0], _placements(3, 0))
     with pytest.raises(InvariantError, match="band model disagrees"):
         build_vertex_complex(rs, 2)
-
-
-@pytest.mark.parametrize("name", ["k4", "k33", "lollipop", "rand8neg"])
-def test_edge_map_entries_ascend_by_source(name):
-    """``local`` comes in ascending source code whatever the band order."""
-    rs = SMALL[name]
-    maps = LocalMaps(rs.ribbon, 3)
-    for bits, v in vertex_flips(rs):
-        mask = state_mask(rs, bits, flip=v)
-        for order in itertools.permutations(rs.ribbon.bands[v]):
-            sources = [sp for sp, _, _ in maps.edge_map(mask, order, _placements(3, 1))[2]]
-            assert sources == sorted(sources)
