@@ -19,9 +19,8 @@ the ribbon and shared by every n.  The algebra is commutative and
 cocommutative, so an edge map is an unordered sum of terms that does not
 depend on which of a split's two new circles is listed first.
 Coefficients are integer pairs (a, b) meaning a + b sqrt n, a perfect
-square's root folded into a, from the step tables to the ranks
-(:class:`QuadScalar` appears only in :func:`vertex_edge_map_graded`, so
-homology never loads ``fractions``); ranks are exact over Q(sqrt n) by
+square's root folded into a, from the step tables through the edge maps
+and differentials to the ranks; ranks are exact over Q(sqrt n) by
 fraction-free elimination in Z[sqrt n] with a first-nonzero row-major
 pivot rule.
 """
@@ -35,7 +34,7 @@ import json
 import math
 import operator
 
-from .algebra import QuadScalar, _isqrt_exact, half_m, structure_terms
+from .algebra import _isqrt_exact, half_m, structure_terms
 from .states import (
     DEFAULT_STATE_CAP,
     InvariantError,
@@ -203,6 +202,8 @@ class LocalMaps:
     depends on which end is odd."""
 
     def __init__(self, ribbon: Ribbon, n: int):
+        if n < 2:
+            raise ValueError("n must be >= 2")
         self.ribbon, self.n = ribbon, n
         self._paths: dict[tuple, tuple] = {}
         self.codes = functools.cache(functools.partial(_codes, n))
@@ -300,17 +301,18 @@ class LocalMaps:
 def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
     """Sum of compositions with exactly ``tilde_count`` tilde factors, on the
     hypercube edge that 1-smooths ``vertex`` from the vertex state ``bits``,
-    as {source exponents: [(target exponents, coefficient)]}; each target
-    appears once per source, and terms come in no fixed order."""
+    as {source exponents: [(target exponents, (a, b))]} with coefficient
+    a + b sqrt n; each target appears once per source, and terms come in no
+    fixed order."""
     mask = state_mask(rs, bits, flip=vertex)
     path = tuple(rs.ribbon.bands[vertex][i] for i in order)
     maps = LocalMaps(rs.ribbon, n)
     kb, ka, local, stable = maps.edge_map(mask, path, _placements(3, tilde_count))
     exps_b, exps_a = maps.codes(kb)[0], maps.codes(ka)[0]
     out: dict[tuple[int, ...], list] = {}
-    for sp, tp, (a, b) in local:
+    for sp, tp, c in local:
         for ss, st in stable:
-            out.setdefault(exps_b[sp + ss], []).append((exps_a[tp + st], QuadScalar.make(a, b, n)))
+            out.setdefault(exps_b[sp + ss], []).append((exps_a[tp + st], c))
     return out
 
 
@@ -399,8 +401,6 @@ def build_vertex_complex(
 ) -> ChainComplex:
     """The vertex complex; ``tilde_count`` > 0 builds a graded piece delta_k
     with k = tilde_count * n instead of the bigraded differential."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     ribbon = hypercube_ribbon(rs, cap)
     return _assemble(
         LocalMaps(ribbon, n),
@@ -417,8 +417,6 @@ def build_pm_complex(
     pmd: PerfectMatchingDiagram, n: int, cap: int = DEFAULT_STATE_CAP
 ) -> ChainComplex:
     """The matching complex: one elementary map per hypercube edge."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     return _assemble(
         LocalMaps(hypercube_ribbon(pmd.rs, cap, pmd.matching), n),
         [1 << (e - 1) for e in pmd.matching],

@@ -158,6 +158,8 @@ class PerfectMatchingDiagram(Frozen):
         ends = rs.edge_endpoints()
         covered: list[int] = []
         for e in matching:
+            if e not in ends:
+                raise VPDError(f"matching edge e{e} is not an edge of the graph")
             u, w = ends[e]
             if u == w:
                 raise VPDError(f"matching edge e{e} is a loop")
@@ -480,6 +482,9 @@ def blowup(rs: RotationSystem, at: tuple[int, ...] | None = None) -> PerfectMatc
     edges only if perfect, else raise).
     """
     targets = set(range(rs.vertex_count)) if at is None else set(at)
+    missing = targets - set(range(rs.vertex_count))
+    if missing:
+        raise VPDError(f"blowup vertex {min(missing)} is not a vertex of the graph")
     k = rs.edge_count
     next_label = 2 * k + 1
     new_verts: list[tuple[int, ...]] = []

@@ -8,8 +8,9 @@ outgoing hat maps and of the adjoints of its incoming ones, counted here as
 the singular values of the stacked color-basis blocks at or below a
 threshold.  Hat maps come from the dict-of-monomials assembly of
 ``reference_homology.py`` on the reference tracer, so this shares no code
-with :func:`vhx.colorings.harmonic_kernel_check` beyond the algebra's
-elementary maps.  Needs numpy, which only the tests install.
+with :func:`vhx.colorings.harmonic_kernel_check` beyond the algebra's step
+tables, :func:`vhx.algebra.structure_terms`.  Needs numpy, which only the
+tests install.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from reference_algebra import map_delta, map_eta, map_m
 from reference_homology import monomials, site_path, vertex_edge_map
-
-from vhx.algebra import map_delta, map_eta, map_m
 
 
 def color_change_matrix(n: int):

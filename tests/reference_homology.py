@@ -3,9 +3,10 @@
 
 Every hypercube edge enumerates all n^k exponent tuples of its state,
 matches circles by token sets, and composes dicts of ``QuadScalar``s.
-Circles come from the reference tracer in ``reference_tracer.py``, so this
-shares no code with the assembler beyond the algebra's elementary maps and
-:class:`~vhx.algebra.QuadScalar`.
+Circles come from the reference tracer in ``reference_tracer.py`` and
+scalars are the ``QuadScalar``s of ``reference_algebra.py``, so this shares
+only :func:`vhx.algebra.structure_terms` (the step tables) and
+:func:`vhx.algebra.half_m` with the assembler.
 
 :func:`matrix_rank` is the rank that predates the fraction-free one in
 :mod:`vhx.homology`: elimination over Q(sqrt n) in ``QuadScalar``, with
@@ -18,9 +19,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from reference_algebra import QuadScalar, map_delta, map_eta, map_m, qdeg
 from reference_tracer import reference_trace, vertex_swaps
 
-from vhx.algebra import QuadScalar, half_m, map_delta, map_eta, map_m, qdeg
+from vhx.algebra import half_m
 from vhx.homology import ChainComplex
 from vhx.states import InvariantError
 from vhx.vpd import CircleDecomposition, PerfectMatchingDiagram, RotationSystem

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_algebra import QuadScalar, map_delta, map_eta, map_m, qdeg
 from reference_color import color_change_matrix, color_maps
 
-from vhx.algebra import (
-    QuadScalar,
-    half_m,
-    map_delta,
-    map_eta,
-    map_m,
-    qdeg,
-    structure_terms,
-)
+from vhx.algebra import half_m, structure_terms
 
 
 def test_quadscalar_arithmetic():

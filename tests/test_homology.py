@@ -2,10 +2,10 @@ import itertools
 import random
 
 import pytest
+from reference_algebra import QuadScalar
 from test_ribbon import CORPUS_SEED, SMALL, relabel
 
 import vhx
-from vhx.algebra import QuadScalar
 from vhx.homology import (
     ChainComplex,
     bigraded_homology,
@@ -87,7 +87,7 @@ def test_graded_euler_is_bracket(graphs, name, n):
 def test_theta_lee_edge_maps(graphs):
     """The published graded-piece values on the theta graph at n = 2."""
     theta = graphs["theta"]
-    r2 = QuadScalar.root(2)
+    r2 = (0, 1)  # sqrt 2 as an integer pair
     out = vertex_edge_map_graded(theta, 2, (0, 0), 0, 0)
     assert out == {(0, 0, 0): [((1,), r2)]}
     out = vertex_edge_map_graded(theta, 2, (0, 0), 0, 1)
@@ -122,6 +122,16 @@ def test_vertex_edge_map_refuses_a_missing_hypercube_edge(graphs, bits, vertex):
     already 1-smoothed vertex."""
     with pytest.raises(StateSpaceError):
         vertex_edge_map_graded(graphs["theta"], 2, bits, vertex, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_edge_maps_and_kernel_check_refuse_n_below_two(graphs, n):
+    """As the complexes and filtered ranks do, rather than reporting a
+    vacuous algebra."""
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        vertex_edge_map_graded(graphs["theta"], n, (0, 0), 0, 0)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        vhx.harmonic_kernel_check(graphs["theta"], n)
 
 
 def _compose_blocks(A, B, p):
@@ -177,9 +187,11 @@ def test_chain_condition_detects_nonzero_square():
 
 def test_pm_complex_euler_matches_state_sum(graphs):
     """Matching-complex Euler characteristic vs an independent state sum."""
-    from vhx.algebra import half_m, qdeg
-    from vhx.poly import LaurentPoly
+    from reference_algebra import qdeg
     from reference_tracer import reference_trace
+
+    from vhx.algebra import half_m
+    from vhx.poly import LaurentPoly
 
     pmd = blowup(graphs["theta"])
     n = 2

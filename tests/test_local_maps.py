@@ -19,12 +19,12 @@ import random
 
 import pytest
 import reference_homology as ref
+from reference_algebra import QuadScalar
 from test_homology import PRISM4
 from test_ribbon import SMALL, prism, relabel
 
 import vhx
 from vhx import homology
-from vhx.algebra import QuadScalar
 from vhx.homology import (
     LocalMaps,
     _placements,
@@ -93,12 +93,15 @@ def test_pm_complex_matches_reference(name, n):
 @pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 2), ("rand4neg", 3)])
 def test_vertex_edge_maps_match_reference(name, n):
     """Same sources, and each source's terms equal as a {target: scalar}
-    dict, in whatever order they come."""
+    dict, in whatever order they come, once the integer pairs (a, b) are
+    read as the reference's ``QuadScalar``s."""
     rs = SMALL[name]
+    scalar = functools.cache(lambda ab: QuadScalar.make(*ab, n))
     for bits, v in vertex_flips(rs):
         for t in range(4):
             for order in itertools.permutations(range(3)):
                 got = vertex_edge_map_graded(rs, n, bits, v, t, order)
+                got = {x: [(y, scalar(ab)) for y, ab in terms] for x, terms in got.items()}
                 assert rows(got) == rows(ref.vertex_edge_map_graded(rs, n, bits, v, t, order))
 
 

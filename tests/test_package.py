@@ -11,9 +11,9 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+from reference_algebra import QuadScalar
 
 import vhx
-from vhx.algebra import QuadScalar
 from vhx.colorings import FaceColoring, FilteredRanks, KernelReport, filtered_ranks
 from vhx.homology import ChainComplex, RankTable
 from vhx.oracles import AbstractGraph
@@ -110,6 +110,25 @@ def test_import_vhx_loads_no_layer_until_asked():
         "print(bigraded_homology.__module__, vhx.homology.__name__)\n"
     )
     assert out.splitlines() == ["[]", "2*n^3 - 2*n", "vhx.homology vhx.homology"]
+
+
+def test_library_calls_never_load_fractions():
+    """Off the CLI path too: the complexes, their homology (n = 4 takes the
+    perfect-square fold), the graded pieces, the kernel check, an edge map
+    and the filtered ranks compute on integer pairs alone."""
+    out = run_fresh(
+        "import sys, vhx\n"
+        "k4, theta = vhx.load_fixture('k4'), vhx.load_fixture('theta')\n"
+        "for n in (2, 4):\n"
+        "    vhx.bigraded_homology(vhx.build_vertex_complex(k4, n))\n"
+        "vhx.delta_graded_pieces(theta, 2)\n"
+        "assert vhx.harmonic_kernel_check(theta, 2).ok\n"
+        "from vhx.homology import vertex_edge_map_graded\n"
+        "assert vertex_edge_map_graded(theta, 2, (0, 0), 0, 1)\n"
+        "print(vhx.filtered_ranks(theta, 2).ranks)\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+    )
+    assert out.splitlines() == ["[6, 0, 6]", "[]"]
 
 
 def test_unknown_attribute_raises():
@@ -210,6 +229,9 @@ def test_matching_diagram_defaults_and_validates():
     assert pmd.site_origin == () and pmd.rs is theta and pmd.matching == (1,)
     with pytest.raises(VPDError, match="exactly once"):
         PerfectMatchingDiagram(theta, (1, 2))
+    for e in (9, 0, -1):
+        with pytest.raises(VPDError, match=f"matching edge e{e} is not an edge"):
+            PerfectMatchingDiagram(theta, (e,))
     lolly = parse_vpd("G[V[1,5,9],V[2,3,4],V[6,7,8],V[10,11,12]]")
     with pytest.raises(VPDError, match="is a loop"):
         PerfectMatchingDiagram(lolly, (2, 5))

@@ -16,9 +16,9 @@ import pytest
 import reference_homology as ref
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_algebra import QuadScalar
 from test_ribbon import SMALL
 
-from vhx.algebra import QuadScalar
 from vhx.homology import ChainComplex, build_vertex_complex, chain_condition_holds, matrix_rank
 
 from conftest import SMALL_FIXTURES

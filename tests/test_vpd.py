@@ -142,6 +142,12 @@ def test_single_vertex_blowup(graphs):
     assert pmd.rs.edge_count == 6
 
 
+def test_blowup_refuses_a_missing_vertex(graphs):
+    for at, bad in (({5}, 5), ({0, 2}, 2), ((-1, 7), -1)):
+        with pytest.raises(VPDError, match=f"blowup vertex {bad} is not a vertex"):
+            blowup(graphs["theta"], at=at)
+
+
 @st.composite
 def trivalent_systems(draw):
     nv = draw(st.sampled_from([2, 4]))
