@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _LAYERS = {
     "algebra": (),
     "colorings": (
-        "count_partial_colorings",
         "filtered_ranks",
         "harmonic_kernel_check",
         "induced_matching",
@@ -46,7 +45,6 @@ _LAYERS = {
         "genus_and_orientability",
         "parse_vpd",
         "serialize_vpd",
-        "trace_boundary",
     ),
 }
 _EXPORTS = {name: layer for layer, names in _LAYERS.items() for name in names}

@@ -18,7 +18,7 @@ import itertools
 
 from .poly import _Poly
 from .states import DEFAULT_STATE_CAP, cache_per_graph, hypercube_ribbon, state_mask
-from .vpd import CircleDecomposition, Record, RotationSystem
+from .vpd import Record, RotationSystem
 
 
 class TPoly(_Poly):
@@ -72,21 +72,6 @@ def _count_constrained(constraints, ncircles: int, n: int) -> int:
         return total
 
     return rec(0, 0)
-
-
-def count_partial_colorings(dec: CircleDecomposition, n: int) -> int:
-    """Number of n-colorings of the circles with no monochromatic vertex."""
-    relabel: dict[int, int] = {}
-    labels = [relabel.setdefault(c, len(relabel)) for corners in dec.corner_map for c in corners]
-    k = len(relabel)  # any circle no corner names is a free factor n
-    return _count_constrained(_structure(labels), k, n) * n ** (dec.circle_count - k)
-
-
-def enumerate_partial_colorings(dec: CircleDecomposition, n: int):
-    """All valid color tuples (small inputs / debugging only)."""
-    for colors in itertools.product(range(n), repeat=dec.circle_count):
-        if all(len({colors[c] for c in corners}) > 1 for corners in dec.corner_map):
-            yield colors
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +176,20 @@ def induced_matching(coloring: FaceColoring, rs: RotationSystem) -> tuple[frozen
     proper at every vertex, ``perfect matching`` when it is partial (exactly
     two colors) at every vertex, ``mixed`` otherwise.
     """
-    dec = rs.ribbon.decomposition(state_mask(rs, coloring.state))
-    if len(coloring.colors) != dec.circle_count:
+    owner, walks = rs.ribbon.trace(state_mask(rs, coloring.state))
+    colors = coloring.colors
+    if len(colors) != len(walks):
         raise ValueError("coloring length does not match the state's circles")
-    for corners in dec.corner_map:
-        if len({coloring.colors[c] for c in corners}) == 1:
-            raise ValueError("coloring violates the partial condition")
-    owner = dec.token_owner()
+    # the number of colors each vertex sees at its corners
+    kinds = {len({colors[owner[a]] for a in outs}) for outs in rs.ribbon.corners}
+    if 1 in kinds:
+        raise ValueError("coloring violates the partial condition")
+    # an edge's odd half-edge carries token ids 4e - 4 and 4e - 3, its two sides
     edges = frozenset(
         e
         for e in range(1, rs.edge_count + 1)
-        if coloring.colors[owner[(2 * e - 1, 1)]]
-        == coloring.colors[owner[(2 * e - 1, 2)]]
+        if colors[owner[4 * e - 4]] == colors[owner[4 * e - 3]]
     )
-    kinds = {
-        len({coloring.colors[c] for c in corners}) for corners in dec.corner_map
-    }
     if kinds == {3}:
         cls = "empty"
     elif kinds == {2}:

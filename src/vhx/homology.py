@@ -14,10 +14,11 @@ Two complexes share one assembler:
 An elementary map is the identity on the circles its band does not touch,
 so each hypercube edge's map is composed on a model of its bands, read off
 the traces of its two end states (:class:`LocalMaps`), and tensored with
-the identity on the untouched circles; traces and band models are kept on
-the ribbon and shared by every n.  The algebra is commutative and
-cocommutative, so an edge map is an unordered sum of terms that does not
-depend on which of a split's two new circles is listed first.
+the identity on the untouched circles.  :func:`circle_correspondence`
+matches a model's circles across each of its band flips, and traces and
+band models are kept on the ribbon and shared by every n.  The algebra is
+commutative and cocommutative, so an edge map is an unordered sum of terms
+that does not depend on which of a split's two new circles is listed first.
 Coefficients are integer pairs (a, b) meaning a + b sqrt n, a perfect
 square's root folded into a, from the step tables through the edge maps
 and differentials to the ranks; ranks are exact over Q(sqrt n) by
@@ -39,7 +40,6 @@ from .states import (
     DEFAULT_STATE_CAP,
     InvariantError,
     StateSpaceError,
-    circle_correspondence,
     hypercube_ribbon,
     state_mask,
 )
@@ -168,6 +168,39 @@ def _compose(n: int, k0: int, steps: tuple, variants: tuple) -> list:
     return out
 
 
+def circle_correspondence(before, after, edge: int) -> tuple:
+    """Match circles across a single band flip on ``edge``: the
+    :func:`_compose` step ``(kind, active_before, active_after,
+    stable_pairs, circles_after)``.
+
+    ``before`` and ``after`` are (owner array, walks) traces of a ribbon
+    or of a band model.  Active circles meet the flipped band's four
+    tokens; every other circle must reappear with the same token set,
+    paired as (before index, after index).  The kind (merge, split or
+    same-circle) follows the circle-count delta.
+    """
+    (own_b, walks_b), (own_a, walks_a) = before, after
+    q = 4 * edge - 4
+    act_b = tuple(sorted({own_b[q], own_b[q + 1], own_b[q + 2], own_b[q + 3]}))
+    act_a = tuple(sorted({own_a[q], own_a[q + 1], own_a[q + 2], own_a[q + 3]}))
+    kb, ka = len(walks_b), len(walks_a)
+    # name a stable circle by its partner (the after circle holding its
+    # first token) and an active one by -1: the token sets agree exactly
+    # when every token gets the same name on both sides
+    partner = [-1 if c in act_b else own_a[walk[0]] for c, walk in enumerate(walks_b)]
+    name_a = [-1 if c in act_a else c for c in range(ka)]
+    if list(map(partner.__getitem__, own_b)) != list(map(name_a.__getitem__, own_a)):
+        raise InvariantError("stable circle has no token-set partner")
+    pairs = tuple((b, a) for b, a in enumerate(partner) if a >= 0)
+    if len(pairs) != ka - len(act_a):
+        raise InvariantError("stable circle matching is not a bijection")
+    shape = (len(act_b), len(act_a), ka - kb)
+    kind = {(2, 1, -1): "merge", (1, 2, 1): "split", (1, 1, 0): "same-circle"}.get(shape)
+    if kind is None:
+        raise InvariantError(f"impossible correspondence: {len(act_b)} -> {len(act_a)} circles")
+    return kind, act_b, act_a, pairs, ka
+
+
 def _band_model(partner: tuple[int, ...], swaps: int, path: tuple[int, ...]):
     """Flips ``path`` on a band model: band i has tokens 4i..4i+3, glued
     across as q ^ 2 (q ^ 3 while bit i of ``swaps`` is set), and ``partner``
@@ -180,11 +213,7 @@ def _band_model(partner: tuple[int, ...], swaps: int, path: tuple[int, ...]):
     model.succ, model.succ_edge = [q ^ 2 for q in partner], [q >> 2 for q in partner]
     masks = itertools.accumulate((1 << i for i in path), operator.xor, initial=swaps)
     states = [model.trace(m) for m in masks]
-    steps = []
-    for s, i in enumerate(path):
-        corr = circle_correspondence(states[s], states[s + 1], i + 1)
-        kept, k1 = corr.stable_pairs, len(states[s + 1][1])
-        steps.append((corr.kind, corr.active_before, corr.active_after, kept, k1))
+    steps = [circle_correspondence(states[s], states[s + 1], i + 1) for s, i in enumerate(path)]
     (_, start), (owner, end) = states[0], states[-1]
     return tuple(steps), [w[0] for w in start], tuple(owner), [w[0] for w in end]
 

@@ -12,14 +12,15 @@ side of each half-edge to the *incoming* side of the next one; across an edge
 the tokens of the two half-edges are glued side-to-side, with the sides
 swapped when the edge is negative.  Circles are the closed curves formed by
 the corner arcs and the gluings.  :class:`Ribbon` compiles this once per
-rotation system into integer tables keyed by an edge-swap bitmask.
+rotation system into integer tables keyed by an edge-swap bitmask, and its
+two walks are the only way vhx reads circles: ``trace`` gives every token's
+circle and each circle's tokens, ``corner_labels`` every corner's circle.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import itemgetter
 
 
 class VPDError(ValueError):
@@ -267,37 +268,6 @@ def serialize_vpd(rs: RotationSystem) -> str:
 # ---------------------------------------------------------------------------
 # boundary tracing
 
-Token = tuple[int, int]  # (half-edge magnitude, side 1|2)
-
-
-class CircleDecomposition(Frozen):
-    """Boundary circles of a ribbon state plus per-vertex corner incidences.
-
-    ``circles[c]`` lists the tokens of circle ``c`` in traversal order;
-    circles are sorted by minimal token.  ``corner_map[v]`` gives, for each
-    vertex, the circle index of each of its three (or r) corner arcs, aligned
-    with the vertex's half-edge tuple: corner ``i`` is the arc leaving
-    half-edge ``i`` toward half-edge ``i+1``.
-    """
-
-    _fields = ("circles", "corner_map")
-
-    def __init__(
-        self, circles: tuple[tuple[Token, ...], ...], corner_map: tuple[tuple[int, ...], ...]
-    ):
-        object.__setattr__(self, "circles", circles)
-        object.__setattr__(self, "corner_map", corner_map)
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles)
-
-    def token_owner(self) -> dict[Token, int]:
-        return {t: c for c, circ in enumerate(self.circles) for t in circ}
-
-    def circle_tokens(self, c: int) -> frozenset[Token]:
-        return frozenset(self.circles[c])
-
 
 class Ribbon:
     """The ribbon surface of a rotation system, compiled to integer tables.
@@ -348,7 +318,6 @@ class Ribbon:
         self.vertex_masks = tuple(vertex_masks)
         # each vertex's band edges in tuple order: the 3-edge path of its flip
         self.bands = tuple(tuple((abs(h) + 1) // 2 for h in v) for v in rs.vertices)
-        self.tokens = tuple((t // 2 + 1, t % 2 + 1) for t in range(ntok))
         # homology.LocalMaps' swap-mask traces and band models, for every n
         self.traces, self.band_models = {}, {}
 
@@ -404,13 +373,6 @@ class Ribbon:
             walks.append(walk)
         return owner, walks
 
-    def decomposition(self, mask: int) -> CircleDecomposition:
-        """Boundary circles and corner map under swap mask ``mask``."""
-        owner, walks = self.trace(mask)
-        circles = tuple(itemgetter(*walk)(self.tokens) for walk in walks)
-        corner_map = tuple(tuple(owner[a] for a in outs) for outs in self.corners)
-        return CircleDecomposition(circles, corner_map)
-
     def half_cube(self):
         """Yield ``(weight, swap mask)`` for every vertex state whose last
         vertex is 0-smoothed, in Gray-code order.
@@ -425,11 +387,6 @@ class Ribbon:
             if i:
                 mask ^= vertex_masks[(i & -i).bit_length() - 1]
             yield (i ^ (i >> 1)).bit_count(), mask
-
-
-def trace_boundary(rs: RotationSystem) -> CircleDecomposition:
-    """Trace the boundary circles of the ribbon surface of ``rs``."""
-    return rs.ribbon.decomposition(0)
 
 
 def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:
@@ -462,7 +419,7 @@ def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:
             elif orient[w] != want:
                 orientable = False
                 break
-    F = trace_boundary(rs).circle_count
+    F = rs.ribbon.corner_labels(0)[1]
     euler = rs.vertex_count - rs.edge_count + F
     if orientable:
         return True, (2 - euler) // 2

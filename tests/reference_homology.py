@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from reference_algebra import QuadScalar, map_delta, map_eta, map_m, qdeg
-from reference_tracer import reference_trace, vertex_swaps
+from reference_tracer import CircleDecomposition, reference_trace, vertex_swaps
 
 from vhx.algebra import half_m
 from vhx.homology import ChainComplex
 from vhx.states import InvariantError
-from vhx.vpd import CircleDecomposition, PerfectMatchingDiagram, RotationSystem
+from vhx.vpd import PerfectMatchingDiagram, RotationSystem
 
 
 def edge_tokens(e: int) -> frozenset:

@@ -1,17 +1,47 @@
 """Reference oracle: the dict-and-tuple boundary tracer that predates the
-compiled :class:`vhx.vpd.Ribbon`, kept only to gate the kernel, and the
-realization of a vertex state as a rotation system.
+compiled :class:`vhx.vpd.Ribbon`, kept only to gate the kernel, the
+realization of a vertex state as a rotation system, and the brute-force
+count of harmonic colorings.
 
-It rebuilds its arc and glue tables from token tuples for every state, so
-it is slow, but it shares no code with the kernel beyond
-:class:`CircleDecomposition`.
+The tracer rebuilds its arc and glue tables from token tuples for every
+state, so it is slow, but it shares no code with the kernel: its
+:class:`CircleDecomposition` record, which vhx once returned too, lives
+here.
 """
 
 from __future__ import annotations
 
-from vhx.vpd import CircleDecomposition, RotationSystem
+import itertools
+from dataclasses import dataclass
 
-Token = tuple[int, int]
+from vhx.vpd import RotationSystem
+
+Token = tuple[int, int]  # (half-edge magnitude, side 1|2)
+
+
+@dataclass(frozen=True)
+class CircleDecomposition:
+    """Boundary circles of a ribbon state plus per-vertex corner incidences.
+
+    ``circles[c]`` lists the tokens of circle ``c`` in traversal order;
+    circles are sorted by minimal token.  ``corner_map[v]`` gives, for each
+    vertex, the circle index of each of its corner arcs, aligned with the
+    vertex's half-edge tuple: corner ``i`` is the arc leaving half-edge
+    ``i`` toward half-edge ``i+1``.
+    """
+
+    circles: tuple[tuple[Token, ...], ...]
+    corner_map: tuple[tuple[int, ...], ...]
+
+    @property
+    def circle_count(self) -> int:
+        return len(self.circles)
+
+    def token_owner(self) -> dict[Token, int]:
+        return {t: c for c, circ in enumerate(self.circles) for t in circ}
+
+    def circle_tokens(self, c: int) -> frozenset[Token]:
+        return frozenset(self.circles[c])
 
 
 def _out_token(h: int) -> Token:
@@ -75,7 +105,6 @@ def vertex_swaps(rs: RotationSystem, bits: tuple[int, ...]) -> frozenset[int]:
     )
 
 
-
 def vertex_state(rs: RotationSystem, bits: tuple[int, ...]) -> RotationSystem:
     """Realize a vertex state as a rotation system: negate the odd label of
     every edge whose two endpoints are smoothed differently (a loop never)."""
@@ -86,3 +115,11 @@ def vertex_state(rs: RotationSystem, bits: tuple[int, ...]) -> RotationSystem:
             for v in rs.vertices
         )
     )
+
+
+def harmonic_colorings(dec: CircleDecomposition, n: int):
+    """Every n-coloring of the circles with no monochromatic vertex, by
+    enumerating all n^k colorings."""
+    for colors in itertools.product(range(n), repeat=dec.circle_count):
+        if all(len({colors[c] for c in corners}) > 1 for corners in dec.corner_map):
+            yield colors

@@ -162,6 +162,27 @@ def test_check_text_pinned(capsys, name, expected):
     assert out == expected
 
 
+def test_check_says_when_every_row_is_skipped(capsys, tmp_path):
+    """A plane prism with |V| = 26, |E| = 39 > TAIT_EDGE_CAP, is past every
+    gate: text mode ends on a line saying so, while the exit code and the
+    JSON rows stay as they were."""
+    rs = prism(13)
+    assert rs.edge_count > oracles.TAIT_EDGE_CAP
+    p = tmp_path / "prism13.vpd"
+    p.write_text(serialize_vpd(rs))
+    code, out, _ = run(capsys, "check", "--n", "2,3", str(p))
+    *rows, last = out.splitlines()
+    assert code == 0 and len(rows) == 4
+    assert all(row.endswith("skipped (|V| = 26)") for row in rows)
+    assert last == "no identity checked (every row skipped)"
+    code, out, _ = run(capsys, "check", "--n", "2,3", "--json", str(p))
+    data = json.loads(out)
+    assert code == 0 and data["ok"] is True and len(data["results"]) == 4
+    assert all(status == "skipped (|V| = 26)" for _, status in data["results"])
+    code, out, _ = run(capsys, "check", "--n", "2", f"{DATA}/k4.vpd")
+    assert code == 0 and "no identity checked" not in out
+
+
 def test_check_reports_invariant_failure_and_runs_on(capsys, theta_path, monkeypatch):
     from vhx import homology
 

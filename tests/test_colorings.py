@@ -5,11 +5,12 @@ import reference_color
 from conftest import SMALL_FIXTURES
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_tracer import harmonic_colorings, reference_trace, vertex_swaps
 
 from vhx.colorings import (
     FaceColoring,
-    count_partial_colorings,
-    enumerate_partial_colorings,
+    _count_constrained,
+    _structure,
     filtered_ranks,
     harmonic_kernel_check,
     induced_matching,
@@ -18,11 +19,23 @@ from vhx.colorings import (
 )
 from vhx.oracles import AbstractGraph, bridges, perfect_matchings
 from vhx.states import DEFAULT_STATE_CAP, StateSpaceError, state_mask
-from vhx.vpd import trace_boundary
+from vhx.vpd import parse_vpd
 
 
 def state_decomposition(rs, bits):
-    return rs.ribbon.decomposition(state_mask(rs, bits))
+    """The reference tracer's circles of vertex state ``bits``."""
+    return reference_trace(rs, vertex_swaps(rs, bits))
+
+
+def state_count(rs, bits, n):
+    """Harmonic n-colorings of vertex state ``bits``, counted as
+    ``filtered_ranks`` counts each structure."""
+    labels, k = rs.ribbon.corner_labels(state_mask(rs, bits))
+    return _count_constrained(_structure(labels), k, n)
+
+
+def brute_count(dec, n):
+    return sum(1 for _ in harmonic_colorings(dec, n))
 
 
 def k33_formulas(n):
@@ -38,17 +51,17 @@ def k33_formulas(n):
 
 
 def test_theta_all_zero_count(graphs):
-    dec = trace_boundary(graphs["theta"])
-    assert count_partial_colorings(dec, 2) == 6
-    assert count_partial_colorings(dec, 3) == 24
+    dec = state_decomposition(graphs["theta"], (0, 0))
+    for n, count in ((2, 6), (3, 24)):
+        assert state_count(graphs["theta"], (0, 0), n) == brute_count(dec, n) == count
 
 
 def test_monochromatic_vertex_kills(graphs):
     # theta middle states have a single circle through all corners
     dec = state_decomposition(graphs["theta"], (1, 0))
     assert dec.circle_count == 1
-    assert count_partial_colorings(dec, 2) == 0
-    assert count_partial_colorings(dec, 5) == 0
+    assert state_count(graphs["theta"], (1, 0), 2) == brute_count(dec, 2) == 0
+    assert state_count(graphs["theta"], (1, 0), 5) == brute_count(dec, 5) == 0
 
 
 def test_theta_filtered(graphs):
@@ -74,10 +87,7 @@ def test_k33_filtered_formulas(graphs, n):
 def test_k33_single_smoothing_states(graphs, n):
     """Four of the six weight-1 states carry n(n-1)^2 colorings each."""
     counts = sorted(
-        count_partial_colorings(
-            state_decomposition(graphs["k33"], tuple(1 if i == v else 0 for i in range(6))),
-            n,
-        )
+        state_count(graphs["k33"], tuple(1 if i == v else 0 for i in range(6)), n)
         for v in range(6)
     )
     single = n * (n - 1) ** 2
@@ -106,9 +116,7 @@ def test_count_matches_enumeration(graphs):
     for bits in itertools.product([0, 1], repeat=4):
         dec = state_decomposition(graphs["k4"], bits)
         for n in (2, 3):
-            assert count_partial_colorings(dec, n) == sum(
-                1 for _ in enumerate_partial_colorings(dec, n)
-            )
+            assert state_count(graphs["k4"], bits, n) == brute_count(dec, n)
 
 
 def test_complement_symmetry(graphs):
@@ -142,7 +150,7 @@ def test_induced_matchings_theta(graphs):
     theta = graphs["theta"]
     dec = state_decomposition(theta, (0, 0))
     seen = set()
-    for colors in enumerate_partial_colorings(dec, 2):
+    for colors in harmonic_colorings(dec, 2):
         edges, cls = induced_matching(FaceColoring((0, 0), colors), theta)
         assert cls == "perfect matching"
         assert len(edges) == 1  # each single edge of theta is a perfect matching
@@ -157,7 +165,6 @@ def test_induced_matching_rejects_bad_coloring(graphs):
 
 def test_induced_matching_proper_coloring_is_empty(graphs):
     theta = graphs["theta"]
-    dec = trace_boundary(theta)
     # three circles, all corners distinct: a proper 3-face coloring
     edges, cls = induced_matching(FaceColoring((0, 0), (0, 1, 2)), theta)
     assert cls == "empty"
@@ -173,14 +180,22 @@ def test_induced_matching_rejects_bad_state(graphs, bits):
 
 
 def test_bridge_always_induced(graphs):
-    lolly = graphs["lollipop"]
-    g = AbstractGraph.from_rotation_system(lolly)
-    br = {e + 1 for e in bridges(g)}  # 1-based edge ids
-    for bits in itertools.product([0, 1], repeat=4):
-        dec = state_decomposition(lolly, bits)
-        for colors in enumerate_partial_colorings(dec, 2):
-            edges, _ = induced_matching(FaceColoring(bits, colors), lolly)
-            assert br <= edges
+    """The lollipop has no harmonic coloring at all, so the dumbbell (two
+    looped vertices joined by a bridge) keeps the check from passing
+    vacuously."""
+    dumbbell, checked = parse_vpd("G[V[1,3,4],V[2,5,6]]"), 0
+    for rs in (graphs["lollipop"], dumbbell):
+        g = AbstractGraph.from_rotation_system(rs)
+        br = {e + 1 for e in bridges(g)}  # 1-based edge ids
+        assert br
+        for bits in itertools.product([0, 1], repeat=rs.vertex_count):
+            dec = state_decomposition(rs, bits)
+            for n in (2, 3):
+                for colors in harmonic_colorings(dec, n):
+                    edges, _ = induced_matching(FaceColoring(bits, colors), rs)
+                    assert br <= edges
+                    checked += 1
+    assert checked == sum(filtered_ranks(dumbbell, n).total for n in (2, 3)) > 0
 
 
 def check_harmonic_kernel(graph, n):
@@ -229,18 +244,17 @@ def test_harmonic_kernel_traces_each_mask_once(monkeypatch):
     monkeypatch.undo()
     assert report.ok and len(report.per_state) == 64
     for bits, (cnt, _, _) in report.per_state.items():
-        assert cnt == count_partial_colorings(state_decomposition(rs, bits), 2)
+        assert cnt == brute_count(state_decomposition(rs, bits), 2)
 
 
 @given(st.integers(2, 6))
 @settings(max_examples=5, deadline=None)
 def test_counts_scale_with_free_circles(n):
-    # a 2-vertex graph state with unconstrained circles multiplies by n each
+    # theta's all-zero state: three circles, each vertex sees all three
     import vhx
 
     theta = vhx.load_fixture("theta")
-    dec = trace_boundary(theta)
-    base = count_partial_colorings(dec, n)
+    base = state_count(theta, (0, 0), n)
     assert base == n * (n - 1) * (n - 2) + 3 * n * (n - 1)  # inclusion-exclusion
 
 

@@ -1,5 +1,6 @@
-"""The package surface: lazily resolved public names, and the value
-semantics of vhx's record classes (equality, hashing, repr, immutability)."""
+"""The package surface: lazily resolved public names, the names retired
+from it, and the value semantics of vhx's record classes (equality,
+hashing, repr, immutability)."""
 
 import inspect
 import os
@@ -18,25 +19,21 @@ from vhx.colorings import FaceColoring, FilteredRanks, KernelReport, filtered_ra
 from vhx.homology import ChainComplex, RankTable
 from vhx.oracles import AbstractGraph
 from vhx.poly import state_histogram
-from vhx.states import CircleCorrespondence
 from vhx.vpd import (
-    CircleDecomposition,
     Frozen,
     PerfectMatchingDiagram,
     Record,
     RotationSystem,
     VPDError,
     parse_vpd,
-    trace_boundary,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 THETA = "G[V[1,6,4],V[2,3,5]]"
 
-# every public name `vhx` has exported since its first release, by layer
+# every public name `vhx` exports, by layer
 EXPORTS = {
     "colorings": (
-        "count_partial_colorings",
         "filtered_ranks",
         "harmonic_kernel_check",
         "induced_matching",
@@ -67,9 +64,11 @@ EXPORTS = {
         "genus_and_orientability",
         "parse_vpd",
         "serialize_vpd",
-        "trace_boundary",
     ),
 }
+# public names retired with the circle record: a state's circles are
+# ``rs.ribbon.trace(mask)`` and ``rs.ribbon.corner_labels(mask)``
+RETIRED = ("count_partial_colorings", "trace_boundary")
 
 
 def run_fresh(code: str) -> str:
@@ -131,6 +130,13 @@ def test_library_calls_never_load_fractions():
     assert out.splitlines() == ["[6, 0, 6]", "[]"]
 
 
+def test_retired_names_are_gone():
+    for name in RETIRED:
+        assert name not in vhx.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(vhx, name)
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         vhx.no_such_name
@@ -169,15 +175,6 @@ def test_frozen_classes_keep_their_repr():
         "PerfectMatchingDiagram(rs=RotationSystem(vertices=((1, 6, 4), (2, 3, 5))), "
         "matching=(1,), site_origin=())"
     )
-    assert repr(trace_boundary(theta)) == (
-        "CircleDecomposition(circles=(((1, 1), (4, 1), (3, 1), (2, 1)), "
-        "((1, 2), (6, 2), (5, 2), (2, 2)), ((3, 2), (5, 1), (6, 1), (4, 2))), "
-        "corner_map=((1, 2, 0), (0, 2, 1)))"
-    )
-    assert repr(CircleCorrespondence("merge", ((0, 1),), (1, 2), (0,))) == (
-        "CircleCorrespondence(kind='merge', stable_pairs=((0, 1),), "
-        "active_before=(1, 2), active_after=(0,))"
-    )
     assert repr(QuadScalar.make(1, 2, 3)) == "(1 + 2*sqrt(3))"
     assert repr(AbstractGraph(2, ((0, 1), (0, 1)))) == (
         "AbstractGraph(n_vertices=2, edges=((0, 1), (0, 1)))"
@@ -192,8 +189,6 @@ def test_frozen_classes_refuse_assignment():
     frozen = {
         theta: "vertices",
         PerfectMatchingDiagram(theta, (1,)): "matching",
-        trace_boundary(theta): "circles",
-        CircleCorrespondence("merge", ((0, 1),), (1, 2), (0,)): "kind",
         QuadScalar.make(1, 2, 3): "a",
         AbstractGraph(2, ((0, 1), (0, 1))): "edges",
     }
@@ -212,8 +207,6 @@ def test_frozen_classes_hash_by_value():
     theta = parse_vpd(THETA)
     pairs = [
         (PerfectMatchingDiagram(theta, (1,)), PerfectMatchingDiagram(parse_vpd(THETA), (1,), ())),
-        (trace_boundary(theta), parse_vpd(THETA).ribbon.decomposition(0)),
-        (CircleCorrespondence("split", (), (0,), (0, 1)), CircleCorrespondence("split", (), (0,), (0, 1))),
         (QuadScalar.make(1, 2, 3), QuadScalar(1, 2, 3)),
         (AbstractGraph(2, ((0, 1),)), AbstractGraph(2, ((0, 1),))),
         (AbstractGraph.from_rotation_system(theta), AbstractGraph(2, ((0, 1),) * 3)),
@@ -266,8 +259,6 @@ def test_mutable_records_compare_by_value_and_are_unhashable():
 RECORD_ARGS = {
     RotationSystem: lambda: (((1, 6, 4), (2, 3, 5)),),
     PerfectMatchingDiagram: lambda: (parse_vpd(THETA), (1,)),
-    CircleDecomposition: lambda: ((((1, 1), (2, 1)),), ((0, 0, 0),)),
-    CircleCorrespondence: lambda: ("merge", ((0, 1),), (1, 2), (0,)),
     AbstractGraph: lambda: (2, ((0, 1),) * 3),
     QuadScalar: lambda: (Fraction(1), Fraction(2), 3),
     FaceColoring: lambda: ((0, 0), (0, 1, 2)),

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_tracer import vertex_state
+from reference_tracer import reference_trace, vertex_state
 
 from vhx.poly import (
     IntPoly,
@@ -15,7 +15,7 @@ from vhx.poly import (
     vertex_polynomial,
 )
 from vhx.states import DEFAULT_STATE_CAP
-from vhx.vpd import blowup, parse_vpd, trace_boundary
+from vhx.vpd import blowup, parse_vpd
 
 THETA_BRACKET_2 = LaurentPoly(
     {0: 1, 1: 3, 2: 3, 3: -1, 4: -2, 6: 1, 7: 3, 8: 3, 9: 1}
@@ -98,7 +98,7 @@ def test_histogram_matches_direct_trace(graphs):
         hist = state_histogram(rs)
         direct = [dict() for _ in range(rs.vertex_count + 1)]
         for bits in itertools.product([0, 1], repeat=rs.vertex_count):
-            k = trace_boundary(vertex_state(rs, bits)).circle_count
+            k = reference_trace(vertex_state(rs, bits)).circle_count
             w = sum(bits)
             direct[w][k] = direct[w].get(k, 0) + 1
         assert hist == direct

@@ -1,11 +1,13 @@
 """Gate tests for the compiled ribbon kernel.
 
-The circle count of ``corner_labels``, ``decomposition``, ``state_mask``
-and ``state_histogram`` must agree exactly with the reference tracer in
-``reference_tracer.py`` on the fixtures and on a seeded corpus of generated
-cubic ribbon graphs with negative edges and loops.  ``corner_labels`` and
-``structure_histogram`` must agree with ``decomposition``, and the filtered
-ranks with a brute-force coloring count and under relabeling.
+``Ribbon.trace`` (read as a decomposition by :func:`decomposition`),
+``corner_labels``, ``state_mask`` and ``state_histogram`` must agree
+exactly with the reference tracer in ``reference_tracer.py`` on the
+fixtures and on a seeded corpus of generated cubic ribbon graphs with
+negative edges and loops.  ``corner_labels`` and ``structure_histogram``
+must agree with the traced decomposition, ``induced_matching`` with one
+read off the reference tracer's tokens, and the coloring counter and the
+filtered ranks with the brute-force coloring count and under relabeling.
 """
 
 import itertools
@@ -14,14 +16,20 @@ import random
 from functools import lru_cache
 
 import pytest
-from reference_tracer import reference_trace, vertex_swaps
+from reference_tracer import (
+    CircleDecomposition,
+    harmonic_colorings,
+    reference_trace,
+    vertex_swaps,
+)
 
 import vhx
 from vhx.colorings import (
+    FaceColoring,
+    _count_constrained,
     _structure,
-    count_partial_colorings,
-    enumerate_partial_colorings,
     filtered_ranks,
+    induced_matching,
     structure_histogram,
     total_matching_polynomial,
 )
@@ -82,6 +90,15 @@ CORPUS = _corpus()
 SMALL = {name: vhx.load_fixture(name) for name in SMALL_FIXTURES} | CORPUS
 
 
+def decomposition(ribbon, mask):
+    """The kernel's circles under swap mask ``mask`` as the reference
+    tracer's record: token tuples per circle, and the corner map."""
+    owner, walks = ribbon.trace(mask)
+    circles = tuple(tuple((t // 2 + 1, t % 2 + 1) for t in walk) for walk in walks)
+    corner_map = tuple(tuple(owner[a] for a in outs) for outs in ribbon.corners)
+    return CircleDecomposition(circles, corner_map)
+
+
 @lru_cache(maxsize=None)
 def reference_states(name):
     """Reference decomposition of every vertex state, keyed by state bits."""
@@ -117,8 +134,8 @@ def test_kernel_matches_reference_on_vertex_states(name):
     for bits, ref in reference_states(name).items():
         mask = state_mask(rs, bits)
         assert ribbon.corner_labels(mask)[1] == ref.circle_count
-        assert ribbon.decomposition(mask) == ref
-        assert ribbon.decomposition(sum(1 << (e - 1) for e in vertex_swaps(rs, bits))) == ref
+        assert decomposition(ribbon, mask) == ref
+        assert decomposition(ribbon, sum(1 << (e - 1) for e in vertex_swaps(rs, bits))) == ref
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
@@ -133,7 +150,7 @@ def test_kernel_matches_reference_on_edge_swaps(name):
         swaps = frozenset(e for e in range(1, ne + 1) if mask >> (e - 1) & 1)
         ref = reference_trace(rs, swaps)
         assert rs.ribbon.corner_labels(mask)[1] == ref.circle_count
-        assert rs.ribbon.decomposition(mask) == ref
+        assert decomposition(rs.ribbon, mask) == ref
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
@@ -229,7 +246,7 @@ def brute_count(dec, n):
     cached by corner map and circle count (all the enumeration reads)."""
     key = (dec.corner_map, dec.circle_count, n)
     if key not in _brute:
-        _brute[key] = sum(1 for _ in enumerate_partial_colorings(dec, n))
+        _brute[key] = sum(1 for _ in harmonic_colorings(dec, n))
     return _brute[key]
 
 
@@ -251,16 +268,18 @@ def test_filtered_ranks_palindromic(name, n):
 
 
 def test_counter_matches_brute_force_on_every_structure():
-    """The color-symmetric counter against n^k enumeration, once per distinct
-    structure of the |V| <= 8 corpus."""
+    """The color-symmetric counter, called as ``filtered_ranks`` calls it,
+    against n^k enumeration, once per distinct structure of the |V| <= 8
+    corpus.  Every circle meets a corner, so the structure names them all."""
     structures = {}
     for name in SMALL8:
         for dec in reference_states(name).values():
             structures.setdefault(_structure(first_occurrence(dec.corner_map)), dec)
     assert len(structures) > 100
-    for dec in structures.values():
+    for key, dec in structures.items():
+        assert max(map(max, key)) == dec.circle_count - 1
         for n in (2, 3, 4, 5):
-            assert count_partial_colorings(dec, n) == brute_count(dec, n)
+            assert _count_constrained(key, dec.circle_count, n) == brute_count(dec, n)
 
 
 def first_occurrence(corner_map):
@@ -278,12 +297,64 @@ def test_corner_labels_match_decomposition(name):
     masks = [mask for _, mask in ribbon.half_cube()]
     masks += [rng.getrandbits(rs.edge_count) for _ in range(300)]
     for mask in masks:
-        dec = ribbon.decomposition(mask)
+        dec = decomposition(ribbon, mask)
         labels, k = ribbon.corner_labels(mask)
         assert labels == first_occurrence(dec.corner_map)
         assert k == dec.circle_count
         it = iter(first_occurrence(dec.corner_map))
         assert _structure(labels) == tuple(sorted(zip(it, it, it)))
+
+
+INDUCED = ["thetaneg", "k4", *sorted(n for n, rs in CORPUS.items() if rs.vertex_count <= 6)]
+
+
+def reference_induced_matching(dec, colors):
+    """The edges whose two odd-half-edge side tokens lie on same-colored
+    circles, and the classification by colors seen per vertex."""
+    owner = dec.token_owner()
+    edges = frozenset(
+        e
+        for e in range(1, len(owner) // 4 + 1)
+        if colors[owner[(2 * e - 1, 1)]] == colors[owner[(2 * e - 1, 2)]]
+    )
+    kinds = {len({colors[c] for c in corners}) for corners in dec.corner_map}
+    return edges, "empty" if kinds == {3} else "perfect matching" if kinds == {2} else "mixed"
+
+
+@pytest.mark.parametrize("name", INDUCED)
+def test_induced_matching_matches_reference(name):
+    """Every state and every harmonic 2- and 3-coloring of it: as many
+    colorings as the filtered ranks count."""
+    rs = SMALL[name]
+    for n in (2, 3):
+        checked = 0
+        for bits, dec in reference_states(name).items():
+            for colors in harmonic_colorings(dec, n):
+                got = induced_matching(FaceColoring(bits, colors), rs)
+                assert got == reference_induced_matching(dec, colors)
+                checked += 1
+        assert checked == filtered_ranks(rs, n).total
+
+
+def test_induced_matching_corpus_covers_loops_negative_edges_and_classes():
+    """Colorings exist on graphs with loops and with negative edges, and
+    every classification occurs."""
+    loops = negs = 0
+    classes = set()
+    for name in INDUCED:
+        rs = SMALL[name]
+        colorings = [
+            (dec, colors)
+            for dec in reference_states(name).values()
+            for n in (2, 3)
+            for colors in harmonic_colorings(dec, n)
+        ]
+        classes |= {reference_induced_matching(dec, colors)[1] for dec, colors in colorings}
+        if colorings:
+            loops += any(u == w for u, w in rs.edge_endpoints().values())
+            negs += any(rs.edge_sign(e) < 0 for e in range(1, rs.edge_count + 1))
+    assert loops and negs
+    assert classes == {"empty", "perfect matching", "mixed"}
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_tracer import reference_trace
 
 import vhx
 from vhx.vpd import (
@@ -10,7 +11,6 @@ from vhx.vpd import (
     genus_and_orientability,
     parse_vpd,
     serialize_vpd,
-    trace_boundary,
 )
 
 
@@ -93,7 +93,12 @@ FACE_COUNTS = {
 
 @pytest.mark.parametrize("name,faces", sorted(FACE_COUNTS.items()))
 def test_face_counts(graphs, name, faces):
-    assert trace_boundary(graphs[name]).circle_count == faces
+    """The reference tracer, the ribbon's two walks and the genus agree."""
+    rs = graphs[name]
+    assert reference_trace(rs).circle_count == faces
+    assert rs.ribbon.corner_labels(0)[1] == len(rs.ribbon.trace(0)[1]) == faces
+    orientable, g = genus_and_orientability(rs)
+    assert rs.vertex_count - rs.edge_count + faces == (2 - 2 * g if orientable else 2 - g)
 
 
 def test_genus(graphs):
@@ -107,11 +112,11 @@ def test_genus(graphs):
 
 
 def test_corner_map_shape(graphs):
-    dec = trace_boundary(graphs["theta"])
-    assert len(dec.corner_map) == 2
-    assert all(len(c) == 3 for c in dec.corner_map)
+    labels, k = graphs["theta"].ribbon.corner_labels(0)
+    assert len(labels) == 6 and k == 3
     # theta all-zero state: each vertex sees all three circles
-    assert {frozenset(c) for c in dec.corner_map} == {frozenset({0, 1, 2})}
+    assert {frozenset(labels[:3]), frozenset(labels[3:])} == {frozenset({0, 1, 2})}
+    assert reference_trace(graphs["theta"]).corner_map == ((1, 2, 0), (0, 2, 1))
 
 
 def test_blowup_theta(graphs):
@@ -169,10 +174,14 @@ def test_roundtrip_random(text):
     except VPDError:
         assume(False)
     assert parse_vpd(serialize_vpd(rs)) == rs
-    dec = trace_boundary(rs)
-    # every token appears exactly once over all circles
-    tokens = [t for c in dec.circles for t in c]
+    owner, walks = rs.ribbon.trace(0)
+    # every token appears exactly once over all circles, as in the reference
+    tokens = [t for walk in walks for t in walk]
     assert len(tokens) == len(set(tokens)) == 4 * rs.edge_count
+    assert all(owner[t] == c for c, walk in enumerate(walks) for t in walk)
+    ref = reference_trace(rs)
+    assert len(walks) == ref.circle_count == rs.ribbon.corner_labels(0)[1]
+    assert len({t for c in ref.circles for t in c}) == 4 * rs.edge_count
 
 
 @given(trivalent_systems())
@@ -183,5 +192,5 @@ def test_euler_characteristic_bound(text):
     except VPDError:
         assume(False)
     orientable, g = genus_and_orientability(rs)
-    euler = rs.vertex_count - rs.edge_count + trace_boundary(rs).circle_count
+    euler = rs.vertex_count - rs.edge_count + reference_trace(rs).circle_count
     assert euler == (2 - 2 * g if orientable else 2 - g)
