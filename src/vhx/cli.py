@@ -54,8 +54,8 @@ def _build_parser(command: str | None = None, p=None) -> argparse.ArgumentParser
         "--cap",
         type=int,
         default=DEFAULT_STATE_CAP,
-        help="maximum hypercube dimension of homology and filtered ranks; "
-        "state sums sweep the vertices instead and refuse a cut of more "
+        help="maximum hypercube dimension of homology; state sums and "
+        "filtered ranks sweep the vertices instead and refuse a cut of more "
         "than CAP open strands, two per cut edge (default %(default)s)",
     )
     if _COMMANDS[command][2]:

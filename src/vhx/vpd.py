@@ -373,21 +373,6 @@ class Ribbon:
             walks.append(walk)
         return owner, walks
 
-    def half_cube(self):
-        """Yield ``(weight, swap mask)`` for every vertex state whose last
-        vertex is 0-smoothed, in Gray-code order.
-
-        The swap on edge uv is ``sign ^ bit[u] ^ bit[w]``, so the complement
-        of each yielded state (weight ``|V| - weight``) has the same swap
-        mask and the same circles.
-        """
-        vertex_masks = self.vertex_masks
-        mask = 0
-        for i in range(1 << (len(vertex_masks) - 1)):
-            if i:
-                mask ^= vertex_masks[(i & -i).bit_length() - 1]
-            yield (i ^ (i >> 1)).bit_count(), mask
-
 
 def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:
     """(orientable, genus) for orientable systems; (False, crosscaps) else.

@@ -219,7 +219,16 @@ def test_homology_preflight_admits_prism5(capsys, tmp_path):
     assert json.loads(out)["ranks"]
 
 
-@pytest.mark.parametrize("command", [("vertex-poly",), ("ncolor-poly", "--n", "2"), ("check", "--n", "2")])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("vertex-poly",),
+        ("ncolor-poly", "--n", "2"),
+        ("check", "--n", "2"),
+        ("filtered", "--n", "2"),
+        ("tm-poly", "--n", "2"),
+    ],
+)
 def test_state_sum_refuses_a_wide_cut(capsys, command):
     """k33's sweep cuts 5 edges, 10 open strands: over a cap of 8."""
     code, out, err = run(capsys, *command, "--cap", "8", f"{DATA}/k33.vpd")
@@ -239,6 +248,21 @@ def test_vertex_poly_past_the_hypercube_cap(capsys, tmp_path, monkeypatch):
     poly = IntPoly(dict(json.loads(out)["terms"]))
     monkeypatch.setattr(oracles, "TAIT_EDGE_CAP", rs.edge_count)
     assert poly(2) == 2**13 * oracles.count_tait_colorings(oracles.AbstractGraph.from_rotation_system(rs))
+
+
+def test_filtered_past_the_hypercube_cap(capsys, tmp_path, monkeypatch):
+    """A plane prism with |V| = 26 > 24: euler = 2^13 #Tait and rank0 =
+    2 #PM."""
+    rs = prism(13)
+    p = tmp_path / "prism13.vpd"
+    p.write_text(serialize_vpd(rs))
+    code, out, _ = run(capsys, "filtered", "--n", "2", "--json", str(p))
+    assert code == 0
+    fr = json.loads(out)
+    g = oracles.AbstractGraph.from_rotation_system(rs)
+    monkeypatch.setattr(oracles, "TAIT_EDGE_CAP", rs.edge_count)
+    assert fr["euler"] == 2**13 * oracles.count_tait_colorings(g) == 67_092_480
+    assert fr["ranks"][0] == 2 * len(oracles.perfect_matchings(g)) == 1042
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

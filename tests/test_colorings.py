@@ -14,7 +14,7 @@ from vhx.colorings import (
     filtered_ranks,
     harmonic_kernel_check,
     induced_matching,
-    structure_histogram,
+    rank_polynomials,
     total_matching_polynomial,
 )
 from vhx.oracles import AbstractGraph, bridges, perfect_matchings
@@ -29,7 +29,7 @@ def state_decomposition(rs, bits):
 
 def state_count(rs, bits, n):
     """Harmonic n-colorings of vertex state ``bits``, counted as
-    ``filtered_ranks`` counts each structure."""
+    ``harmonic_kernel_check`` counts each state."""
     labels, k = rs.ribbon.corner_labels(state_mask(rs, bits))
     return _count_constrained(_structure(labels), k, n)
 
@@ -95,21 +95,14 @@ def test_k33_single_smoothing_states(graphs, n):
     assert sum(counts) == 4 * n * (n - 1) ** 2
 
 
-def test_filtered_ranks_count_afresh_each_call(graphs, monkeypatch):
-    """No coloring count is kept between calls: each call counts every
-    distinct structure of the histogram once."""
-    from vhx import colorings
-
+def test_second_n_hits_the_rank_polynomial_cache(graphs):
+    """One sweep per graph: a second n evaluates the cached polynomials."""
+    rank_polynomials.cache_clear()
     rs = graphs["k33"]
-    structures = len(structure_histogram(rs))
-    count, calls = colorings._count_constrained, []
-    monkeypatch.setattr(
-        colorings, "_count_constrained", lambda *a: calls.append(a) or count(*a)
-    )
-    for _ in range(2):
-        calls.clear()
-        assert filtered_ranks(rs, 2).ranks == k33_formulas(2)
-        assert len(calls) == structures
+    for n in (2, 3):
+        assert filtered_ranks(rs, n).ranks == k33_formulas(n)
+    info = rank_polynomials.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_count_matches_enumeration(graphs):
@@ -258,14 +251,14 @@ def test_counts_scale_with_free_circles(n):
     assert base == n * (n - 1) * (n - 2) + 3 * n * (n - 1)  # inclusion-exclusion
 
 
-def test_structure_histogram_cache_normalises_cap(graphs):
+def test_rank_polynomials_cache_normalises_cap(graphs):
     """Omitted, positional and keyword caps, and the call inside
     ``filtered_ranks``, are one cache entry."""
-    structure_histogram.cache_clear()
+    rank_polynomials.cache_clear()
     rs = graphs["k33"]
-    first = structure_histogram(rs)
-    assert structure_histogram(rs, DEFAULT_STATE_CAP) is first
-    assert structure_histogram(rs, cap=DEFAULT_STATE_CAP) is first
+    first = rank_polynomials(rs)
+    assert rank_polynomials(rs, DEFAULT_STATE_CAP) is first
+    assert rank_polynomials(rs, cap=DEFAULT_STATE_CAP) is first
     filtered_ranks(rs, 2)
-    info = structure_histogram.cache_info()
+    info = rank_polynomials.cache_info()
     assert (info.misses, info.currsize) == (1, 1)

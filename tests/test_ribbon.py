@@ -4,10 +4,12 @@
 ``corner_labels``, ``state_mask`` and ``state_histogram`` must agree
 exactly with the reference tracer in ``reference_tracer.py`` on the
 fixtures and on a seeded corpus of generated cubic ribbon graphs with
-negative edges and loops.  ``corner_labels`` and ``structure_histogram``
-must agree with the traced decomposition, ``induced_matching`` with one
-read off the reference tracer's tokens, and the coloring counter and the
-filtered ranks with the brute-force coloring count and under relabeling.
+negative edges and loops.  ``corner_labels`` and the half-cube
+``structure_histogram`` of ``reference_structures.py`` must agree with the
+traced decomposition, ``induced_matching`` with one read off the reference
+tracer's tokens, the coloring counter and the filtered ranks with the
+brute-force coloring count and under relabeling, and the inclusion-exclusion
+sweep's ranks with the half-cube walk's.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from reference_structures import half_cube, reference_filtered_ranks, structure_histogram
 from reference_tracer import (
     CircleDecomposition,
     harmonic_colorings,
@@ -30,11 +33,11 @@ from vhx.colorings import (
     _structure,
     filtered_ranks,
     induced_matching,
-    structure_histogram,
+    rank_polynomials,
     total_matching_polynomial,
 )
 from vhx.oracles import AbstractGraph, count_tait_colorings
-from vhx.poly import state_histogram, vertex_polynomial
+from vhx.poly import IntPoly, state_histogram, vertex_polynomial
 from vhx.states import state_mask
 from vhx.vpd import VPDError, genus_and_orientability, parse_vpd, serialize_vpd
 
@@ -76,12 +79,23 @@ def prism(k: int) -> vhx.RotationSystem:
     return parse_vpd(serialize_vpd(vhx.RotationSystem(tuple(map(tuple, verts)))))
 
 
+def negative_edges(rs):
+    return sum(rs.edge_sign(e) < 0 for e in range(1, rs.edge_count + 1))
+
+
 def _corpus():
+    """Per size, a graph with positive edges and one, named ``neg``, with
+    each edge negative with probability 0.3, redrawn from a stream of its
+    own until it carries a negative edge, so that the later draws stay."""
     rng = random.Random(CORPUS_SEED)
     out = {}
     for i, nv in enumerate(CORPUS_SIZES):
         neg = 0.3 if i % 2 else 0.0
-        out[f"rand{nv}{'neg' if neg else ''}"] = random_cubic(rng, nv, neg)
+        rs = random_cubic(rng, nv, neg)
+        redraw = random.Random(f"{CORPUS_SEED}-rand{nv}neg")
+        while neg and not negative_edges(rs):
+            rs = random_cubic(redraw, nv, neg)
+        out[f"rand{nv}{'neg' if neg else ''}"] = rs
     out["lollipop"] = parse_vpd(LOLLIPOP)
     return out
 
@@ -119,11 +133,12 @@ def reference_histogram(name):
 
 
 def test_corpus_covers_loops_and_negative_edges():
-    loops = negs = 0
-    for rs in CORPUS.values():
+    """Every ``neg`` graph carries a negative edge and no other graph does."""
+    loops = 0
+    for name, rs in CORPUS.items():
         loops += sum(u == w for u, w in rs.edge_endpoints().values())
-        negs += sum(rs.edge_sign(e) < 0 for e in range(1, rs.edge_count + 1))
-    assert loops and negs
+        assert bool(negative_edges(rs)) == name.endswith("neg"), name
+    assert loops
     assert max(rs.vertex_count for rs in CORPUS.values()) == 12
 
 
@@ -199,8 +214,6 @@ def test_histogram_matches_structure_histogram(name):
         for w, states in enumerate(row):
             if states:
                 by_k[w][k] = by_k[w].get(k, 0) + states
-    # dodec's structure histogram holds ~100 MB
-    structure_histogram.cache_clear()
     assert hist == by_k
     assert hist == hist[::-1]
 
@@ -209,6 +222,32 @@ def test_histogram_graphs_cover_negative_edges_and_fourteen_vertices():
     graphs = HISTOGRAM_GRAPHS.values()
     assert sum(rs.edge_sign(e) < 0 for rs in graphs for e in range(1, rs.edge_count + 1)) > 10
     assert {rs.vertex_count for rs in graphs} >= {8, 10, 12, 14, 20}
+
+
+# the fixtures, the corpus, the prisms and the sweep graphs, but for dodec,
+# whose half-cube count takes ~18 s per n
+ORACLE_GRAPHS = SMALL | {name: rs for name, rs in HISTOGRAM_GRAPHS.items() if name != "dodec"}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_filtered_ranks_match_half_cube(name):
+    """The inclusion-exclusion sweep against the half-cube walk, which
+    counts the colorings of each distinct structure by backtracking."""
+    rs = ORACLE_GRAPHS[name]
+    hist = structure_histogram(rs)
+    for n in (2, 3, 4, 5):
+        assert filtered_ranks(rs, n).ranks == reference_filtered_ranks(hist, n)
+
+
+@pytest.mark.parametrize("name", [*sorted(ORACLE_GRAPHS), "dodec"])
+def test_rank_polynomials_alternate_to_the_vertex_polynomial(name):
+    """sum_w (-1)^w P_w(n) = V(Gamma, n) as polynomials, not only at the
+    values of n tried."""
+    rs = ORACLE_GRAPHS.get(name) or HISTOGRAM_GRAPHS[name]
+    euler = IntPoly.zero()
+    for w, poly in enumerate(rank_polynomials(rs)):
+        euler = euler + poly * (-1) ** w
+    assert euler == vertex_polynomial(rs)
 
 
 @pytest.mark.parametrize("k", range(3, 13))
@@ -256,8 +295,8 @@ SMALL8 = [n for n in sorted(SMALL) if SMALL[n].vertex_count <= 8]
 @pytest.mark.parametrize("name", SMALL8)
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_filtered_ranks_palindromic(name, n):
-    """filtered_ranks walks half the cube; the full-cube brute-force sum must
-    agree and be a palindrome."""
+    """filtered_ranks sweeps with the first vertex 0-smoothed; the full-cube
+    brute-force sum must agree and be a palindrome."""
     rs = SMALL[name]
     nv = rs.vertex_count
     ref = [0] * (nv + 1)
@@ -268,9 +307,9 @@ def test_filtered_ranks_palindromic(name, n):
 
 
 def test_counter_matches_brute_force_on_every_structure():
-    """The color-symmetric counter, called as ``filtered_ranks`` calls it,
-    against n^k enumeration, once per distinct structure of the |V| <= 8
-    corpus.  Every circle meets a corner, so the structure names them all."""
+    """The color-symmetric counter, called as ``harmonic_kernel_check``
+    calls it, against n^k enumeration, once per distinct structure of the
+    |V| <= 8 corpus.  Every circle meets a corner, so the structure names them all."""
     structures = {}
     for name in SMALL8:
         for dec in reference_states(name).values():
@@ -294,7 +333,7 @@ def test_corner_labels_match_decomposition(name):
     rs = SMALL[name]
     ribbon = rs.ribbon
     rng = random.Random(rs.edge_count)
-    masks = [mask for _, mask in ribbon.half_cube()]
+    masks = [mask for _, mask in half_cube(ribbon)]
     masks += [rng.getrandbits(rs.edge_count) for _ in range(300)]
     for mask in masks:
         dec = decomposition(ribbon, mask)
