@@ -2,22 +2,21 @@
 
 The filtered homology rank in homological degree i equals the number of
 n-colorings of the boundary circles, summed over weight-i states, in which
-every vertex sees at least two colors among its three corner arcs.  By
-inclusion-exclusion over the vertices made monochromatic, each rank is an
-integer polynomial in n, and one transfer-matrix sweep over the vertices
-finds all of them at once (:func:`rank_polynomials`), never one state at a
-time; every n is then an evaluation.  This module also derives the total
-matching polynomial, extracts the matching a coloring induces, and
-cross-checks the combinatorics against exact kernels of the hat maps and
-their adjoints, counting each state's colorings by backtracking.
+every vertex sees at least two colors among its three corner arcs.  Each
+rank is an integer polynomial in n, found for all degrees at once by the
+vertex sweep :func:`~vhx.poly.rank_polynomials`; every n is then an
+evaluation.  This module also derives the total matching polynomial,
+extracts the matching a coloring induces, and cross-checks the
+combinatorics against exact kernels of the hat maps and their adjoints,
+counting each state's colorings by backtracking.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .poly import IntPoly, _Poly, _sweep_steps
-from .states import DEFAULT_STATE_CAP, cache_per_graph, hypercube_ribbon, state_mask
+from .poly import _Poly, rank_polynomials
+from .states import DEFAULT_STATE_CAP, hypercube_ribbon, state_mask
 from .vpd import Record, RotationSystem
 
 
@@ -29,13 +28,6 @@ class TPoly(_Poly):
 
 # ---------------------------------------------------------------------------
 # counting
-
-
-def _structure(labels: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Sorted corner triples of flat corner labels numbered by first
-    occurrence, as :meth:`~vhx.vpd.Ribbon.corner_labels` returns them."""
-    it = iter(labels)
-    return tuple(sorted(zip(it, it, it)))
 
 
 def _count_constrained(constraints, ncircles: int, n: int) -> int:
@@ -114,83 +106,13 @@ class FilteredRanks(Record):
         )
 
 
-@cache_per_graph
-def rank_polynomials(rs: RotationSystem, cap: int = DEFAULT_STATE_CAP) -> tuple[IntPoly, ...]:
-    """The filtered rank in each homological degree as a polynomial in n.
-
-    A state has sum_S (-1)^|S| n^(c_S) harmonic colorings, S running over
-    the vertex sets and c_S counting its circles once the three corner
-    circles at each vertex of S are joined.  A transfer matrix on the
-    :func:`~vhx.poly._sweep_steps` tables sums this over all states: each
-    vertex is smoothed either way, joined (sign -1) or not.  Only the
-    connectivity of the open tokens matters, so the table maps their
-    partition into components (labels in first-occurrence order) to one
-    integer packing the signed count of every (w, c) in B-bit balanced
-    digits.  The first vertex stays 0-smoothed: a state and its complement
-    have the same circles.  Refuses a cut of more than ``cap`` open tokens.
-    """
-    hypercube_ribbon(rs)  # refuses a diagram that is not trivalent
-    nv = rs.vertex_count
-    # a count sums at most 4^|V| terms of sign +-1: 2|V| + 2 bits, whole bytes
-    bits = 8 * (nv // 4 + 1)
-    c_shift = bits * (nv + 1)
-    table = {(): 1}
-    for s, (arcs, glues, keep, where) in enumerate(_sweep_steps(rs, cap)):
-        start = len(where) - 6  # the vertex's own six tokens come last
-        # per branch, the labels of the own tokens (negative, apart from
-        # the table's), their number, the sign and the smoothings: the
-        # corner arcs of either smoothing, or all six joined under sign -1
-        xs = (0, 1) if s else (0,)
-        branches = [
-            ([-1 - min(j, i - start) for j, i in enumerate(arcs[x])], 3, 1, (x,)) for x in xs
-        ]
-        branches.append(([-1] * 6, 1, -1, xs))
-        nxt: dict[tuple[int, ...], int] = {}
-        for key, counts in table.items():
-            m = max(key, default=-1) + 1
-            for own, nown, sign, smoothings in branches:
-                lab = [*key, *own]
-                root: dict[int, int] = {}  # each label merged away -> its label
-                for a, b in glues:
-                    la, lb = root.get(lab[a], lab[a]), root.get(lab[b], lab[b])
-                    if la != lb:
-                        for c, r in root.items():
-                            if r == lb:
-                                root[c] = la
-                        root[lb] = la
-                kept = [root.get(lab[i], lab[i]) for i in keep]
-                names: dict[int, int] = {}
-                nkey = tuple([names.setdefault(c, len(names)) for c in kept])
-                # each merge joins two components; those left without an
-                # open token are complete
-                done = m + nown - len(root) - len(names)
-                total = nxt.get(nkey, 0)
-                for x in smoothings:
-                    val = counts << c_shift * done + bits * x
-                    total = total + val if sign > 0 else total - val
-                nxt[nkey] = total
-        table = nxt
-    (counts,) = table.values()
-    # with 2^(B-1) added to every digit, the digits read off as bytes
-    width, slots = bits // 8, (nv + 1) * (3 * nv + 1)  # c <= 3|V| corner arcs
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    raw = (counts + offset).to_bytes(width * slots, "little")
-    coeffs: list[dict[int, int]] = [dict() for _ in range(nv + 1)]
-    for slot in range(slots):
-        d = int.from_bytes(raw[width * slot : width * (slot + 1)], "little") - (1 << bits - 1)
-        if d:
-            c, w = divmod(slot, nv + 1)
-            for row in (coeffs[w], coeffs[nv - w]):
-                row[c] = row.get(c, 0) + d
-    return tuple(IntPoly(row) for row in coeffs)
-
-
 def filtered_ranks(
     rs: RotationSystem,
     n: int,
     cap: int = DEFAULT_STATE_CAP,
 ) -> FilteredRanks:
-    """Filtered homology ranks: :func:`rank_polynomials` evaluated at n."""
+    """Filtered homology ranks: :func:`~vhx.poly.rank_polynomials`
+    evaluated at n."""
     if n < 2:
         raise ValueError("n must be >= 2")
     return FilteredRanks(n, [p(n) for p in rank_polynomials(rs, cap)])
@@ -272,8 +194,11 @@ def harmonic_kernel_check(
     per_state: dict[tuple[int, ...], tuple[int, int, str]] = {}
     for bits in itertools.product([0, 1], repeat=rs.vertex_count):
         mask = state_mask(rs, bits)
-        labels, k = ribbon.corner_labels(mask)
-        count = _count_constrained(_structure(labels), k, n)
+        # a corner's circle is its out token's rank over the token count
+        firsts, rank = maps.trace(mask)
+        k = len(firsts)
+        corners = [[rank[a] // ribbon.ntok for a in outs] for outs in ribbon.corners]
+        count = _count_constrained(corners, k, n)
         # monomials are orthogonal of norm n^k, so an adjoint is a scaled transpose
         block, rows = {}, 0
         for v, path in enumerate(ribbon.bands):

@@ -1,8 +1,7 @@
-"""Exact polynomial arithmetic and the two state-sum invariants.
+"""Exact polynomial arithmetic and the vertex sweeps behind every state sum.
 
-Both invariants are state sums over the vertex hypercube, computed from one
-shared histogram ``hist[w][k]`` = number of states of weight ``w`` with ``k``
-circles:
+Two state-sum invariants come from one shared histogram ``hist[w][k]`` =
+number of states of weight ``w`` with ``k`` circles:
 
 * n-color vertex polynomial  sum_nu (-1)^|nu| q^(3m|nu|) L(q)^(k_nu)
 * vertex polynomial          sum_nu (-1)^|nu| n^(k_nu)
@@ -10,7 +9,10 @@ circles:
 The histogram is a transfer matrix over the tables of the compiled
 :class:`~vhx.vpd.Ribbon`: the vertices are swept one by one, and the states
 are counted by how the strands cut open at the sweep's frontier pair up,
-never one by one.  Its cost grows with the widest cut, not with 2^|V|.
+never one by one.  Its cost grows with the widest cut, not with 2^|V|.  The
+filtered ranks' polynomials in n (:func:`rank_polynomials`) are a second
+transfer matrix on the same :func:`_sweep_steps` tables; both pack their
+counts into one integer per table entry and read it with one reader.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .algebra import half_m
-from .states import DEFAULT_STATE_CAP, StateSpaceError, cache_per_graph
+from .states import DEFAULT_STATE_CAP, StateSpaceError, cache_per_graph, hypercube_ribbon
 from .vpd import RotationSystem
 
 
@@ -176,8 +178,9 @@ def _sweep_steps(rs: RotationSystem, cap: int):
     working partner of each own token under a 0- and a 1-smoothing, the
     token pairs glued across the edges it closes, the working tokens left
     open, in order, and each working token's place among those.  Refuses a
-    cut with more than ``cap`` open tokens."""
-    ribbon = rs.ribbon
+    diagram that is not trivalent, and a cut with more than ``cap`` open
+    tokens."""
+    ribbon = hypercube_ribbon(rs)
     ends = rs.edge_endpoints()
     swept: set[int] = set()
     opened: list[int] = []
@@ -209,6 +212,25 @@ def _sweep_steps(rs: RotationSystem, cap: int):
     return steps
 
 
+def _read_digits(counts: int, bits: int, nv: int) -> list[dict[int, int]]:
+    """rows[w][k] from a sweep's packed counts: the balanced ``bits``-bit
+    digit (whole bytes) of slot w + (|V| + 1)k, added to rows w and |V| - w,
+    since the sweep kept the first vertex 0-smoothed.  With 2^(bits-1) added
+    to every digit, one conversion to bytes reads them all in linear time."""
+    width, slots = bits // 8, counts.bit_length() // bits + 1
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (counts + offset).to_bytes(width * slots, "little")
+    half = 1 << bits - 1
+    rows: list[dict[int, int]] = [dict() for _ in range(nv + 1)]
+    for slot in range(slots):
+        d = int.from_bytes(raw[width * slot : width * (slot + 1)], "little") - half
+        if d:
+            k, w = divmod(slot, nv + 1)
+            for row in (rows[w], rows[nv - w]):
+                row[k] = row.get(k, 0) + d
+    return rows
+
+
 @cache_per_graph
 def state_histogram(
     rs: RotationSystem, cap: int = DEFAULT_STATE_CAP
@@ -222,10 +244,8 @@ def state_histogram(
     1)k)) with B bits per count.  The first vertex stays 0-smoothed: a
     state and its complement have the same circles.
     """
-    if not rs.is_trivalent():
-        raise StateSpaceError("vertex state sums require a trivalent diagram")
     nv = rs.vertex_count
-    bits = nv + 1  # every count is at most 2^|V| - 1
+    bits = 8 * (nv // 8 + 1)  # every count is below 2^|V|: whole bytes
     k_shift = bits * (nv + 1)
     table = {(): 1}
     for s, (arcs, glues, keep, where) in enumerate(_sweep_steps(rs, cap)):
@@ -245,15 +265,66 @@ def state_histogram(
                 nxt[key] = nxt.get(key, 0) + (counts << shift)
         table = nxt
     (counts,) = table.values()
-    hist: list[dict[int, int]] = [dict() for _ in range(nv + 1)]
-    full = (1 << bits) - 1
-    for slot in range(counts.bit_length() // bits + 1):
-        c = counts >> (bits * slot) & full
-        if c:
-            k, w = divmod(slot, nv + 1)
-            for row in (hist[w], hist[nv - w]):
-                row[k] = row.get(k, 0) + c
-    return hist
+    return _read_digits(counts, bits, nv)
+
+
+@cache_per_graph
+def rank_polynomials(rs: RotationSystem, cap: int = DEFAULT_STATE_CAP) -> tuple[IntPoly, ...]:
+    """The filtered rank in each homological degree as a polynomial in n.
+
+    A state has sum_S (-1)^|S| n^(c_S) harmonic colorings, S running over
+    the vertex sets and c_S counting its circles once the three corner
+    circles at each vertex of S are joined.  A transfer matrix on the
+    :func:`_sweep_steps` tables sums this over all states: each vertex is
+    smoothed either way, joined (sign -1) or not.  Only the connectivity of
+    the open tokens matters, so the table maps their partition into
+    components (labels in first-occurrence order) to one integer packing
+    the signed count of every (w, c) in B-bit balanced digits.  The first
+    vertex stays 0-smoothed: a state and its complement have the same
+    circles.  Refuses a cut of more than ``cap`` open tokens.
+    """
+    nv = rs.vertex_count
+    # a count sums at most 4^|V| terms of sign +-1: 2|V| + 2 bits, whole bytes
+    bits = 8 * (nv // 4 + 1)
+    c_shift = bits * (nv + 1)
+    table = {(): 1}
+    for s, (arcs, glues, keep, where) in enumerate(_sweep_steps(rs, cap)):
+        start = len(where) - 6  # the vertex's own six tokens come last
+        # per branch, the labels of the own tokens (negative, apart from
+        # the table's), their number, the sign and the smoothings: the
+        # corner arcs of either smoothing, or all six joined under sign -1
+        xs = (0, 1) if s else (0,)
+        branches = [
+            ([-1 - min(j, i - start) for j, i in enumerate(arcs[x])], 3, 1, (x,)) for x in xs
+        ]
+        branches.append(([-1] * 6, 1, -1, xs))
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, counts in table.items():
+            m = max(key, default=-1) + 1
+            for own, nown, sign, smoothings in branches:
+                lab = [*key, *own]
+                root: dict[int, int] = {}  # each label merged away -> its label
+                for a, b in glues:
+                    la, lb = root.get(lab[a], lab[a]), root.get(lab[b], lab[b])
+                    if la != lb:
+                        for c, r in root.items():
+                            if r == lb:
+                                root[c] = la
+                        root[lb] = la
+                kept = [root.get(lab[i], lab[i]) for i in keep]
+                names: dict[int, int] = {}
+                nkey = tuple([names.setdefault(c, len(names)) for c in kept])
+                # each merge joins two components; those left without an
+                # open token are complete
+                done = m + nown - len(root) - len(names)
+                total = nxt.get(nkey, 0)
+                for x in smoothings:
+                    val = counts << c_shift * done + bits * x
+                    total = total + val if sign > 0 else total - val
+                nxt[nkey] = total
+        table = nxt
+    (counts,) = table.values()
+    return tuple(IntPoly(row) for row in _read_digits(counts, bits, nv))
 
 
 # ---------------------------------------------------------------------------

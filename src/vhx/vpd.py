@@ -13,8 +13,8 @@ the tokens of the two half-edges are glued side-to-side, with the sides
 swapped when the edge is negative.  Circles are the closed curves formed by
 the corner arcs and the gluings.  :class:`Ribbon` compiles this once per
 rotation system into integer tables keyed by an edge-swap bitmask, and its
-two walks are the only way vhx reads circles: ``trace`` gives every token's
-circle and each circle's tokens, ``corner_labels`` every corner's circle.
+one walk, ``trace``, is the only way vhx reads circles: it gives every
+token's circle and each circle's tokens.
 """
 
 from __future__ import annotations
@@ -283,7 +283,6 @@ class Ribbon:
     def __init__(self, rs: RotationSystem):
         ntok = 4 * rs.edge_count
         arc = [0] * ntok
-        corner_of = [0] * ntok  # out token of each token's corner arc
         corners = []  # per vertex, the out token of each corner arc
         for v in rs.vertices:
             r = len(v)
@@ -296,7 +295,6 @@ class Ribbon:
                 a = 2 * h_out - 2 + (h_out & 1)
                 b = 2 * h_in - 1 - (h_in & 1)
                 arc[a], arc[b] = b, a
-                corner_of[a] = corner_of[b] = a
                 outs.append(a)
             corners.append(tuple(outs))
         neg = rs._negative()
@@ -306,9 +304,7 @@ class Ribbon:
             vertex_masks[w] ^= 1 << (e - 1)
         self.ntok = ntok
         self.arc = arc
-        self.corner_of = corner_of
         self.corners = tuple(corners)
-        self.outs = [a for outs in corners for a in outs]
         # successor of token p: cross p's corner arc, then the edge there;
         # under a swapped edge the successor is succ[p] ^ 1
         self.succ = [q ^ 2 for q in arc]
@@ -320,30 +316,6 @@ class Ribbon:
         self.bands = tuple(tuple((abs(h) + 1) // 2 for h in v) for v in rs.vertices)
         # homology.LocalMaps' swap-mask traces and band models, for every n
         self.traces, self.band_models = {}, {}
-
-    def corner_labels(self, mask: int) -> tuple[list[int], int]:
-        """Circle label of every corner in vertex and tuple order, circles
-        numbered by first occurrence, and the number of circles under swap
-        mask ``mask``.
-
-        Walks each circle once, starting from its first unlabelled corner;
-        every circle crosses at least one corner arc.
-        """
-        sw = mask ^ self.sign_mask
-        succ, succ_edge, corner_of = self.succ, self.succ_edge, self.corner_of
-        label = [-1] * self.ntok
-        k = 0
-        for s in self.outs:
-            if label[s] >= 0:
-                continue
-            p = s
-            while True:
-                label[corner_of[p]] = k
-                p = succ[p] ^ (sw >> succ_edge[p] & 1)
-                if p == s:
-                    break
-            k += 1
-        return list(map(label.__getitem__, self.outs)), k
 
     def trace(self, mask: int) -> tuple[list[int], list[list[int]]]:
         """Owner array (circle index of every token id) and the token ids of
@@ -404,7 +376,7 @@ def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:
             elif orient[w] != want:
                 orientable = False
                 break
-    F = rs.ribbon.corner_labels(0)[1]
+    F = len(rs.ribbon.trace(0)[1])
     euler = rs.vertex_count - rs.edge_count + F
     if orientable:
         return True, (2 - euler) // 2

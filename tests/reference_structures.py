@@ -1,17 +1,54 @@
 """Reference oracle: the half-cube walk that counted filtered ranks before
-the inclusion-exclusion sweep of :func:`vhx.colorings.rank_polynomials`.
+the inclusion-exclusion sweep of :func:`vhx.poly.rank_polynomials`.
 
-Every state whose last vertex is 0-smoothed is traced with
-:meth:`~vhx.vpd.Ribbon.corner_labels`, the states are grouped by their
-corner triples, and each distinct structure's harmonic colorings are
+Every state whose last vertex is 0-smoothed is walked by
+:func:`corner_walk`, which labels only corners, the states are grouped by
+their corner triples, and each distinct structure's harmonic colorings are
 counted by backtracking with :func:`vhx.colorings._count_constrained`.  It
-costs 2^(|V|-1) traces, so it is kept to check the sweep, not to run.
+costs 2^(|V|-1) walks, so it is kept to check the sweep, not to run.
 """
 
 from __future__ import annotations
 
-from vhx.colorings import _count_constrained, _structure
+from vhx.colorings import _count_constrained
 from vhx.vpd import Ribbon, RotationSystem
+
+
+def corner_walk(ribbon: Ribbon):
+    """The function of a swap mask giving the circle label of every corner
+    in vertex and tuple order, circles numbered by first occurrence, and the
+    number of circles.  Each circle is walked once from its first unlabelled
+    corner, labelling corners only; every circle crosses a corner arc."""
+    outs = [a for corners in ribbon.corners for a in corners]
+    corner_of = [0] * ribbon.ntok  # the out token of each token's corner arc
+    for a in outs:
+        corner_of[a] = corner_of[ribbon.arc[a]] = a
+    succ, succ_edge = ribbon.succ, ribbon.succ_edge
+
+    def corner_labels(mask: int) -> tuple[list[int], int]:
+        sw = mask ^ ribbon.sign_mask
+        label = [-1] * ribbon.ntok
+        k = 0
+        for s in outs:
+            if label[s] >= 0:
+                continue
+            p = s
+            while True:
+                label[corner_of[p]] = k
+                p = succ[p] ^ (sw >> succ_edge[p] & 1)
+                if p == s:
+                    break
+            k += 1
+        return list(map(label.__getitem__, outs)), k
+
+    return corner_labels
+
+
+def structure(labels: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Sorted corner triples of flat corner labels numbered by first
+    occurrence, as :func:`corner_walk` gives them."""
+    it = iter(labels)
+    return tuple(sorted(zip(it, it, it)))
 
 
 def half_cube(ribbon: Ribbon):
@@ -37,10 +74,11 @@ def structure_histogram(
     number of states of each weight with that structure and k circles)."""
     ribbon = rs.ribbon
     nv = rs.vertex_count
+    corner_labels = corner_walk(ribbon)
     hist: dict[tuple, tuple[int, list[int]]] = {}
     for w, mask in half_cube(ribbon):
-        labels, k = ribbon.corner_labels(mask)
-        row = hist.setdefault(_structure(labels), (k, [0] * (nv + 1)))[1]
+        labels, k = corner_labels(mask)
+        row = hist.setdefault(structure(labels), (k, [0] * (nv + 1)))[1]
         # the state and its complement share their circles
         row[w] += 1
         row[nv - w] += 1

@@ -149,10 +149,10 @@ def test_check_passes(capsys, theta_path):
             "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  ok\n"
         ),
         (
-            "dodec",  # past the filtered gate: the Tait row reads V(Gamma, 2)
-            "euler(filtered, n=2) == V(Gamma, 2)      skipped (|V| = 20)\n"
-            "homology identities (n=2)                skipped (|V| = 20)\n"
-            "plane: V(Gamma, 2) == 2^(|V|/2) * #Tait  ok\n"
+            "dodec",  # past the matchings gate: no #PM rows
+            "euler(filtered, n=2) == V(Gamma, 2)               ok\n"
+            "homology identities (n=2)                         skipped (|V| = 20)\n"
+            "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  ok\n"
         ),
     ],
 )
@@ -162,25 +162,31 @@ def test_check_text_pinned(capsys, name, expected):
     assert out == expected
 
 
-def test_check_says_when_every_row_is_skipped(capsys, tmp_path):
+def test_check_runs_the_filtered_rows_past_every_gate(capsys, tmp_path):
     """A plane prism with |V| = 26, |E| = 39 > TAIT_EDGE_CAP, is past every
-    gate: text mode ends on a line saying so, while the exit code and the
-    JSON rows stay as they were."""
+    gate but the state sum's: its filtered Euler characteristic is still
+    checked against V(Gamma, n), in text and in JSON."""
     rs = prism(13)
     assert rs.edge_count > oracles.TAIT_EDGE_CAP
     p = tmp_path / "prism13.vpd"
     p.write_text(serialize_vpd(rs))
     code, out, _ = run(capsys, "check", "--n", "2,3", str(p))
-    *rows, last = out.splitlines()
-    assert code == 0 and len(rows) == 4
-    assert all(row.endswith("skipped (|V| = 26)") for row in rows)
-    assert last == "no identity checked (every row skipped)"
+    assert code == 0
+    assert out == (
+        "euler(filtered, n=2) == V(Gamma, 2)  ok\n"
+        "homology identities (n=2)            skipped (|V| = 26)\n"
+        "euler(filtered, n=3) == V(Gamma, 3)  ok\n"
+        "homology identities (n=3)            skipped (|V| = 26)\n"
+    )
     code, out, _ = run(capsys, "check", "--n", "2,3", "--json", str(p))
     data = json.loads(out)
-    assert code == 0 and data["ok"] is True and len(data["results"]) == 4
-    assert all(status == "skipped (|V| = 26)" for _, status in data["results"])
-    code, out, _ = run(capsys, "check", "--n", "2", f"{DATA}/k4.vpd")
-    assert code == 0 and "no identity checked" not in out
+    assert code == 0 and data["ok"] is True
+    assert data["results"] == [
+        ["euler(filtered, n=2) == V(Gamma, 2)", "ok"],
+        ["homology identities (n=2)", "skipped (|V| = 26)"],
+        ["euler(filtered, n=3) == V(Gamma, 3)", "ok"],
+        ["homology identities (n=3)", "skipped (|V| = 26)"],
+    ]
 
 
 def test_check_reports_invariant_failure_and_runs_on(capsys, theta_path, monkeypatch):

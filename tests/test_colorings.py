@@ -10,14 +10,13 @@ from reference_tracer import harmonic_colorings, reference_trace, vertex_swaps
 from vhx.colorings import (
     FaceColoring,
     _count_constrained,
-    _structure,
     filtered_ranks,
     harmonic_kernel_check,
     induced_matching,
-    rank_polynomials,
     total_matching_polynomial,
 )
 from vhx.oracles import AbstractGraph, bridges, perfect_matchings
+from vhx.poly import rank_polynomials
 from vhx.states import DEFAULT_STATE_CAP, StateSpaceError, state_mask
 from vhx.vpd import parse_vpd
 
@@ -29,9 +28,10 @@ def state_decomposition(rs, bits):
 
 def state_count(rs, bits, n):
     """Harmonic n-colorings of vertex state ``bits``, counted as
-    ``harmonic_kernel_check`` counts each state."""
-    labels, k = rs.ribbon.corner_labels(state_mask(rs, bits))
-    return _count_constrained(_structure(labels), k, n)
+    ``harmonic_kernel_check`` counts each state: by each corner's circle."""
+    owner, walks = rs.ribbon.trace(state_mask(rs, bits))
+    corners = [[owner[a] for a in outs] for outs in rs.ribbon.corners]
+    return _count_constrained(corners, len(walks), n)
 
 
 def brute_count(dec, n):

@@ -67,7 +67,7 @@ EXPORTS = {
     ),
 }
 # public names retired with the circle record: a state's circles are
-# ``rs.ribbon.trace(mask)`` and ``rs.ribbon.corner_labels(mask)``
+# ``rs.ribbon.trace(mask)``
 RETIRED = ("count_partial_colorings", "trace_boundary")
 
 

@@ -14,7 +14,8 @@ from vhx.poly import (
     state_histogram,
     vertex_polynomial,
 )
-from vhx.states import DEFAULT_STATE_CAP
+from vhx.colorings import filtered_ranks
+from vhx.states import DEFAULT_STATE_CAP, StateSpaceError
 from vhx.vpd import blowup, parse_vpd
 
 THETA_BRACKET_2 = LaurentPoly(
@@ -160,3 +161,15 @@ def test_state_histogram_cache_normalises_cap(graphs):
     assert state_histogram(rs, cap=DEFAULT_STATE_CAP) is first
     info = state_histogram.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_sweeps_share_one_trivalence_refusal():
+    """The state sums and the filtered ranks refuse a diagram that is not
+    trivalent with one message, from the sweep they share."""
+    rs = parse_vpd("G[V[1,4,3,6],V[2,5]]", any_valence=True)
+    messages = set()
+    for call in (state_histogram, vertex_polynomial, lambda rs: filtered_ranks(rs, 2)):
+        with pytest.raises(StateSpaceError) as info:
+            call(rs)
+        messages.add(str(info.value))
+    assert messages == {"vertex hypercube requires a trivalent diagram"}

@@ -1,12 +1,12 @@
 """Gate tests for the compiled ribbon kernel.
 
-``Ribbon.trace`` (read as a decomposition by :func:`decomposition`),
-``corner_labels``, ``state_mask`` and ``state_histogram`` must agree
-exactly with the reference tracer in ``reference_tracer.py`` on the
-fixtures and on a seeded corpus of generated cubic ribbon graphs with
-negative edges and loops.  ``corner_labels`` and the half-cube
+``Ribbon.trace`` (read as a decomposition by :func:`decomposition`, and
+as the harmonic kernel check reads each corner's circle), ``state_mask``
+and ``state_histogram`` must agree exactly with the reference tracer in
+``reference_tracer.py`` on the fixtures and on a seeded corpus of generated
+cubic ribbon graphs with negative edges and loops.  The half-cube
 ``structure_histogram`` of ``reference_structures.py`` must agree with the
-traced decomposition, ``induced_matching`` with one read off the reference
+state histogram, ``induced_matching`` with one read off the reference
 tracer's tokens, the coloring counter and the filtered ranks with the
 brute-force coloring count and under relabeling, and the inclusion-exclusion
 sweep's ranks with the half-cube walk's.
@@ -18,7 +18,13 @@ import random
 from functools import lru_cache
 
 import pytest
-from reference_structures import half_cube, reference_filtered_ranks, structure_histogram
+from reference_structures import (
+    corner_walk,
+    half_cube,
+    reference_filtered_ranks,
+    structure,
+    structure_histogram,
+)
 from reference_tracer import (
     CircleDecomposition,
     harmonic_colorings,
@@ -30,14 +36,13 @@ import vhx
 from vhx.colorings import (
     FaceColoring,
     _count_constrained,
-    _structure,
     filtered_ranks,
     induced_matching,
-    rank_polynomials,
     total_matching_polynomial,
 )
 from vhx.oracles import AbstractGraph, count_tait_colorings
-from vhx.poly import IntPoly, state_histogram, vertex_polynomial
+from vhx.homology import LocalMaps
+from vhx.poly import IntPoly, rank_polynomials, state_histogram, vertex_polynomial
 from vhx.states import state_mask
 from vhx.vpd import VPDError, genus_and_orientability, parse_vpd, serialize_vpd
 
@@ -148,7 +153,6 @@ def test_kernel_matches_reference_on_vertex_states(name):
     ribbon = rs.ribbon
     for bits, ref in reference_states(name).items():
         mask = state_mask(rs, bits)
-        assert ribbon.corner_labels(mask)[1] == ref.circle_count
         assert decomposition(ribbon, mask) == ref
         assert decomposition(ribbon, sum(1 << (e - 1) for e in vertex_swaps(rs, bits))) == ref
 
@@ -164,7 +168,6 @@ def test_kernel_matches_reference_on_edge_swaps(name):
     for mask in masks:
         swaps = frozenset(e for e in range(1, ne + 1) if mask >> (e - 1) & 1)
         ref = reference_trace(rs, swaps)
-        assert rs.ribbon.corner_labels(mask)[1] == ref.circle_count
         assert decomposition(rs.ribbon, mask) == ref
 
 
@@ -185,10 +188,18 @@ def test_dodec_histogram_against_reference_sample():
     for _ in range(400):
         bits = tuple(rng.getrandbits(1) for _ in range(nv))
         k = reference_trace(rs, vertex_swaps(rs, bits)).circle_count
-        assert rs.ribbon.corner_labels(state_mask(rs, bits))[1] == k
+        assert len(rs.ribbon.trace(state_mask(rs, bits))[1]) == k
         cells.add((sum(bits), k))
     # every sampled (weight, circle count) cell is populated in the histogram
     assert all(hist[w].get(k) for w, k in cells)
+
+
+def test_prism50_histogram_rows_are_binomial_and_mirrored():
+    """At |V| = 100 every count is a 13-byte digit of the packed integer:
+    the rows sum to C(100, w) and mirror w <-> 100 - w."""
+    hist = state_histogram(prism(50))
+    assert [sum(row.values()) for row in hist] == [math.comb(100, w) for w in range(101)]
+    assert hist == hist[::-1]
 
 
 def _histogram_graphs():
@@ -313,7 +324,7 @@ def test_counter_matches_brute_force_on_every_structure():
     structures = {}
     for name in SMALL8:
         for dec in reference_states(name).values():
-            structures.setdefault(_structure(first_occurrence(dec.corner_map)), dec)
+            structures.setdefault(structure(first_occurrence(dec.corner_map)), dec)
     assert len(structures) > 100
     for key, dec in structures.items():
         assert max(map(max, key)) == dec.circle_count - 1
@@ -328,20 +339,29 @@ def first_occurrence(corner_map):
 
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_corner_labels_match_decomposition(name):
-    """On every half-cube state and 300 seeded edge-swap masks, the labels
-    are the decomposition's corner map numbered by first occurrence."""
+    """On every half-cube state and 300 seeded edge-swap masks, each
+    corner's circle as ``harmonic_kernel_check`` reads it (its out token's
+    rank over the token count, on the shared ``LocalMaps.trace``) is the
+    reference tracer's corner map up to renaming the circles; so are the
+    labels of the half-cube oracle's own corner walk."""
     rs = SMALL[name]
     ribbon = rs.ribbon
+    maps, corner_labels = LocalMaps(ribbon, 2), corner_walk(ribbon)
+    refs = {state_mask(rs, bits): dec for bits, dec in reference_states(name).items()}
     rng = random.Random(rs.edge_count)
     masks = [mask for _, mask in half_cube(ribbon)]
     masks += [rng.getrandbits(rs.edge_count) for _ in range(300)]
     for mask in masks:
-        dec = decomposition(ribbon, mask)
-        labels, k = ribbon.corner_labels(mask)
-        assert labels == first_occurrence(dec.corner_map)
-        assert k == dec.circle_count
-        it = iter(first_occurrence(dec.corner_map))
-        assert _structure(labels) == tuple(sorted(zip(it, it, it)))
+        if mask not in refs:
+            swaps = frozenset(e for e in range(1, rs.edge_count + 1) if mask >> (e - 1) & 1)
+            refs[mask] = reference_trace(rs, swaps)
+        ref = refs[mask]
+        firsts, rank = maps.trace(mask)
+        corners = [[rank[a] // ribbon.ntok for a in outs] for outs in ribbon.corners]
+        labels = first_occurrence(ref.corner_map)
+        assert first_occurrence(corners) == labels
+        assert len(firsts) == ref.circle_count
+        assert corner_labels(mask) == (labels, ref.circle_count)
 
 
 INDUCED = ["thetaneg", "k4", *sorted(n for n, rs in CORPUS.items() if rs.vertex_count <= 6)]
