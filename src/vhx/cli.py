@@ -296,19 +296,19 @@ def cmd_check(rs, args) -> int:
             skip(f"homology identities (n={n})", f"|V| = {nv}")
 
         if plane and n == 2:
+            pm_rows = ("plane: rank0 == 2 * #PM (n=2)", "plane: rank1 == 4 * #PM * #bridges (n=2)")
             if nv <= CHECK_MATCHINGS_MAX_V:
                 pms = perfect_matchings(g)
-                record("plane: rank0 == 2 * #PM (n=2)", fr.ranks[0] == 2 * len(pms))
-                record(
-                    "plane: rank1 == 4 * #PM * #bridges (n=2)",
-                    fr.ranks[1] == 4 * len(pms) * len(bridges(g)),
-                )
+                record(pm_rows[0], fr.ranks[0] == 2 * len(pms))
+                record(pm_rows[1], fr.ranks[1] == 4 * len(pms) * len(bridges(g)))
+            else:
+                for name in pm_rows:
+                    skip(name, f"|V| = {nv}")
+            tait_row = "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait"
             if len(g.edges) <= TAIT_EDGE_CAP:
-                tait = count_tait_colorings(g)
-                record(
-                    "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait",
-                    fr.euler == 2 ** (nv // 2) * tait,
-                )
+                record(tait_row, fr.euler == 2 ** (nv // 2) * count_tait_colorings(g))
+            else:
+                skip(tait_row, f"|E| = {len(g.edges)}")
 
     width = max(len(name) for name, _ in results)
     failed = any(status.startswith("FAIL") for _, status in results)

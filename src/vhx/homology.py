@@ -19,6 +19,7 @@ matches a model's circles across each of its band flips, and traces and
 band models are kept on the ribbon and shared by every n.  The algebra is
 commutative and cocommutative, so an edge map is an unordered sum of terms
 that does not depend on which of a split's two new circles is listed first.
+A complex keeps each block's dimension and differential, never its basis.
 Coefficients are integer pairs (a, b) meaning a + b sqrt n, a perfect
 square's root folded into a, from the step tables through the edge maps
 and differentials to the ranks; ranks are exact over Q(sqrt n) by
@@ -45,10 +46,9 @@ from .states import (
 )
 from .vpd import PerfectMatchingDiagram, Record, Ribbon, RotationSystem
 
-BasisElement = tuple[tuple[int, ...], tuple[int, ...]]  # (state bits, exponents)
-
-# Largest basis a complex may have; a bigger one is refused before any basis
-# element is built (prism6 at n = 3, 224,784 elements, peaks at 103 MB).
+# Largest basis a complex may have; a bigger one is refused while its states
+# are traced, before any differential entry is built (prism6 at n = 3,
+# 224,784 elements, peaks at 87.5 MB).
 MAX_BASIS = 1 << 18
 
 
@@ -84,28 +84,30 @@ class RankTable(Record):
 
 
 class ChainComplex(Record):
-    """Per-(i, j) bases of labeled monomials with sparse differentials.
+    """Per-(i, j) dimensions ``dims`` with sparse differentials.
 
     ``diff[(i, j)]`` maps block C^(i,j) -> C^(i+1, j + bigrade_j) as a sparse
-    dict (row, col) -> (a, b), the integers of a + b sqrt n.
+    dict (row, col) -> (a, b), the integers of a + b sqrt n.  No basis is
+    kept: a block's elements are numbered state by state (site 0 the most
+    significant bit), each state's in the code order of :func:`_codes`.
     """
 
-    _fields = ("n", "bases", "diff", "bigrade_j")
+    _fields = ("n", "dims", "diff", "bigrade_j")
 
     def __init__(
         self,
         n: int,
-        bases: dict[tuple[int, int], list[BasisElement]],
+        dims: dict[tuple[int, int], int],
         diff: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]],
         bigrade_j: int = 0,
     ):
         self.n = n
-        self.bases = bases
+        self.dims = dims
         self.diff = diff
         self.bigrade_j = bigrade_j
 
     def dim(self, i: int, j: int) -> int:
-        return len(self.bases.get((i, j), ()))
+        return self.dims.get((i, j), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +122,11 @@ def _placements(steps: int, tilde_count: int) -> tuple[tuple[str, ...], ...]:
     )
 
 
-def _codes(n: int, k: int) -> tuple[list, list[int], list[int]]:
+def _codes(n: int, k: int) -> tuple[list, list[int], list[int], list[int]]:
     """Exponent tuple, exponent sum and rank among equal sums, per code of
-    a k-circle state.  The code of (e_0, ..., e_{k-1}) is sum e_c n^c: codes
-    run in colexicographic order and add under tensor products."""
+    a k-circle state, and the number of codes of each exponent sum.  The
+    code of (e_0, ..., e_{k-1}) is sum e_c n^c: codes run in
+    colexicographic order and add under tensor products."""
     exps = [tuple(reversed(r)) for r in itertools.product(range(n), repeat=k)]
     dsum = [sum(e) for e in exps]
     seen = [0] * (k * (n - 1) + 1)
@@ -131,7 +134,7 @@ def _codes(n: int, k: int) -> tuple[list, list[int], list[int]]:
     for t in dsum:
         rank.append(seen[t])
         seen[t] += 1
-    return exps, dsum, rank
+    return exps, dsum, rank, seen
 
 
 # m, Delta and eta by correspondence kind and input exponents, with
@@ -359,7 +362,9 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
     n, d = maps.n, len(paths)
     m = half_m(n)
     values: dict[tuple[int, int], tuple[int, int]] = {}  # entries share one tuple per value
+    dims: dict[tuple[int, int], int] = {}
     masks, ks, total = [], [], 0
+    offsets = []  # per state, its first position in each of its blocks
     for s in range(1 << d):
         low = s & -s
         masks.append(masks[s ^ low] ^ site_masks[d - low.bit_length()] if s else 0)
@@ -371,22 +376,16 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
                 f"({total} in the first {s + 1} of {1 << d} states)"
             )
         ks.append(k)
-
-    bases: dict[tuple[int, int], list[BasisElement]] = {}
-    offsets = []  # per state, its first position in each of its blocks
-    for s, k in enumerate(ks):
-        bits = tuple(s >> (d - 1 - v) & 1 for v in range(d))
         i = s.bit_count()
-        exps, dsum, _ = maps.codes(k)
-        blocks = [bases.setdefault((i, k * m - t + shift * i), []) for t in range(k * (n - 1) + 1)]
-        offsets.append([len(b) for b in blocks])
-        for t, e in zip(dsum, exps):
-            blocks[t].append((bits, e))
+        keys = [(i, k * m - t + shift * i) for t in range(k * (n - 1) + 1)]
+        offsets.append([dims.get(key, 0) for key in keys])
+        for key, size in zip(keys, maps.codes(k)[3]):
+            dims[key] = dims.get(key, 0) + size
 
     diff: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
     for s, (mask, kb, offs_b) in enumerate(zip(masks, ks, offsets)):
         i = s.bit_count()
-        _, dsum_b, rank_b = maps.codes(kb)
+        _, dsum_b, rank_b, _ = maps.codes(kb)
         for v, path in enumerate(paths):
             bit = 1 << (d - 1 - v)
             if s & bit:
@@ -402,7 +401,7 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
                             f"path dependence at state {bits}, vertex {v}, order {order}"
                         )
             offs_a = offsets[s | bit]
-            _, dsum_a, rank_a = maps.codes(ka)
+            _, dsum_a, rank_a, _ = maps.codes(ka)
             negate = (s >> (d - v)).bit_count() & 1  # 1s left of site v
             jb0, ja0 = kb * m + shift * i, ka * m + shift * (i + 1)
             for sp, tp, (a, b) in local:
@@ -418,7 +417,7 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
                     if block is None:
                         block = diff[(i, j)] = {}
                     block[(offs_a[dt] + rank_a[tgt], offs_b[ds] + rank_b[src])] = val
-    return ChainComplex(n, bases, diff, bigrade_j=bigrade_j)
+    return ChainComplex(n, dims, diff, bigrade_j=bigrade_j)
 
 
 def build_vertex_complex(
@@ -557,7 +556,7 @@ def bigraded_homology(cx: ChainComplex) -> RankTable:
         block = cx.diff.get((i, j))
         return matrix_rank(block, cx.dim(i + 1, j), cx.dim(i, j), cx.n) if block else 0
 
-    for i, j in sorted(cx.bases):
+    for i, j in sorted(cx.dims):
         dim = cx.dim(i, j)
         r = dim - block_rank(i, j) - block_rank(i - 1, j)
         if r < 0:
@@ -580,4 +579,4 @@ def graded_euler(ranks: RankTable) -> "LaurentPoly":
 def chain_euler(cx: ChainComplex) -> "LaurentPoly":
     """Graded Euler characteristic from chain-group dimensions (equal to the
     homological one by rank-nullity)."""
-    return graded_euler(RankTable(cx.n, {key: len(basis) for key, basis in cx.bases.items()}))
+    return graded_euler(RankTable(cx.n, cx.dims))

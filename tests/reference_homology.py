@@ -23,7 +23,6 @@ from reference_algebra import QuadScalar, map_delta, map_eta, map_m, qdeg
 from reference_tracer import CircleDecomposition, reference_trace, vertex_swaps
 
 from vhx.algebra import half_m
-from vhx.homology import ChainComplex
 from vhx.states import InvariantError
 from vhx.vpd import PerfectMatchingDiagram, RotationSystem
 
@@ -31,6 +30,18 @@ from vhx.vpd import PerfectMatchingDiagram, RotationSystem
 def edge_tokens(e: int) -> frozenset:
     """The four side tokens living on edge ``e``'s band."""
     return frozenset({(2 * e - 1, 1), (2 * e - 1, 2), (2 * e, 1), (2 * e, 2)})
+
+
+@dataclass
+class ReferenceComplex:
+    """A chain complex with its basis: per-(i, j) lists of (state bits,
+    exponents) elements, and ``QuadScalar`` differentials indexed into
+    them."""
+
+    n: int
+    bases: dict
+    diff: dict
+    bigrade_j: int = 0
 
 
 @dataclass(frozen=True)
@@ -200,7 +211,7 @@ def _drop_zeros(diff):
             del diff[key]
 
 
-def vertex_pieces(rs, n) -> list[ChainComplex]:
+def vertex_pieces(rs, n) -> list[ReferenceComplex]:
     """The vertex complex's graded pieces for tilde counts 0..3."""
     m = half_m(n)
     nv = rs.vertex_count
@@ -237,10 +248,10 @@ def vertex_pieces(rs, n) -> list[ChainComplex]:
                         block[key] = val if prev is None else prev + val
     for diff in diffs:
         _drop_zeros(diff)
-    return [ChainComplex(n, bases, diff, bigrade_j=t * n) for t, diff in enumerate(diffs)]
+    return [ReferenceComplex(n, bases, diff, bigrade_j=t * n) for t, diff in enumerate(diffs)]
 
 
-def build_pm_complex(pmd: PerfectMatchingDiagram, n: int) -> ChainComplex:
+def build_pm_complex(pmd: PerfectMatchingDiagram, n: int) -> ReferenceComplex:
     m = half_m(n)
     sites = len(pmd.matching)
 
@@ -272,7 +283,7 @@ def build_pm_complex(pmd: PerfectMatchingDiagram, n: int) -> ChainComplex:
                     prev = block.get(key)
                     block[key] = val if prev is None else prev + val
     _drop_zeros(diff)
-    return ChainComplex(n, bases, diff, bigrade_j=0)
+    return ReferenceComplex(n, bases, diff, bigrade_j=0)
 
 
 def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int) -> int:

@@ -149,9 +149,11 @@ def test_check_passes(capsys, theta_path):
             "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  ok\n"
         ),
         (
-            "dodec",  # past the matchings gate: no #PM rows
+            "dodec",  # past the matchings gate: the #PM rows say so
             "euler(filtered, n=2) == V(Gamma, 2)               ok\n"
             "homology identities (n=2)                         skipped (|V| = 20)\n"
+            "plane: rank0 == 2 * #PM (n=2)                     skipped (|V| = 20)\n"
+            "plane: rank1 == 4 * #PM * #bridges (n=2)          skipped (|V| = 20)\n"
             "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  ok\n"
         ),
     ],
@@ -165,7 +167,8 @@ def test_check_text_pinned(capsys, name, expected):
 def test_check_runs_the_filtered_rows_past_every_gate(capsys, tmp_path):
     """A plane prism with |V| = 26, |E| = 39 > TAIT_EDGE_CAP, is past every
     gate but the state sum's: its filtered Euler characteristic is still
-    checked against V(Gamma, n), in text and in JSON."""
+    checked against V(Gamma, n), and every identity past its gate is named
+    as skipped, with the size that tripped it, in text and in JSON."""
     rs = prism(13)
     assert rs.edge_count > oracles.TAIT_EDGE_CAP
     p = tmp_path / "prism13.vpd"
@@ -173,10 +176,13 @@ def test_check_runs_the_filtered_rows_past_every_gate(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--n", "2,3", str(p))
     assert code == 0
     assert out == (
-        "euler(filtered, n=2) == V(Gamma, 2)  ok\n"
-        "homology identities (n=2)            skipped (|V| = 26)\n"
-        "euler(filtered, n=3) == V(Gamma, 3)  ok\n"
-        "homology identities (n=3)            skipped (|V| = 26)\n"
+        "euler(filtered, n=2) == V(Gamma, 2)               ok\n"
+        "homology identities (n=2)                         skipped (|V| = 26)\n"
+        "plane: rank0 == 2 * #PM (n=2)                     skipped (|V| = 26)\n"
+        "plane: rank1 == 4 * #PM * #bridges (n=2)          skipped (|V| = 26)\n"
+        "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  skipped (|E| = 39)\n"
+        "euler(filtered, n=3) == V(Gamma, 3)               ok\n"
+        "homology identities (n=3)                         skipped (|V| = 26)\n"
     )
     code, out, _ = run(capsys, "check", "--n", "2,3", "--json", str(p))
     data = json.loads(out)
@@ -184,6 +190,9 @@ def test_check_runs_the_filtered_rows_past_every_gate(capsys, tmp_path):
     assert data["results"] == [
         ["euler(filtered, n=2) == V(Gamma, 2)", "ok"],
         ["homology identities (n=2)", "skipped (|V| = 26)"],
+        ["plane: rank0 == 2 * #PM (n=2)", "skipped (|V| = 26)"],
+        ["plane: rank1 == 4 * #PM * #bridges (n=2)", "skipped (|V| = 26)"],
+        ["plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait", "skipped (|E| = 39)"],
         ["euler(filtered, n=3) == V(Gamma, 3)", "ok"],
         ["homology identities (n=3)", "skipped (|V| = 26)"],
     ]

@@ -3,9 +3,10 @@ import random
 
 import pytest
 from reference_algebra import QuadScalar
-from test_ribbon import CORPUS_SEED, SMALL, relabel
+from test_ribbon import CORPUS_SEED, SMALL, prism, relabel
 
 import vhx
+from vhx.algebra import half_m
 from vhx.homology import (
     ChainComplex,
     bigraded_homology,
@@ -18,7 +19,7 @@ from vhx.homology import (
     matrix_rank,
     vertex_edge_map_graded,
 )
-from vhx.poly import ncolor_vertex_polynomial
+from vhx.poly import ncolor_vertex_polynomial, state_histogram
 from vhx.states import StateSpaceError
 from vhx.vpd import blowup
 
@@ -177,7 +178,7 @@ def test_chain_condition_detects_nonzero_square():
     # C^0 -> C^1 (dim 2) -> C^2: [1, 1]^T then [1, -1] composes to zero
     cx = ChainComplex(
         2,
-        {(0, 0): [None], (1, 0): [None, None], (2, 0): [None]},
+        {(0, 0): 1, (1, 0): 2, (2, 0): 1},
         {(0, 0): {(0, 0): one, (1, 0): one}, (1, 0): {(0, 0): one, (0, 1): (-1, 0)}},
     )
     assert chain_condition_holds(cx)
@@ -240,13 +241,37 @@ def test_odd_n_duality(graphs, name, n):
     table = bigraded_homology(cx).ranks
     assert _dual(table, rs.vertex_count) == table
     if n == 3:
-        dims = {key: len(basis) for key, basis in cx.bases.items()}
-        assert _dual(dims, rs.vertex_count) == dims
+        assert _dual(cx.dims, rs.vertex_count) == cx.dims
 
 
 def test_odd_n_duality_fails_at_even_n(graphs):
     table = bigraded_homology(build_vertex_complex(graphs["theta"], 2)).ranks
     assert _dual(table, 2) != table
+
+
+DIMS_CASES = [
+    *((name, n) for name, rs in sorted(SMALL.items()) if rs.vertex_count <= 8 for n in (2, 3, 4)),
+    ("prism5", 2),
+]
+
+
+@pytest.mark.parametrize("name,n", DIMS_CASES)
+def test_dims_follow_the_state_histogram(name, n):
+    """dim C^(w, k m - t + 3 m w) = sum_k hist[w][k] * #{exponent tuples
+    in {0..n-1}^k with sum t}: the assembler's bookkeeping against the
+    transfer matrix's state histogram, the tuples counted as coefficients
+    of (1 + x + ... + x^(n-1))^k."""
+    rs = prism(5) if name == "prism5" else SMALL[name]
+    m, want = half_m(n), {}
+    for w, row in enumerate(state_histogram(rs)):
+        for k, states in row.items():
+            sums = [1]
+            for _ in range(k):
+                sums = [sum(sums[max(0, t - n + 1) : t + 1]) for t in range(len(sums) + n - 1)]
+            for t, count in enumerate(sums):
+                key = (w, k * m - t + 3 * m * w)
+                want[key] = want.get(key, 0) + states * count
+    assert build_vertex_complex(rs, n).dims == want
 
 
 @pytest.mark.parametrize("name", sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8))

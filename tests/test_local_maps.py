@@ -25,8 +25,10 @@ from test_ribbon import SMALL, prism, relabel
 
 import vhx
 from vhx import homology
+from vhx.algebra import half_m
 from vhx.homology import (
     LocalMaps,
+    _codes,
     _placements,
     build_pm_complex,
     build_vertex_complex,
@@ -41,11 +43,30 @@ GATED = sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8)
 CASES = [(name, n) for name in GATED for n in (2, 3)] + [("k4", 4)]
 
 
-def assert_same(cx, want):
-    """Equal bases, and equal differentials once the complex's integer
-    pairs (a, b) are read as the reference's ``QuadScalar``s."""
+def element_order(n, shift, circles):
+    """Each block's (state bits, exponents) elements in the order the
+    assembler numbers them: states with site 0 the most significant bit,
+    then each state's codes in colexicographic order (:func:`_codes`).
+    ``circles`` maps a state's bits to its circle count, and a weight-i
+    state's q-degrees are shifted by ``shift * i``."""
+    m, bases = half_m(n), {}
+    for bits in sorted(circles):
+        i, k = sum(bits), circles[bits]
+        exps, dsum, _, _ = _codes(n, k)
+        for e, t in zip(exps, dsum):
+            bases.setdefault((i, k * m - t + shift * i), []).append((bits, e))
+    return bases
+
+
+def assert_same(cx, want, shift):
+    """Equal dimensions, the reference's elements listed in the assembler's
+    order (so the differentials' positions name the same elements), and
+    equal differentials once the complex's integer pairs (a, b) are read as
+    the reference's ``QuadScalar``s."""
     assert cx.bigrade_j == want.bigrade_j
-    assert cx.bases == want.bases
+    assert cx.dims == {key: len(basis) for key, basis in want.bases.items()}
+    circles = {bits: len(e) for basis in want.bases.values() for bits, e in basis}
+    assert element_order(cx.n, shift, circles) == want.bases
     scalar = functools.cache(lambda ab: QuadScalar.make(*ab, cx.n))
     scalars = {key: {rc: scalar(ab) for rc, ab in blk.items()} for key, blk in cx.diff.items()}
     assert scalars == want.diff
@@ -79,15 +100,15 @@ def test_vertex_complex_matches_reference(name, n):
     pieces = delta_graded_pieces(rs, n)
     assert sorted(pieces) == [0, n, 2 * n, 3 * n]
     for t, want in enumerate(ref.vertex_pieces(rs, n)):
-        assert_same(build_vertex_complex(rs, n, tilde_count=t, verify_paths=True), want)
-        assert_same(pieces[t * n], want)
+        assert_same(build_vertex_complex(rs, n, tilde_count=t, verify_paths=True), want, 3 * half_m(n))
+        assert_same(pieces[t * n], want, 3 * half_m(n))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("name", ["theta", "thetaneg", "k4"])
 def test_pm_complex_matches_reference(name, n):
     pmd = blowup(vhx.load_fixture(name))
-    assert_same(build_pm_complex(pmd, n), ref.build_pm_complex(pmd, n))
+    assert_same(build_pm_complex(pmd, n), ref.build_pm_complex(pmd, n), half_m(n))
 
 
 @pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 2), ("rand4neg", 3)])

@@ -243,7 +243,7 @@ def test_mutable_records_compare_by_value_and_are_unhashable():
         (filtered_ranks(theta, 2), "FilteredRanks(n=2, ranks=[6, 0, 6])"),
         (KernelReport(2, {(0, 0): (1, 1, "ok")}), "KernelReport(n=2, per_state={(0, 0): (1, 1, 'ok')})"),
         (RankTable(2, {(0, 1): 1}), "RankTable(n=2, ranks={(0, 1): 1})"),
-        (ChainComplex(2, {}, {}), "ChainComplex(n=2, bases={}, diff={}, bigrade_j=0)"),
+        (ChainComplex(2, {}, {}), "ChainComplex(n=2, dims={}, diff={}, bigrade_j=0)"),
     ]
     for obj, text in records:
         assert repr(obj) == text

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_tracer import reference_trace, vertex_state
+from test_ribbon import CORPUS_SEED, prism, random_cubic, relabel
 
+import vhx
 from vhx.poly import (
     IntPoly,
     LaurentPoly,
@@ -16,7 +19,7 @@ from vhx.poly import (
 )
 from vhx.colorings import filtered_ranks
 from vhx.states import DEFAULT_STATE_CAP, StateSpaceError
-from vhx.vpd import blowup, parse_vpd
+from vhx.vpd import blowup, parse_vpd, serialize_vpd
 
 THETA_BRACKET_2 = LaurentPoly(
     {0: 1, 1: 3, 2: 3, 3: -1, 4: -2, 6: 1, 7: 3, 8: 3, 9: 1}
@@ -124,6 +127,49 @@ def test_abstract_vertex_polynomial_theta(graphs):
     assert not has_neg
     assert sign == 1
     assert poly == vertex_polynomial(graphs["theta"])
+
+
+def reorder(rs, rng):
+    """The same abstract graph under another cyclic order at every vertex:
+    each vertex's half-edges in shuffled order."""
+    verts = tuple(tuple(rng.sample(v, len(v))) for v in rs.vertices)
+    return parse_vpd(serialize_vpd(vhx.RotationSystem(verts)))
+
+
+# unsigned graphs: every edge positive
+ABSTRACT_GRAPHS = {
+    "theta": vhx.load_fixture("theta"),
+    "k4": vhx.load_fixture("k4"),
+    "prism4": prism(4),
+} | {
+    f"rand{nv}-{i}": random_cubic(random.Random(f"{CORPUS_SEED}-abstract-{nv}-{i}"), nv, 0.0)
+    for nv in (4, 6, 8)
+    for i in range(2)
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABSTRACT_GRAPHS))
+def test_abstract_vertex_polynomial_ignores_cyclic_order_and_labels(name):
+    """The paper's abstract invariant, on unsigned VPD: a change of cyclic
+    order at the vertices, then a relabeling, keeps the polynomial.  The
+    applied sign may change (theta reads -1 under some orders), so only
+    the polynomial is compared.  Signed graphs are not invariant."""
+    rs = ABSTRACT_GRAPHS[name]
+    assert all(h > 0 for v in rs.vertices for h in v)
+    want = abstract_vertex_polynomial(rs)[0]
+    rng = random.Random(f"{CORPUS_SEED}-abstract-{name}")
+    for _ in range(6):
+        assert abstract_vertex_polynomial(relabel(reorder(rs, rng), rng))[0] == want
+
+
+def test_abstract_reorders_change_the_ribbon_graph():
+    """The reorders above are not vacuous: on theta they change V(Gamma, n)
+    and the applied sign."""
+    theta = ABSTRACT_GRAPHS["theta"]
+    rng = random.Random(f"{CORPUS_SEED}-abstract-theta")
+    others = [reorder(theta, rng) for _ in range(6)]
+    assert any(vertex_polynomial(rs) != vertex_polynomial(theta) for rs in others)
+    assert {abstract_vertex_polynomial(rs)[1] for rs in others} == {1, -1}
 
 
 @st.composite

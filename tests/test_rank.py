@@ -160,10 +160,10 @@ def test_chain_condition_with_non_integral_entries():
     r = QuadScalar.root(3)
     half, third = QuadScalar.make(Fraction(1, 2), 0, 3), QuadScalar.make(Fraction(1, 3), 0, 3)
     # [sqrt3/2, 1/3]^T then [sqrt3/3, -3/2] composes to 3/6 - 3/6 = 0
-    bases = {(0, 0): [None], (1, 0): [None, None], (2, 0): [None]}
+    dims = {(0, 0): 1, (1, 0): 2, (2, 0): 1}
     first = _pairs({(0, 0): r * half, (1, 0): third})
     second = _pairs({(0, 0): r * third, (0, 1): -(half + half + half)})
-    cx = ChainComplex(3, bases, {(0, 0): first, (1, 0): second})
+    cx = ChainComplex(3, dims, {(0, 0): first, (1, 0): second})
     assert chain_condition_holds(cx)
     cx.diff[(1, 0)] = _pairs({(0, 0): r * third, (0, 1): half + half + half})
     assert not chain_condition_holds(cx)
@@ -172,8 +172,8 @@ def test_chain_condition_with_non_integral_entries():
 def test_chain_condition_folds_perfect_squares():
     """At n = 4, (1, 1) o (2, -1) is (2 - sqrt 4)(1 + sqrt 4) = 0, though
     the product's pairs read (-2, 1) before the root is folded."""
-    bases = {(0, 0): [None], (1, 0): [None], (2, 0): [None]}
-    cx = ChainComplex(4, bases, {(0, 0): {(0, 0): (2, -1)}, (1, 0): {(0, 0): (1, 1)}})
+    dims = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    cx = ChainComplex(4, dims, {(0, 0): {(0, 0): (2, -1)}, (1, 0): {(0, 0): (1, 1)}})
     assert chain_condition_holds(cx)
     cx.diff[(0, 0)] = {(0, 0): (2, 1)}
     assert not chain_condition_holds(cx)
