@@ -21,7 +21,6 @@ _LAYERS = {
     ),
     "homology": (
         "bigraded_homology",
-        "build_pm_complex",
         "build_vertex_complex",
         "chain_condition_holds",
         "delta_graded_pieces",
@@ -37,11 +36,9 @@ _LAYERS = {
     "poly": ("abstract_vertex_polynomial", "ncolor_vertex_polynomial", "vertex_polynomial"),
     "states": (),
     "vpd": (
-        "PerfectMatchingDiagram",
         "RotationSystem",
         "VPDError",
         "blowup",
-        "bubbled_blowup",
         "genus_and_orientability",
         "parse_vpd",
         "serialize_vpd",

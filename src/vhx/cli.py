@@ -287,11 +287,12 @@ def cmd_check(rs, args) -> int:
                     record(names[1], True)  # the build raises on path dependence
                 euler = graded_euler(bigraded_homology(cx))
                 record(names[-1], euler == ncolor_vertex_polynomial(rs, n, cap=args.cap))
-            except InvariantError as exc:
-                # a violated invariant fails the identities it left unchecked;
-                # the suite runs on
+            except (InvariantError, StateSpaceError) as exc:
+                # a violated invariant fails the identities it left unchecked
+                # and a refused complex skips them; the suite runs on
+                status = "FAIL" if isinstance(exc, InvariantError) else "skipped"
                 for name in names[len(results) - recorded :]:
-                    results.append((name, f"FAIL ({exc})"))
+                    results.append((name, f"{status} ({exc})"))
         else:
             skip(f"homology identities (n={n})", f"|V| = {nv}")
 

@@ -1,15 +1,11 @@
 """Bigraded chain complexes and exact homology ranks.
 
-Two complexes share one assembler:
-
-* the matching complex of a perfect matching diagram: one elementary map
-  (m / Delta / eta, chosen by the circle correspondence) per hypercube edge,
-  grading shift m|alpha|;
-* the vertex complex of a trivalent ribbon diagram: each hypercube edge
-  flips one vertex, and its map is the composition of three elementary maps
-  along a 3-edge path (the three band ends of the flipped vertex, i.e. the
-  matching half-edges at its blowup cycle in the bubbled blowup), grading
-  shift 3m|nu|.
+The vertex complex of a trivalent ribbon diagram lives on its vertex
+hypercube.  Each hypercube edge flips one vertex, and its map is the
+composition of three elementary maps (m / Delta / eta, chosen by the circle
+correspondence) along a 3-edge path, the three band ends of the flipped
+vertex; this is why :class:`LocalMaps` takes a path.  A weight-i state's
+q-degrees are shifted by 3m * i.
 
 An elementary map is the identity on the circles its band does not touch,
 so each hypercube edge's map is composed on a model of its bands, read off
@@ -37,14 +33,8 @@ import math
 import operator
 
 from .algebra import _isqrt_exact, half_m, structure_terms
-from .states import (
-    DEFAULT_STATE_CAP,
-    InvariantError,
-    StateSpaceError,
-    hypercube_ribbon,
-    state_mask,
-)
-from .vpd import PerfectMatchingDiagram, Record, Ribbon, RotationSystem
+from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError, hypercube_ribbon
+from .vpd import Record, Ribbon, RotationSystem
 
 # Largest basis a complex may have; a bigger one is refused while its states
 # are traced, before any differential entry is built (prism6 at n = 3,
@@ -88,7 +78,7 @@ class ChainComplex(Record):
 
     ``diff[(i, j)]`` maps block C^(i,j) -> C^(i+1, j + bigrade_j) as a sparse
     dict (row, col) -> (a, b), the integers of a + b sqrt n.  No basis is
-    kept: a block's elements are numbered state by state (site 0 the most
+    kept: a block's elements are numbered state by state (vertex 0 the most
     significant bit), each state's in the code order of :func:`_codes`.
     """
 
@@ -114,11 +104,12 @@ class ChainComplex(Record):
 # local maps
 
 
-def _placements(steps: int, tilde_count: int) -> tuple[tuple[str, ...], ...]:
-    """Per-step variants for each placement of ``tilde_count`` tilde maps."""
+def _placements(tilde_count: int) -> tuple[tuple[str, ...], ...]:
+    """Per-step variants of a vertex's three band flips, for each placement
+    of ``tilde_count`` tilde maps."""
     return tuple(
-        tuple("tilde" if i in spots else "plain" for i in range(steps))
-        for spots in itertools.combinations(range(steps), tilde_count)
+        tuple("tilde" if i in spots else "plain" for i in range(3))
+        for spots in itertools.combinations(range(3), tilde_count)
     )
 
 
@@ -330,37 +321,29 @@ class LocalMaps:
         return len(firsts), len(firsts_a), local, stable
 
 
-def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
-    """Sum of compositions with exactly ``tilde_count`` tilde factors, on the
-    hypercube edge that 1-smooths ``vertex`` from the vertex state ``bits``,
-    as {source exponents: [(target exponents, (a, b))]} with coefficient
-    a + b sqrt n; each target appears once per source, and terms come in no
-    fixed order."""
-    mask = state_mask(rs, bits, flip=vertex)
-    path = tuple(rs.ribbon.bands[vertex][i] for i in order)
-    maps = LocalMaps(rs.ribbon, n)
-    kb, ka, local, stable = maps.edge_map(mask, path, _placements(3, tilde_count))
-    exps_b, exps_a = maps.codes(kb)[0], maps.codes(ka)[0]
-    out: dict[tuple[int, ...], list] = {}
-    for sp, tp, c in local:
-        for ss, st in stable:
-            out.setdefault(exps_b[sp + ss], []).append((exps_a[tp + st], c))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # complex assembly
 
 
-def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_paths=False):
-    """The complex of a hypercube whose site ``v`` flips the bands
-    ``paths[v]`` in order, toggling swap mask ``site_masks[v]``.
+def build_vertex_complex(
+    rs: RotationSystem,
+    n: int,
+    cap: int = DEFAULT_STATE_CAP,
+    tilde_count: int = 0,
+    verify_paths: bool = False,
+) -> ChainComplex:
+    """The vertex complex; ``tilde_count`` > 0 builds a graded piece delta_k
+    with k = tilde_count * n instead of the bigraded differential.
 
-    States are numbered with site 0 as the most significant bit; a weight-i
-    state's q-degrees are shifted by ``shift * i``.
+    States are numbered with vertex 0 as the most significant bit; vertex
+    ``v`` flips the bands ``ribbon.bands[v]`` in order, toggling swap mask
+    ``ribbon.vertex_masks[v]``.
     """
-    n, d = maps.n, len(paths)
-    m = half_m(n)
+    ribbon = hypercube_ribbon(rs, cap)
+    maps = LocalMaps(ribbon, n)
+    site_masks, paths, variants = ribbon.vertex_masks, ribbon.bands, _placements(tilde_count)
+    bigrade_j, d, m = tilde_count * n, len(paths), half_m(n)
+    shift = 3 * m
     values: dict[tuple[int, int], tuple[int, int]] = {}  # entries share one tuple per value
     dims: dict[tuple[int, int], int] = {}
     masks, ks, total = [], [], 0
@@ -418,40 +401,6 @@ def _assemble(maps, site_masks, paths, shift, variants, bigrade_j=0, verify_path
                         block = diff[(i, j)] = {}
                     block[(offs_a[dt] + rank_a[tgt], offs_b[ds] + rank_b[src])] = val
     return ChainComplex(n, dims, diff, bigrade_j=bigrade_j)
-
-
-def build_vertex_complex(
-    rs: RotationSystem,
-    n: int,
-    cap: int = DEFAULT_STATE_CAP,
-    tilde_count: int = 0,
-    verify_paths: bool = False,
-) -> ChainComplex:
-    """The vertex complex; ``tilde_count`` > 0 builds a graded piece delta_k
-    with k = tilde_count * n instead of the bigraded differential."""
-    ribbon = hypercube_ribbon(rs, cap)
-    return _assemble(
-        LocalMaps(ribbon, n),
-        ribbon.vertex_masks,
-        ribbon.bands,
-        3 * half_m(n),
-        _placements(3, tilde_count),
-        bigrade_j=tilde_count * n,
-        verify_paths=verify_paths,
-    )
-
-
-def build_pm_complex(
-    pmd: PerfectMatchingDiagram, n: int, cap: int = DEFAULT_STATE_CAP
-) -> ChainComplex:
-    """The matching complex: one elementary map per hypercube edge."""
-    return _assemble(
-        LocalMaps(hypercube_ribbon(pmd.rs, cap, pmd.matching), n),
-        [1 << (e - 1) for e in pmd.matching],
-        [(e,) for e in pmd.matching],
-        half_m(n),
-        _placements(1, 0),
-    )
 
 
 def delta_graded_pieces(

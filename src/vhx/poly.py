@@ -372,8 +372,7 @@ def abstract_vertex_polynomial(
     """
     from .vpd import blowup
 
-    fl = blowup(rs)
-    raw = vertex_polynomial(fl.rs, cap).shift(-rs.vertex_count)
+    raw = vertex_polynomial(blowup(rs), cap).shift(-rs.vertex_count)
     sign = -1 if raw.leading() < 0 else 1
     poly = raw * sign
     return poly, sign, poly.min_degree() < 0

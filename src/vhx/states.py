@@ -1,12 +1,10 @@
-"""Hypercubes of smoothing states: their ribbon, cap, and state masks.
+"""The vertex hypercube of smoothing states: its ribbon, cap, and state masks.
 
-Two hypercubes are used: the *vertex hypercube* over {0,1}^|V| (a vertex
-1-smoothing half-twists all three bands at that vertex) and the *matching
-hypercube* over {0,1}^|M| of a perfect matching diagram (a 1-smoothing
-half-twists one matching band).  Inside vhx every state is the edge-swap
-mask of :class:`~vhx.vpd.Ribbon`; a 0/1 tuple names a vertex state only
-where a caller passes one in or a result labels one, and :func:`state_mask`
-is the one conversion.
+The vertex hypercube is {0,1}^|V|: a vertex 1-smoothing half-twists all
+three bands at that vertex.  Inside vhx every state is the edge-swap mask
+of :class:`~vhx.vpd.Ribbon`; a 0/1 tuple names a vertex state only where a
+caller passes one in or a result labels one, and :func:`state_mask` is the
+one conversion.
 """
 
 from __future__ import annotations
@@ -26,17 +24,13 @@ class InvariantError(RuntimeError):
     """An internal invariant of a computation is violated (a bug, not bad input)."""
 
 
-def hypercube_ribbon(
-    rs: RotationSystem, cap: int | None = None, matching: tuple[int, ...] | None = None
-) -> Ribbon:
-    """The compiled ribbon of a trivalent diagram whose hypercube, over its
-    vertices or over the edges of ``matching``, has at most ``cap``
-    dimensions (no bound when ``cap`` is None)."""
+def hypercube_ribbon(rs: RotationSystem, cap: int | None = None) -> Ribbon:
+    """The compiled ribbon of a trivalent diagram whose vertex hypercube has
+    at most ``cap`` dimensions (no bound when ``cap`` is None)."""
     if not rs.is_trivalent():
         raise StateSpaceError("vertex hypercube requires a trivalent diagram")
-    name, dim = ("|V|", rs.vertex_count) if matching is None else ("|M|", len(matching))
-    if cap is not None and dim > cap:
-        raise StateSpaceError(f"{name} = {dim} exceeds the state cap {cap}")
+    if cap is not None and rs.vertex_count > cap:
+        raise StateSpaceError(f"|V| = {rs.vertex_count} exceeds the state cap {cap}")
     return rs.ribbon
 
 

@@ -141,37 +141,6 @@ class RotationSystem(Frozen):
         return len(seen) == self.vertex_count
 
 
-class PerfectMatchingDiagram(Frozen):
-    """A rotation system together with a perfect matching of non-loop edges.
-
-    For bubbled blowups ``site_origin`` maps each matching site to its
-    (original vertex, position 0..2).
-    """
-
-    _fields = ("rs", "matching", "site_origin")
-
-    def __init__(
-        self,
-        rs: RotationSystem,
-        matching: tuple[int, ...],
-        site_origin: tuple[tuple[int, int], ...] = (),
-    ):
-        ends = rs.edge_endpoints()
-        covered: list[int] = []
-        for e in matching:
-            if e not in ends:
-                raise VPDError(f"matching edge e{e} is not an edge of the graph")
-            u, w = ends[e]
-            if u == w:
-                raise VPDError(f"matching edge e{e} is a loop")
-            covered += [u, w]
-        if sorted(covered) != list(range(rs.vertex_count)):
-            raise VPDError("matching does not cover every vertex exactly once")
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "matching", matching)
-        object.__setattr__(self, "site_origin", site_origin)
-
-
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
@@ -387,20 +356,19 @@ def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:
 # blowups
 
 
-def blowup(rs: RotationSystem, at: tuple[int, ...] | None = None) -> PerfectMatchingDiagram:
+def blowup(rs: RotationSystem, at: tuple[int, ...] | None = None) -> RotationSystem:
     """Replace each vertex in ``at`` (default: all) by a cycle.
 
-    Original edges keep their labels and signs and become the matching of the
-    result (only when every vertex is blown up does the matching cover all
-    vertices; partial blowups return the diagram with matching = original
-    edges only if perfect, else raise).
+    Original edges keep their labels and signs, so they are edges 1..|E| of
+    the result; the positive cycle edges follow.  Each vertex of a full
+    blowup meets exactly one original edge, so there edges 1..|E| are a
+    perfect matching.
     """
     targets = set(range(rs.vertex_count)) if at is None else set(at)
     missing = targets - set(range(rs.vertex_count))
     if missing:
         raise VPDError(f"blowup vertex {min(missing)} is not a vertex of the graph")
-    k = rs.edge_count
-    next_label = 2 * k + 1
+    next_label = 2 * rs.edge_count + 1
     new_verts: list[tuple[int, ...]] = []
     for vi, v in enumerate(rs.vertices):
         if vi not in targets or len(v) == 1:
@@ -418,82 +386,4 @@ def blowup(rs: RotationSystem, at: tuple[int, ...] | None = None) -> PerfectMatc
             new_verts.append((v[i], nxt, prv))
     out = RotationSystem(tuple(new_verts))
     validate(out)
-    if at is None:
-        return PerfectMatchingDiagram(out, tuple(range(1, k + 1)))
-    matching = tuple(range(1, k + 1))
-    try:
-        return PerfectMatchingDiagram(out, matching)
-    except VPDError:
-        return PerfectMatchingDiagram(out, _greedy_matching(out))
-
-
-def _greedy_matching(rs: RotationSystem) -> tuple[int, ...]:
-    ends = rs.edge_endpoints()
-    free = set(range(rs.vertex_count))
-    chosen: list[int] = []
-    for e in range(1, rs.edge_count + 1):
-        u, w = ends[e]
-        if u != w and u in free and w in free:
-            chosen.append(e)
-            free -= {u, w}
-    if free:
-        raise VPDError("no perfect matching found for partial blowup")
-    return tuple(chosen)
-
-
-def bubbled_blowup(rs: RotationSystem) -> PerfectMatchingDiagram:
-    """Blowup with every matching edge split in two around a 2-cycle bubble.
-
-    The matching of the result has ``2|E|`` half-edges; ``site_origin`` maps
-    each matching site (0-based position in the matching tuple) to the
-    original vertex and the half-edge position it is incident to.
-    """
-    bl = blowup(rs)
-    base = bl.rs
-    k = rs.edge_count
-    neg = base._negative()
-    # original vertex and half-edge position owning each original half-edge
-    where: dict[int, tuple[int, int]] = {}
-    for vi, v in enumerate(rs.vertices):
-        for i, h in enumerate(v):
-            where[abs(h)] = (vi, i)
-    # slot (vertex index, position) of each half-edge label in the blowup
-    slot_of: dict[int, tuple[int, int]] = {}
-    for vi, v in enumerate(base.vertices):
-        for i, h in enumerate(v):
-            slot_of[abs(h)] = (vi, i)
-
-    # Rebuild the diagram from an edge list with fresh labels.  Each matching
-    # edge e of the blowup becomes half-edge A, a 2-cycle bubble (p, q), and
-    # half-edge B; A keeps e's sign, the rest are positive.
-    edges: list[tuple[tuple[int, int], tuple[int, int], int]] = []
-    nbase = len(base.vertices)
-    final_matching_sites: list[int] = []
-    site_origin: list[tuple[int, int]] = []
-    for e in range(1, base.edge_count + 1):
-        a, b = slot_of[2 * e - 1], slot_of[2 * e]
-        if e <= k:
-            pi = nbase + 2 * (e - 1)
-            qi = pi + 1
-            edges.append((a, (pi, 0), -1 if neg[e] else 1))
-            site_origin.append(where[2 * e - 1])
-            final_matching_sites.append(len(edges))
-            edges.append(((qi, 0), b, 1))
-            site_origin.append(where[2 * e])
-            final_matching_sites.append(len(edges))
-            edges.append(((pi, 1), (qi, 2), 1))
-            edges.append(((pi, 2), (qi, 1), 1))
-        else:
-            edges.append((a, b, 1))
-
-    total_verts = nbase + 2 * k
-    tuples: list[list[int]] = [[0, 0, 0] for _ in range(total_verts)]
-    for idx, (sa, sb, sgn) in enumerate(edges, start=1):
-        la, lb = 2 * idx - 1, 2 * idx
-        tuples[sa[0]][sa[1]] = -la if sgn < 0 else la
-        tuples[sb[0]][sb[1]] = lb
-    out = RotationSystem(tuple(tuple(t) for t in tuples))
-    validate(out)
-    return PerfectMatchingDiagram(
-        out, tuple(final_matching_sites), tuple(site_origin)
-    )
+    return out

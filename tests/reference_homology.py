@@ -24,7 +24,7 @@ from reference_tracer import CircleDecomposition, reference_trace, vertex_swaps
 
 from vhx.algebra import half_m
 from vhx.states import InvariantError
-from vhx.vpd import PerfectMatchingDiagram, RotationSystem
+from vhx.vpd import RotationSystem
 
 
 def edge_tokens(e: int) -> frozenset:
@@ -249,41 +249,6 @@ def vertex_pieces(rs, n) -> list[ReferenceComplex]:
     for diff in diffs:
         _drop_zeros(diff)
     return [ReferenceComplex(n, bases, diff, bigrade_j=t * n) for t, diff in enumerate(diffs)]
-
-
-def build_pm_complex(pmd: PerfectMatchingDiagram, n: int) -> ReferenceComplex:
-    m = half_m(n)
-    sites = len(pmd.matching)
-
-    def dec_of(bits):
-        return trace(pmd.rs, frozenset(e for e, b in zip(pmd.matching, bits) if b))
-
-    bases = {}
-    for bits in itertools.product([0, 1], repeat=sites):
-        i = sum(bits)
-        for exps in monomials(n, dec_of(bits).circle_count):
-            j = sum(qdeg(n, e) for e in exps) + m * i
-            bases.setdefault((i, j), []).append((bits, exps))
-    index = {key: {be: r for r, be in enumerate(lst)} for key, lst in bases.items()}
-    diff = {}
-    for bits in itertools.product([0, 1], repeat=sites):
-        i = sum(bits)
-        for s in range(sites):
-            if bits[s]:
-                continue
-            head = bits[:s] + (1,) + bits[s + 1 :]
-            sign = -1 if sum(bits[:s]) % 2 else 1
-            emap = elementary_tensor_map(dec_of(bits), dec_of(head), pmd.matching[s], n, "plain")
-            for a, lst in emap.items():
-                ja = sum(qdeg(n, e) for e in a) + m * i
-                block = diff.setdefault((i, ja), {})
-                for b, c in lst:
-                    key = (index[(i + 1, ja)][(head, b)], index[(i, ja)][(bits, a)])
-                    val = c if sign > 0 else -c
-                    prev = block.get(key)
-                    block[key] = val if prev is None else prev + val
-    _drop_zeros(diff)
-    return ReferenceComplex(n, bases, diff, bigrade_j=0)
 
 
 def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int) -> int:

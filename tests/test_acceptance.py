@@ -7,6 +7,7 @@ PASSED/FAILED line per criterion.
 import time
 
 from reference_algebra import QuadScalar
+from test_homology import vertex_edge_map_graded
 
 from vhx.colorings import filtered_ranks, harmonic_kernel_check
 from vhx.homology import (
@@ -15,7 +16,6 @@ from vhx.homology import (
     chain_condition_holds,
     delta_graded_pieces,
     graded_euler,
-    vertex_edge_map_graded,
 )
 from vhx.oracles import (
     AbstractGraph,
@@ -183,10 +183,10 @@ def test_criterion_7_property_suites(graphs):
     v_k4 = vertex_polynomial(graphs["k4"])
     assert all(e % 2 == 0 for e in v_k4.coeffs)
     assert v_k4 == v_theta * IntPoly({1: 1})
-    assert vertex_polynomial(blowup(graphs["theta"], at={0}).rs) == v_k4
+    assert vertex_polynomial(blowup(graphs["theta"], at={0})) == v_k4
     v_p3 = vertex_polynomial(graphs["p3"])
     assert v_p3 == v_k4 * IntPoly({1: 1})
-    assert vertex_polynomial(blowup(graphs["theta"]).rs) == v_p3
+    assert vertex_polynomial(blowup(graphs["theta"])) == v_p3
     # harmonic kernel agreement on theta
     for n in (2, 3):
         assert harmonic_kernel_check(graphs["theta"], n).ok

@@ -198,6 +198,37 @@ def test_check_runs_the_filtered_rows_past_every_gate(capsys, tmp_path):
     ]
 
 
+def test_check_skips_a_refused_complex_and_keeps_the_other_rows(capsys, tmp_path):
+    """prism4 (|V| = 8) passes the homology gate, but at n = 8 its complex
+    needs more than MAX_BASIS basis elements: that n's homology rows are
+    skipped with the refusal, and the n = 2 rows computed before it stay,
+    in text and in JSON."""
+    p = tmp_path / "prism4.vpd"
+    p.write_text(serialize_vpd(prism(4)))
+    refusal = (
+        "skipped (the complex needs more than 262144 basis elements "
+        "(266240 in the first 2 of 256 states))"
+    )
+    rows = [
+        ["euler(filtered, n=2) == V(Gamma, 2)", "ok"],
+        ["delta o delta = 0 (n=2)", "ok"],
+        ["graded Euler == n-color polynomial (n=2)", "ok"],
+        ["plane: rank0 == 2 * #PM (n=2)", "ok"],
+        ["plane: rank1 == 4 * #PM * #bridges (n=2)", "ok"],
+        ["plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait", "ok"],
+        ["euler(filtered, n=8) == V(Gamma, 8)", "ok"],
+        ["delta o delta = 0 (n=8)", refusal],
+        ["graded Euler == n-color polynomial (n=8)", refusal],
+    ]
+    code, out, err = run(capsys, "check", "--n", "2,8", str(p))
+    assert code == 0 and err == ""
+    width = max(len(name) for name, _ in rows)
+    assert out == "".join(f"{name:<{width}}  {status}\n" for name, status in rows)
+    code, out, err = run(capsys, "check", "--n", "2,8", "--json", str(p))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"results": rows, "ok": True}
+
+
 def test_check_reports_invariant_failure_and_runs_on(capsys, theta_path, monkeypatch):
     from vhx import homology
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -9,19 +8,18 @@ import vhx
 from vhx.algebra import half_m
 from vhx.homology import (
     ChainComplex,
+    LocalMaps,
+    _placements,
     bigraded_homology,
-    build_pm_complex,
     build_vertex_complex,
     chain_condition_holds,
     chain_euler,
     delta_graded_pieces,
     graded_euler,
     matrix_rank,
-    vertex_edge_map_graded,
 )
 from vhx.poly import ncolor_vertex_polynomial, state_histogram
-from vhx.states import StateSpaceError
-from vhx.vpd import blowup
+from vhx.states import StateSpaceError, state_mask
 
 # the plane prism C4 x K2
 PRISM4 = "G[V[1,5,20],V[6,3,22],V[7,11,2],V[12,9,4],V[13,17,8],V[18,15,10],V[19,23,14],V[24,21,16]]"
@@ -37,6 +35,25 @@ THETA_TABLE_N2 = {
     (2, 8): 3,
     (2, 9): 1,
 }
+
+
+def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
+    """Sum of compositions with exactly ``tilde_count`` tilde factors, on the
+    hypercube edge that 1-smooths ``vertex`` from the vertex state ``bits``,
+    as {source exponents: [(target exponents, (a, b))]} with coefficient
+    a + b sqrt n: :meth:`LocalMaps.edge_map` expanded over the untouched
+    circles.  Each target appears once per source, and terms come in no
+    fixed order."""
+    mask = state_mask(rs, bits, flip=vertex)
+    path = tuple(rs.ribbon.bands[vertex][i] for i in order)
+    maps = LocalMaps(rs.ribbon, n)
+    kb, ka, local, stable = maps.edge_map(mask, path, _placements(tilde_count))
+    exps_b, exps_a = maps.codes(kb)[0], maps.codes(ka)[0]
+    out: dict[tuple[int, ...], list] = {}
+    for sp, tp, c in local:
+        for ss, st in stable:
+            out.setdefault(exps_b[sp + ss], []).append((exps_a[tp + st], c))
+    return out
 
 
 def test_matrix_rank():
@@ -184,30 +201,6 @@ def test_chain_condition_detects_nonzero_square():
     assert chain_condition_holds(cx)
     cx.diff[(1, 0)][(0, 1)] = one
     assert not chain_condition_holds(cx)
-
-
-def test_pm_complex_euler_matches_state_sum(graphs):
-    """Matching-complex Euler characteristic vs an independent state sum."""
-    from reference_algebra import qdeg
-    from reference_tracer import reference_trace
-
-    from vhx.algebra import half_m
-    from vhx.poly import LaurentPoly
-
-    pmd = blowup(graphs["theta"])
-    n = 2
-    cx = build_pm_complex(pmd, n)
-    assert chain_condition_holds(cx)
-    euler = graded_euler(bigraded_homology(cx))
-    m = half_m(n)
-    loop = LaurentPoly({qdeg(n, k): 1 for k in range(n)})
-    total = LaurentPoly.zero()
-    for bits in itertools.product([0, 1], repeat=len(pmd.matching)):
-        swaps = frozenset(e for e, b in zip(pmd.matching, bits) if b)
-        k = reference_trace(pmd.rs, swaps).circle_count
-        w = sum(bits)
-        total = total + (loop**k).shift(m * w) * LaurentPoly({0: (-1) ** w})
-    assert euler == total
 
 
 def test_negative_edge_homology_consistency(graphs):

@@ -1,10 +1,11 @@
 """Gate tests for the local-map assembler.
 
 ``build_vertex_complex`` (every graded piece, with path verification on),
-``delta_graded_pieces``, ``build_pm_complex``, ``vertex_edge_map_graded``
-and the hat maps of the kernel check must equal the dict-of-monomials
-reference in ``reference_homology.py`` exactly, on the fixtures, the
-lollipop and the generated corpus of ``test_ribbon.py`` up to |V| = 8.
+``delta_graded_pieces``, the graded vertex edge maps of
+``LocalMaps.edge_map`` (``test_homology.vertex_edge_map_graded``) and the
+hat maps of the kernel check must equal the dict-of-monomials reference in
+``reference_homology.py`` exactly, on the fixtures, the lollipop and the
+generated corpus of ``test_ribbon.py`` up to |V| = 8.
 An edge map is an unordered sum, so each source's terms are compared as
 a {target: coefficient} dict; each target appears once per source.
 A ribbon traces each swap mask and builds each band model once for all
@@ -20,7 +21,7 @@ import random
 import pytest
 import reference_homology as ref
 from reference_algebra import QuadScalar
-from test_homology import PRISM4
+from test_homology import PRISM4, vertex_edge_map_graded
 from test_ribbon import SMALL, prism, relabel
 
 import vhx
@@ -30,35 +31,32 @@ from vhx.homology import (
     LocalMaps,
     _codes,
     _placements,
-    build_pm_complex,
     build_vertex_complex,
     delta_graded_pieces,
-    vertex_edge_map_graded,
 )
 from vhx.states import InvariantError, state_mask
-from vhx.vpd import blowup
 
 GATED = sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8)
 # n = 4 folds sqrt(n) into the rational part
 CASES = [(name, n) for name in GATED for n in (2, 3)] + [("k4", 4)]
 
 
-def element_order(n, shift, circles):
+def element_order(n, circles):
     """Each block's (state bits, exponents) elements in the order the
-    assembler numbers them: states with site 0 the most significant bit,
+    assembler numbers them: states with vertex 0 the most significant bit,
     then each state's codes in colexicographic order (:func:`_codes`).
     ``circles`` maps a state's bits to its circle count, and a weight-i
-    state's q-degrees are shifted by ``shift * i``."""
+    state's q-degrees are shifted by 3m * i."""
     m, bases = half_m(n), {}
     for bits in sorted(circles):
         i, k = sum(bits), circles[bits]
         exps, dsum, _, _ = _codes(n, k)
         for e, t in zip(exps, dsum):
-            bases.setdefault((i, k * m - t + shift * i), []).append((bits, e))
+            bases.setdefault((i, k * m - t + 3 * m * i), []).append((bits, e))
     return bases
 
 
-def assert_same(cx, want, shift):
+def assert_same(cx, want):
     """Equal dimensions, the reference's elements listed in the assembler's
     order (so the differentials' positions name the same elements), and
     equal differentials once the complex's integer pairs (a, b) are read as
@@ -66,7 +64,7 @@ def assert_same(cx, want, shift):
     assert cx.bigrade_j == want.bigrade_j
     assert cx.dims == {key: len(basis) for key, basis in want.bases.items()}
     circles = {bits: len(e) for basis in want.bases.values() for bits, e in basis}
-    assert element_order(cx.n, shift, circles) == want.bases
+    assert element_order(cx.n, circles) == want.bases
     scalar = functools.cache(lambda ab: QuadScalar.make(*ab, cx.n))
     scalars = {key: {rc: scalar(ab) for rc, ab in blk.items()} for key, blk in cx.diff.items()}
     assert scalars == want.diff
@@ -100,15 +98,8 @@ def test_vertex_complex_matches_reference(name, n):
     pieces = delta_graded_pieces(rs, n)
     assert sorted(pieces) == [0, n, 2 * n, 3 * n]
     for t, want in enumerate(ref.vertex_pieces(rs, n)):
-        assert_same(build_vertex_complex(rs, n, tilde_count=t, verify_paths=True), want, 3 * half_m(n))
-        assert_same(pieces[t * n], want, 3 * half_m(n))
-
-
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("name", ["theta", "thetaneg", "k4"])
-def test_pm_complex_matches_reference(name, n):
-    pmd = blowup(vhx.load_fixture(name))
-    assert_same(build_pm_complex(pmd, n), ref.build_pm_complex(pmd, n), half_m(n))
+        assert_same(build_vertex_complex(rs, n, tilde_count=t, verify_paths=True), want)
+        assert_same(pieces[t * n], want)
 
 
 @pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 2), ("rand4neg", 3)])
@@ -167,7 +158,7 @@ def _band_model_count(rs):
     """The band models that every hypercube edge of ``rs`` at n = 2 needs."""
     maps = LocalMaps(rs.ribbon, 2)
     for bits, v in vertex_flips(rs):
-        maps.edge_map(state_mask(rs, bits, flip=v), rs.ribbon.bands[v], _placements(3, 0))
+        maps.edge_map(state_mask(rs, bits, flip=v), rs.ribbon.bands[v], _placements(0))
     return len(rs.ribbon.band_models)
 
 
@@ -203,6 +194,6 @@ def test_build_rejects_a_broken_end_state_trace(monkeypatch, broken):
     trace = ribbon.trace
     monkeypatch.setattr(ribbon, "trace", lambda mask: (owner, walks) if mask == end else trace(mask))
     with pytest.raises(InvariantError, match="band model disagrees"):
-        LocalMaps(ribbon, 2).edge_map(0, ribbon.bands[0], _placements(3, 0))
+        LocalMaps(ribbon, 2).edge_map(0, ribbon.bands[0], _placements(0))
     with pytest.raises(InvariantError, match="band model disagrees"):
         build_vertex_complex(rs, 2)

@@ -21,10 +21,8 @@ from vhx.oracles import AbstractGraph
 from vhx.poly import state_histogram
 from vhx.vpd import (
     Frozen,
-    PerfectMatchingDiagram,
     Record,
     RotationSystem,
-    VPDError,
     parse_vpd,
 )
 
@@ -41,7 +39,6 @@ EXPORTS = {
     ),
     "homology": (
         "bigraded_homology",
-        "build_pm_complex",
         "build_vertex_complex",
         "chain_condition_holds",
         "delta_graded_pieces",
@@ -56,19 +53,24 @@ EXPORTS = {
     ),
     "poly": ("abstract_vertex_polynomial", "ncolor_vertex_polynomial", "vertex_polynomial"),
     "vpd": (
-        "PerfectMatchingDiagram",
         "RotationSystem",
         "VPDError",
         "blowup",
-        "bubbled_blowup",
         "genus_and_orientability",
         "parse_vpd",
         "serialize_vpd",
     ),
 }
-# public names retired with the circle record: a state's circles are
-# ``rs.ribbon.trace(mask)``
-RETIRED = ("count_partial_colorings", "trace_boundary")
+# public names retired with the circle record (a state's circles are
+# ``rs.ribbon.trace(mask)``) and with the matching complex (every complex is
+# the vertex complex, and ``blowup`` gives a rotation system)
+RETIRED = (
+    "count_partial_colorings",
+    "trace_boundary",
+    "build_pm_complex",
+    "bubbled_blowup",
+    "PerfectMatchingDiagram",
+)
 
 
 def run_fresh(code: str) -> str:
@@ -113,8 +115,8 @@ def test_import_vhx_loads_no_layer_until_asked():
 
 def test_library_calls_never_load_fractions():
     """Off the CLI path too: the complexes, their homology (n = 4 takes the
-    perfect-square fold), the graded pieces, the kernel check, an edge map
-    and the filtered ranks compute on integer pairs alone."""
+    perfect-square fold), the graded pieces, the kernel check and the
+    filtered ranks compute on integer pairs alone."""
     out = run_fresh(
         "import sys, vhx\n"
         "k4, theta = vhx.load_fixture('k4'), vhx.load_fixture('theta')\n"
@@ -122,8 +124,6 @@ def test_library_calls_never_load_fractions():
         "    vhx.bigraded_homology(vhx.build_vertex_complex(k4, n))\n"
         "vhx.delta_graded_pieces(theta, 2)\n"
         "assert vhx.harmonic_kernel_check(theta, 2).ok\n"
-        "from vhx.homology import vertex_edge_map_graded\n"
-        "assert vertex_edge_map_graded(theta, 2, (0, 0), 0, 1)\n"
         "print(vhx.filtered_ranks(theta, 2).ranks)\n"
         "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
     )
@@ -171,10 +171,6 @@ def test_equal_parses_are_equal_keys_of_the_state_cache():
 def test_frozen_classes_keep_their_repr():
     theta = parse_vpd(THETA)
     assert repr(theta) == "RotationSystem(vertices=((1, 6, 4), (2, 3, 5)))"
-    assert repr(PerfectMatchingDiagram(theta, (1,))) == (
-        "PerfectMatchingDiagram(rs=RotationSystem(vertices=((1, 6, 4), (2, 3, 5))), "
-        "matching=(1,), site_origin=())"
-    )
     assert repr(QuadScalar.make(1, 2, 3)) == "(1 + 2*sqrt(3))"
     assert repr(AbstractGraph(2, ((0, 1), (0, 1)))) == (
         "AbstractGraph(n_vertices=2, edges=((0, 1), (0, 1)))"
@@ -188,7 +184,6 @@ def test_frozen_classes_refuse_assignment():
     theta = parse_vpd(THETA)
     frozen = {
         theta: "vertices",
-        PerfectMatchingDiagram(theta, (1,)): "matching",
         QuadScalar.make(1, 2, 3): "a",
         AbstractGraph(2, ((0, 1), (0, 1))): "edges",
     }
@@ -206,7 +201,6 @@ def test_frozen_classes_refuse_assignment():
 def test_frozen_classes_hash_by_value():
     theta = parse_vpd(THETA)
     pairs = [
-        (PerfectMatchingDiagram(theta, (1,)), PerfectMatchingDiagram(parse_vpd(THETA), (1,), ())),
         (QuadScalar.make(1, 2, 3), QuadScalar(1, 2, 3)),
         (AbstractGraph(2, ((0, 1),)), AbstractGraph(2, ((0, 1),))),
         (AbstractGraph.from_rotation_system(theta), AbstractGraph(2, ((0, 1),) * 3)),
@@ -214,20 +208,6 @@ def test_frozen_classes_hash_by_value():
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
     assert QuadScalar.make(1, 2, 3) != QuadScalar.make(1, 2, 5)
-
-
-def test_matching_diagram_defaults_and_validates():
-    theta = parse_vpd(THETA)
-    pmd = PerfectMatchingDiagram(theta, (1,))
-    assert pmd.site_origin == () and pmd.rs is theta and pmd.matching == (1,)
-    with pytest.raises(VPDError, match="exactly once"):
-        PerfectMatchingDiagram(theta, (1, 2))
-    for e in (9, 0, -1):
-        with pytest.raises(VPDError, match=f"matching edge e{e} is not an edge"):
-            PerfectMatchingDiagram(theta, (e,))
-    lolly = parse_vpd("G[V[1,5,9],V[2,3,4],V[6,7,8],V[10,11,12]]")
-    with pytest.raises(VPDError, match="is a loop"):
-        PerfectMatchingDiagram(lolly, (2, 5))
 
 
 def test_quadscalar_folds_a_perfect_square_root():
@@ -258,7 +238,6 @@ def test_mutable_records_compare_by_value_and_are_unhashable():
 # constructor arguments of every Record subclass, built afresh on each call
 RECORD_ARGS = {
     RotationSystem: lambda: (((1, 6, 4), (2, 3, 5)),),
-    PerfectMatchingDiagram: lambda: (parse_vpd(THETA), (1,)),
     AbstractGraph: lambda: (2, ((0, 1),) * 3),
     QuadScalar: lambda: (Fraction(1), Fraction(2), 3),
     FaceColoring: lambda: ((0, 0), (0, 1, 2)),

@@ -78,13 +78,13 @@ def test_blowup_theorem_chain(graphs):
     """Blowing up at one vertex multiplies the vertex polynomial by n."""
     theta = graphs["theta"]
     v_theta = vertex_polynomial(theta)
-    one = blowup(theta, at={0}).rs
+    one = blowup(theta, at={0})
     v_one = vertex_polynomial(one)
     assert v_one == v_theta * IntPoly({1: 1})
     # blowing up the remaining original vertex reaches the 3-prism level
     v_k4 = vertex_polynomial(graphs["k4"])
     assert v_k4 == v_theta * IntPoly({1: 1})  # K4 = blowup of theta at a vertex
-    full = blowup(theta).rs
+    full = blowup(theta)
     assert vertex_polynomial(full) == v_theta * IntPoly({2: 1})
     assert vertex_polynomial(full) == vertex_polynomial(graphs["p3"])
 

@@ -7,7 +7,7 @@ from reference_tracer import reference_trace, vertex_state
 
 from vhx.homology import circle_correspondence
 from vhx.states import InvariantError, StateSpaceError, hypercube_ribbon, state_mask
-from vhx.vpd import bubbled_blowup, parse_vpd
+from vhx.vpd import parse_vpd
 
 
 def band_path(rs, bits, v):
@@ -101,19 +101,6 @@ def test_site_path_counts(graphs):
     assert masks[0] == 0 and masks[-1] == state_mask(rs, (0, 0, 1, 0))
     assert all(masks[i] ^ masks[i + 1] == 1 << (edges[i] - 1) for i in range(3))
     assert bin(masks[-1]).count("1") == 3
-
-
-def test_bubbled_path_matches_site_path(graphs):
-    """A vertex's band edges are the edges of the three matching sites at
-    its blowup cycle in the bubbled blowup (two sites per original edge)."""
-    for name in ("theta", "k4", "lollipop"):
-        rs = graphs[name]
-        bb = bubbled_blowup(rs)
-        for v, bands in enumerate(rs.ribbon.bands):
-            sites = [s for s, (ov, _pos) in enumerate(bb.site_origin) if ov == v]
-            positions = [bb.site_origin[s][1] for s in sites]
-            assert sorted(positions) == [0, 1, 2]
-            assert [bands[pos] for pos in positions] == [s // 2 + 1 for s in sites]
 
 
 def test_state_cap(graphs):

@@ -7,7 +7,6 @@ import vhx
 from vhx.vpd import (
     VPDError,
     blowup,
-    bubbled_blowup,
     genus_and_orientability,
     parse_vpd,
     serialize_vpd,
@@ -122,31 +121,21 @@ def test_corner_map_shape(graphs):
 
 
 def test_blowup_theta(graphs):
-    pmd = blowup(graphs["theta"])
-    assert pmd.rs.vertex_count == 6
-    assert pmd.rs.edge_count == 9
-    assert len(pmd.matching) == 3
+    rs = blowup(graphs["theta"])
+    assert rs.vertex_count == 6
+    assert rs.edge_count == 9
+    # the original edges 1..|E| cover each vertex exactly once: a perfect matching
+    ends = rs.edge_endpoints()
+    covered = sorted(v for e in range(1, graphs["theta"].edge_count + 1) for v in ends[e])
+    assert covered == list(range(rs.vertex_count))
     # the blowup of a plane graph is plane
-    assert genus_and_orientability(pmd.rs) == (True, 0)
-
-
-def test_bubbled_blowup_theta(graphs):
-    pmd = bubbled_blowup(graphs["theta"])
-    assert pmd.rs.vertex_count == 12
-    assert pmd.rs.edge_count == 18
-    assert len(pmd.matching) == 2 * graphs["theta"].edge_count
-    # three matching half-edges are incident to each original vertex's cycle
-    per_vertex = {}
-    for site, edge in enumerate(pmd.matching):
-        v, _ = pmd.site_origin[site]
-        per_vertex.setdefault(v, []).append(edge)
-    assert all(len(v) == 3 for v in per_vertex.values())
+    assert genus_and_orientability(rs) == (True, 0)
 
 
 def test_single_vertex_blowup(graphs):
-    pmd = blowup(graphs["theta"], at={0})
-    assert pmd.rs.vertex_count == 4
-    assert pmd.rs.edge_count == 6
+    rs = blowup(graphs["theta"], at={0})
+    assert rs.vertex_count == 4
+    assert rs.edge_count == 6
 
 
 def test_blowup_refuses_a_missing_vertex(graphs):
