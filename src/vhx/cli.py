@@ -54,9 +54,9 @@ def _build_parser(command: str | None = None, p=None) -> argparse.ArgumentParser
         "--cap",
         type=int,
         default=DEFAULT_STATE_CAP,
-        help="maximum hypercube dimension of homology; state sums and "
-        "filtered ranks sweep the vertices instead and refuse a cut of more "
-        "than CAP open strands, two per cut edge (default %(default)s)",
+        help="refuse a vertex sweep that cuts more than CAP open strands, two "
+        "per cut edge; homology sizes its complex with the same sweep "
+        "(default %(default)s)",
     )
     if _COMMANDS[command][2]:
         p.add_argument(

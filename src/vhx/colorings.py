@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .poly import _Poly, rank_polynomials
-from .states import DEFAULT_STATE_CAP, hypercube_ribbon, state_mask
+from .states import DEFAULT_STATE_CAP, state_mask
 from .vpd import Record, RotationSystem
 
 
@@ -184,12 +184,13 @@ def harmonic_kernel_check(
     The kernel is n^k minus the exact rank over Q(sqrt n) of the state's
     outgoing hat maps stacked on the transposes of its incoming ones, their
     entries kept as integer pairs.  The traces and band models are the
-    ribbon's, shared with the complexes built on it.
+    ribbon's, shared with the complexes built on it, and the check is
+    refused, before any trace, where the complex at ``n`` would be.
     """
-    from .homology import LocalMaps, matrix_rank
+    from .homology import _sized_maps, matrix_rank
 
-    ribbon = hypercube_ribbon(rs, cap)
-    maps = LocalMaps(ribbon, n)
+    maps = _sized_maps(rs, n, cap)
+    ribbon = maps.ribbon
 
     per_state: dict[tuple[int, ...], tuple[int, int, str]] = {}
     for bits in itertools.product([0, 1], repeat=rs.vertex_count):

@@ -33,12 +33,13 @@ import math
 import operator
 
 from .algebra import _isqrt_exact, half_m, structure_terms
-from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError, hypercube_ribbon
+from .poly import LaurentPoly, state_histogram
+from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError
 from .vpd import Record, Ribbon, RotationSystem
 
-# Largest basis a complex may have; a bigger one is refused while its states
-# are traced, before any differential entry is built (prism6 at n = 3,
-# 224,784 elements, peaks at 87.5 MB).
+# Largest basis a complex may have; a bigger one is refused from its exact
+# size, before any state is traced (prism6 at n = 3, 224,784 elements, peaks
+# at 87.5 MB).
 MAX_BASIS = 1 << 18
 
 
@@ -325,6 +326,19 @@ class LocalMaps:
 # complex assembly
 
 
+def _sized_maps(rs: RotationSystem, n: int, cap: int) -> LocalMaps:
+    """The local maps of ``rs`` at ``n`` once its complex is known to fit: a
+    state with k circles holds n^k basis elements, so the state histogram's
+    sweep (refused past ``cap`` open strands) gives the exact size, and a
+    size over ``MAX_BASIS`` is refused."""
+    hist = state_histogram(rs, cap)
+    maps = LocalMaps(rs.ribbon, n)
+    size = sum(c * n**k for row in hist for k, c in row.items())
+    if size > MAX_BASIS:
+        raise StateSpaceError(f"the complex needs {size} basis elements, more than {MAX_BASIS}")
+    return maps
+
+
 def build_vertex_complex(
     rs: RotationSystem,
     n: int,
@@ -337,27 +351,22 @@ def build_vertex_complex(
 
     States are numbered with vertex 0 as the most significant bit; vertex
     ``v`` flips the bands ``ribbon.bands[v]`` in order, toggling swap mask
-    ``ribbon.vertex_masks[v]``.
+    ``ribbon.vertex_masks[v]``.  :func:`_sized_maps` refuses a complex too
+    big for ``MAX_BASIS`` before any state is traced.
     """
-    ribbon = hypercube_ribbon(rs, cap)
-    maps = LocalMaps(ribbon, n)
+    maps = _sized_maps(rs, n, cap)
+    ribbon = maps.ribbon
     site_masks, paths, variants = ribbon.vertex_masks, ribbon.bands, _placements(tilde_count)
     bigrade_j, d, m = tilde_count * n, len(paths), half_m(n)
     shift = 3 * m
     values: dict[tuple[int, int], tuple[int, int]] = {}  # entries share one tuple per value
     dims: dict[tuple[int, int], int] = {}
-    masks, ks, total = [], [], 0
+    masks, ks = [], []
     offsets = []  # per state, its first position in each of its blocks
     for s in range(1 << d):
         low = s & -s
         masks.append(masks[s ^ low] ^ site_masks[d - low.bit_length()] if s else 0)
         k = len(maps.trace(masks[s])[0])
-        total += n**k
-        if total > MAX_BASIS:
-            raise StateSpaceError(
-                f"the complex needs more than {MAX_BASIS} basis elements "
-                f"({total} in the first {s + 1} of {1 << d} states)"
-            )
         ks.append(k)
         i = s.bit_count()
         keys = [(i, k * m - t + shift * i) for t in range(k * (n - 1) + 1)]
@@ -515,17 +524,15 @@ def bigraded_homology(cx: ChainComplex) -> RankTable:
     return RankTable(cx.n, ranks)
 
 
-def graded_euler(ranks: RankTable) -> "LaurentPoly":
+def graded_euler(ranks: RankTable) -> LaurentPoly:
     """sum (-1)^i q^j rank(i, j)."""
-    from .poly import LaurentPoly
-
     out: dict[int, int] = {}
     for (i, j), r in ranks.ranks.items():
         out[j] = out.get(j, 0) + (-1) ** i * r
     return LaurentPoly(out)
 
 
-def chain_euler(cx: ChainComplex) -> "LaurentPoly":
+def chain_euler(cx: ChainComplex) -> LaurentPoly:
     """Graded Euler characteristic from chain-group dimensions (equal to the
     homological one by rank-nullity)."""
     return graded_euler(RankTable(cx.n, cx.dims))

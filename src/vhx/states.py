@@ -1,10 +1,11 @@
-"""The vertex hypercube of smoothing states: its ribbon, cap, and state masks.
+"""The vertex hypercube of smoothing states: its ribbon and state masks.
 
 The vertex hypercube is {0,1}^|V|: a vertex 1-smoothing half-twists all
 three bands at that vertex.  Inside vhx every state is the edge-swap mask
 of :class:`~vhx.vpd.Ribbon`; a 0/1 tuple names a vertex state only where a
 caller passes one in or a result labels one, and :func:`state_mask` is the
-one conversion.
+one conversion.  ``DEFAULT_STATE_CAP`` bounds the open strands of a vertex
+sweep's widest cut (:mod:`~vhx.poly`), which also sizes every complex.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ class InvariantError(RuntimeError):
     """An internal invariant of a computation is violated (a bug, not bad input)."""
 
 
-def hypercube_ribbon(rs: RotationSystem, cap: int | None = None) -> Ribbon:
-    """The compiled ribbon of a trivalent diagram whose vertex hypercube has
-    at most ``cap`` dimensions (no bound when ``cap`` is None)."""
+def hypercube_ribbon(rs: RotationSystem) -> Ribbon:
+    """The compiled ribbon of a trivalent diagram."""
     if not rs.is_trivalent():
         raise StateSpaceError("vertex hypercube requires a trivalent diagram")
-    if cap is not None and rs.vertex_count > cap:
-        raise StateSpaceError(f"|V| = {rs.vertex_count} exceeds the state cap {cap}")
     return rs.ribbon
 
 
@@ -43,12 +41,8 @@ def cache_per_graph(fn):
     return call
 
 
-def state_mask(rs: RotationSystem, bits, flip: int | None = None) -> int:
-    """Swap mask of the vertex state with 0/1 smoothings ``bits``.
-
-    With ``flip``, the state is the tail of the hypercube edge that
-    1-smooths vertex ``flip``, so that vertex must be 0-smoothed.
-    """
+def state_mask(rs: RotationSystem, bits) -> int:
+    """Swap mask of the vertex state with 0/1 smoothings ``bits``."""
     vertex_masks = hypercube_ribbon(rs).vertex_masks
     if len(bits) != len(vertex_masks):
         raise StateSpaceError(
@@ -56,10 +50,6 @@ def state_mask(rs: RotationSystem, bits, flip: int | None = None) -> int:
         )
     if any(b not in (0, 1) for b in bits):
         raise StateSpaceError(f"state {tuple(bits)} has an entry other than 0/1")
-    if flip is not None and not (0 <= flip < len(bits) and bits[flip] == 0):
-        raise StateSpaceError(
-            f"no hypercube edge 1-smooths vertex {flip} from state {tuple(bits)}"
-        )
     mask = 0
     for bit, vm in zip(bits, vertex_masks):
         if bit:

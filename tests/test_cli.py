@@ -205,10 +205,7 @@ def test_check_skips_a_refused_complex_and_keeps_the_other_rows(capsys, tmp_path
     in text and in JSON."""
     p = tmp_path / "prism4.vpd"
     p.write_text(serialize_vpd(prism(4)))
-    refusal = (
-        "skipped (the complex needs more than 262144 basis elements "
-        "(266240 in the first 2 of 256 states))"
-    )
+    refusal = "skipped (the complex needs 758272 basis elements, more than 262144)"
     rows = [
         ["euler(filtered, n=2) == V(Gamma, 2)", "ok"],
         ["delta o delta = 0 (n=2)", "ok"],

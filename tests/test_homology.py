@@ -2,9 +2,10 @@ import random
 
 import pytest
 from reference_algebra import QuadScalar
-from test_ribbon import CORPUS_SEED, SMALL, prism, relabel
+from test_ribbon import CORPUS_SEED, SMALL, prism, random_cubic, relabel
 
 import vhx
+from vhx import homology
 from vhx.algebra import half_m
 from vhx.homology import (
     ChainComplex,
@@ -20,6 +21,7 @@ from vhx.homology import (
 )
 from vhx.poly import ncolor_vertex_polynomial, state_histogram
 from vhx.states import StateSpaceError, state_mask
+from vhx.vpd import Ribbon
 
 # the plane prism C4 x K2
 PRISM4 = "G[V[1,5,20],V[6,3,22],V[7,11,2],V[12,9,4],V[13,17,8],V[18,15,10],V[19,23,14],V[24,21,16]]"
@@ -44,7 +46,9 @@ def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
     a + b sqrt n: :meth:`LocalMaps.edge_map` expanded over the untouched
     circles.  Each target appears once per source, and terms come in no
     fixed order."""
-    mask = state_mask(rs, bits, flip=vertex)
+    mask = state_mask(rs, bits)
+    if bits[vertex]:
+        raise StateSpaceError(f"no hypercube edge 1-smooths vertex {vertex} from {bits}")
     path = tuple(rs.ribbon.bands[vertex][i] for i in order)
     maps = LocalMaps(rs.ribbon, n)
     kb, ka, local, stable = maps.edge_map(mask, path, _placements(tilde_count))
@@ -265,6 +269,57 @@ def test_dims_follow_the_state_histogram(name, n):
                 key = (w, k * m - t + 3 * m * w)
                 want[key] = want.get(key, 0) + states * count
     assert build_vertex_complex(rs, n).dims == want
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """The masks of every :meth:`Ribbon.trace` call; the 101st call fails the
+    test, so a refusal that comes only after tracing fails fast."""
+    calls, trace = [], Ribbon.trace
+
+    def counted(ribbon, mask):
+        calls.append(mask)
+        if len(calls) > 100:
+            pytest.fail("traced more than 100 states")
+        return trace(ribbon, mask)
+
+    monkeypatch.setattr(Ribbon, "trace", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rs,size",
+    [
+        (vhx.load_fixture("dodec"), 12722176),
+        (random_cubic(random.Random(1), 24, 0.3), 109150208),
+    ],
+    ids=["dodec", "r24"],
+)
+def test_an_oversized_complex_is_refused_before_any_trace(traces, rs, size):
+    """The refusal names the complex's exact size, read off the state
+    histogram, and no state is traced for it."""
+    with pytest.raises(StateSpaceError) as info:
+        build_vertex_complex(rs, 2)
+    assert str(info.value) == f"the complex needs {size} basis elements, more than 262144"
+    assert traces == []
+
+
+def test_the_kernel_check_is_refused_with_the_complex(traces):
+    with pytest.raises(StateSpaceError, match="the complex needs 12722176 basis elements"):
+        vhx.harmonic_kernel_check(vhx.load_fixture("dodec"), 2)
+    assert traces == []
+
+
+def test_max_basis_bounds_the_exact_size(monkeypatch):
+    """prism4 at n = 2 has 1,792 basis elements: a bound of 1,792 admits
+    its complex and 1,791 refuses it."""
+    rs = prism(4)
+    monkeypatch.setattr(homology, "MAX_BASIS", 1792)
+    assert sum(build_vertex_complex(rs, 2).dims.values()) == 1792
+    monkeypatch.setattr(homology, "MAX_BASIS", 1791)
+    with pytest.raises(StateSpaceError) as info:
+        build_vertex_complex(rs, 2)
+    assert str(info.value) == "the complex needs 1792 basis elements, more than 1791"
 
 
 @pytest.mark.parametrize("name", sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8))

@@ -158,7 +158,8 @@ def _band_model_count(rs):
     """The band models that every hypercube edge of ``rs`` at n = 2 needs."""
     maps = LocalMaps(rs.ribbon, 2)
     for bits, v in vertex_flips(rs):
-        maps.edge_map(state_mask(rs, bits, flip=v), rs.ribbon.bands[v], _placements(0))
+        assert bits[v] == 0
+        maps.edge_map(state_mask(rs, bits), rs.ribbon.bands[v], _placements(0))
     return len(rs.ribbon.band_models)
 
 

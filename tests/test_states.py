@@ -12,7 +12,8 @@ from vhx.vpd import parse_vpd
 
 def band_path(rs, bits, v):
     """Swap masks along the 3-edge path that flips vertex ``v``, and its edges."""
-    masks, edges = [state_mask(rs, bits, flip=v)], rs.ribbon.bands[v]
+    assert bits[v] == 0
+    masks, edges = [state_mask(rs, bits)], rs.ribbon.bands[v]
     for e in edges:
         masks.append(masks[-1] ^ 1 << (e - 1))
     return masks, edges
@@ -104,9 +105,7 @@ def test_site_path_counts(graphs):
 
 
 def test_state_cap(graphs):
-    with pytest.raises(StateSpaceError, match=r"\|V\| = 20 exceeds the state cap 10"):
-        hypercube_ribbon(graphs["dodec"], cap=10)
-    assert hypercube_ribbon(graphs["dodec"], cap=20) is graphs["dodec"].ribbon
+    assert hypercube_ribbon(graphs["dodec"]) is graphs["dodec"].ribbon
     with pytest.raises(StateSpaceError, match="requires a trivalent diagram"):
         hypercube_ribbon(parse_vpd("G[V[1,4,3,6],V[2,5]]", any_valence=True))
 
@@ -115,11 +114,3 @@ def test_state_cap(graphs):
 def test_state_mask_rejects_bad_states(graphs, bits):
     with pytest.raises(StateSpaceError):
         state_mask(graphs["theta"], bits)
-
-
-def test_state_mask_rejects_a_missing_hypercube_edge(graphs):
-    theta = graphs["theta"]
-    assert state_mask(theta, (0, 1), flip=0) == theta.ribbon.vertex_masks[1]
-    for bits, flip in (((1, 0), 0), ((1, 1), 1), ((0, 0), 2), ((0, 0), -1)):
-        with pytest.raises(StateSpaceError, match="no hypercube edge"):
-            state_mask(theta, bits, flip=flip)
