@@ -30,6 +30,7 @@ _LAYERS = {
         "AbstractGraph",
         "bridges",
         "classify_matching",
+        "count_perfect_matchings",
         "count_tait_colorings",
         "perfect_matchings",
     ),

@@ -18,10 +18,6 @@ from . import __version__
 from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError
 from .vpd import VPDError, genus_and_orientability, parse_vpd
 
-# feasibility gates for the `check` suite; perfect matchings are enumerated
-CHECK_HOMOLOGY_MAX_V = 8
-CHECK_MATCHINGS_MAX_V = 12
-
 
 def _parse_n_list(text: str) -> list[int]:
     try:
@@ -233,7 +229,7 @@ def cmd_tait(rs, args) -> int:
     from .oracles import AbstractGraph, count_tait_colorings
 
     g = AbstractGraph.from_rotation_system(rs)
-    count = count_tait_colorings(g)
+    count = count_tait_colorings(g, args.cap)
     print(json.dumps({"tait": count}) if args.json else str(count))
     return 0
 
@@ -246,13 +242,7 @@ def cmd_check(rs, args) -> int:
         chain_condition_holds,
         graded_euler,
     )
-    from .oracles import (
-        TAIT_EDGE_CAP,
-        AbstractGraph,
-        bridges,
-        count_tait_colorings,
-        perfect_matchings,
-    )
+    from .oracles import AbstractGraph, bridges, count_perfect_matchings, count_tait_colorings
     from .poly import ncolor_vertex_polynomial, vertex_polynomial
 
     results: list[tuple[str, str]] = []  # (name, "ok" | "FAIL..." | "skipped")
@@ -260,56 +250,40 @@ def cmd_check(rs, args) -> int:
     def record(name, ok):
         results.append((name, "ok" if ok else "FAIL"))
 
-    def skip(name, why):
-        results.append((name, f"skipped ({why})"))
-
     g = AbstractGraph.from_rotation_system(rs)
     orientable, genus = genus_and_orientability(rs)
     plane = orientable and genus == 0
-    nv = rs.vertex_count
     vp = vertex_polynomial(rs, cap=args.cap)
 
     for n in args.n:
         fr = filtered_ranks(rs, n, cap=args.cap)
         record(f"euler(filtered, n={n}) == V(Gamma, {n})", fr.euler == vp(n))
 
-        if nv <= CHECK_HOMOLOGY_MAX_V:
-            names = [f"delta o delta = 0 (n={n})", f"graded Euler == n-color polynomial (n={n})"]
+        names = [f"delta o delta = 0 (n={n})", f"graded Euler == n-color polynomial (n={n})"]
+        if args.verify_paths:
+            names.insert(1, f"path independence (n={n})")
+        recorded = len(results)
+        try:
+            cx = build_vertex_complex(rs, n, cap=args.cap, verify_paths=args.verify_paths)
+            record(names[0], chain_condition_holds(cx))
             if args.verify_paths:
-                names.insert(1, f"path independence (n={n})")
-            recorded = len(results)
-            try:
-                cx = build_vertex_complex(
-                    rs, n, cap=args.cap, verify_paths=args.verify_paths
-                )
-                record(names[0], chain_condition_holds(cx))
-                if args.verify_paths:
-                    record(names[1], True)  # the build raises on path dependence
-                euler = graded_euler(bigraded_homology(cx))
-                record(names[-1], euler == ncolor_vertex_polynomial(rs, n, cap=args.cap))
-            except (InvariantError, StateSpaceError) as exc:
-                # a violated invariant fails the identities it left unchecked
-                # and a refused complex skips them; the suite runs on
-                status = "FAIL" if isinstance(exc, InvariantError) else "skipped"
-                for name in names[len(results) - recorded :]:
-                    results.append((name, f"{status} ({exc})"))
-        else:
-            skip(f"homology identities (n={n})", f"|V| = {nv}")
+                record(names[1], True)  # the build raises on path dependence
+            euler = graded_euler(bigraded_homology(cx))
+            record(names[-1], euler == ncolor_vertex_polynomial(rs, n, cap=args.cap))
+        except (InvariantError, StateSpaceError) as exc:
+            # a violated invariant fails the identities it left unchecked
+            # and a refused complex skips them; the suite runs on
+            status = "FAIL" if isinstance(exc, InvariantError) else "skipped"
+            for name in names[len(results) - recorded :]:
+                results.append((name, f"{status} ({exc})"))
 
         if plane and n == 2:
-            pm_rows = ("plane: rank0 == 2 * #PM (n=2)", "plane: rank1 == 4 * #PM * #bridges (n=2)")
-            if nv <= CHECK_MATCHINGS_MAX_V:
-                pms = perfect_matchings(g)
-                record(pm_rows[0], fr.ranks[0] == 2 * len(pms))
-                record(pm_rows[1], fr.ranks[1] == 4 * len(pms) * len(bridges(g)))
-            else:
-                for name in pm_rows:
-                    skip(name, f"|V| = {nv}")
-            tait_row = "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait"
-            if len(g.edges) <= TAIT_EDGE_CAP:
-                record(tait_row, fr.euler == 2 ** (nv // 2) * count_tait_colorings(g))
-            else:
-                skip(tait_row, f"|E| = {len(g.edges)}")
+            pms = count_perfect_matchings(g, args.cap)
+            record("plane: rank0 == 2 * #PM (n=2)", fr.ranks[0] == 2 * pms)
+            rank1 = 4 * pms * len(bridges(g))
+            record("plane: rank1 == 4 * #PM * #bridges (n=2)", fr.ranks[1] == rank1)
+            tait_euler = 2 ** (rs.vertex_count // 2) * count_tait_colorings(g, args.cap)
+            record("plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait", fr.euler == tait_euler)
 
     width = max(len(name) for name, _ in results)
     failed = any(status.startswith("FAIL") for _, status in results)

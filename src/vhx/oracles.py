@@ -1,16 +1,18 @@
-"""Brute-force ground truth on the abstract multigraph.
+"""Ground truth on the abstract multigraph.
 
 Everything here ignores the ribbon structure: perfect matchings, their
 even/odd classification, Tait colorings (proper 3-edge-colorings), and
 bridges serve as independent oracles for the theorems the homology side
-computes categorically.
+computes categorically.  Counts come from an edge-label sweep
+(:func:`~vhx.poly._edge_labelings`), refused past the same ``cap`` as the
+state sums; lists come from enumeration.
 """
 
 from __future__ import annotations
 
+from .poly import _edge_labelings
+from .states import DEFAULT_STATE_CAP
 from .vpd import Frozen, RotationSystem
-
-TAIT_EDGE_CAP = 36
 
 
 class AbstractGraph(Frozen):
@@ -112,55 +114,18 @@ def classify_matching(g: AbstractGraph, matching: frozenset[int]) -> tuple[bool,
     return all(l % 2 == 0 for l in lengths), lengths
 
 
-def count_tait_colorings(g: AbstractGraph) -> int:
-    """Number of proper 3-edge-colorings of a trivalent multigraph."""
+def count_tait_colorings(g: AbstractGraph, cap: int = DEFAULT_STATE_CAP) -> int:
+    """Number of proper 3-edge-colorings of a trivalent multigraph, by the
+    edge-label sweep; a loop meets its vertex twice with one color."""
     if not g.is_trivalent():
         raise ValueError("Tait colorings require a trivalent graph")
-    if len(g.edges) > TAIT_EDGE_CAP:
-        raise ValueError(f"|E| = {len(g.edges)} exceeds the Tait cap {TAIT_EDGE_CAP}")
-    if any(u == w for u, w in g.edges):
-        return 0  # a loop meets its vertex twice with one color
-    inc = g.incident()
-    color = [-1] * len(g.edges)
-    # order edges to keep the frontier connected (simple BFS over edges)
-    order: list[int] = []
-    seen = set()
-    stack = [0] if g.edges else []
-    seen_v = set()
-    while stack:
-        v = stack.pop()
-        if v in seen_v:
-            continue
-        seen_v.add(v)
-        for e in inc[v]:
-            if e not in seen:
-                seen.add(e)
-                order.append(e)
-            u, w = g.edges[e]
-            stack.extend(x for x in (u, w) if x not in seen_v)
-    order += [e for e in range(len(g.edges)) if e not in seen]
+    return _edge_labelings(g.n_vertices, g.edges, 3, lambda ls: len(set(ls)) == 3, cap)
 
-    def ok(e: int, c: int) -> bool:
-        u, w = g.edges[e]
-        for v in (u, w):
-            for f in inc[v]:
-                if f != e and color[f] == c:
-                    return False
-        return True
 
-    def rec(i: int) -> int:
-        if i == len(order):
-            return 1
-        e = order[i]
-        total = 0
-        for c in range(3):
-            if ok(e, c):
-                color[e] = c
-                total += rec(i + 1)
-                color[e] = -1
-        return total
-
-    return rec(0)
+def count_perfect_matchings(g: AbstractGraph, cap: int = DEFAULT_STATE_CAP) -> int:
+    """Number of perfect matchings, by the edge-label sweep: each vertex
+    meets exactly one matched edge, and a matched loop would meet it twice."""
+    return _edge_labelings(g.n_vertices, g.edges, 2, lambda ls: sum(ls) == 1, cap)
 
 
 def bridges(g: AbstractGraph) -> frozenset[int]:

@@ -12,12 +12,17 @@ are counted by how the strands cut open at the sweep's frontier pair up,
 never one by one.  Its cost grows with the widest cut, not with 2^|V|.  The
 filtered ranks' polynomials in n (:func:`rank_polynomials`) are a second
 transfer matrix on the same :func:`_sweep_steps` tables; both pack their
-counts into one integer per table entry and read it with one reader.
+counts into one integer per table entry and read it with one reader.  The
+third, :func:`_edge_labelings`, sweeps the abstract graph in the same
+vertex order, keyed by the labels of the cut edges: it counts the Tait
+colorings and perfect matchings of :mod:`~vhx.oracles`.  All three refuse
+a cut of more than ``cap`` open strands, two per cut edge.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import product
 
 from .algebra import half_m
 from .states import DEFAULT_STATE_CAP, StateSpaceError, cache_per_graph, hypercube_ribbon
@@ -148,27 +153,37 @@ def loop_polynomial(n: int) -> LaurentPoly:
 # state histogram
 
 
-def _sweep_order(rs: RotationSystem) -> list[int]:
+def _sweep_order(nv: int, ends) -> list[int]:
     """Vertices in greedy sweep order: next comes the vertex that grows the
     cut least (its edges to unswept vertices less those to swept ones,
     loops counting neither), ties to the lowest index.  Without loops that
-    is the vertex with the most swept neighbours."""
-    ends = rs.edge_endpoints()
-    far = [[] for _ in range(rs.vertex_count)]  # the far end of each half-edge
-    for u, w in ends.values():
+    is the vertex with the most swept neighbours.  ``ends`` holds each
+    edge's two end vertices."""
+    far = [[] for _ in range(nv)]  # the far end of each half-edge
+    for u, w in ends:
         if u != w:
             far[u].append(w)
             far[w].append(u)
-    swept = [False] * rs.vertex_count
+    swept = [False] * nv
     order = []
-    for _ in range(rs.vertex_count):
+    for _ in range(nv):
         v = min(
-            (v for v in range(rs.vertex_count) if not swept[v]),
+            (v for v in range(nv) if not swept[v]),
             key=lambda v: (sum(1 - 2 * swept[w] for w in far[v]), v),
         )
         swept[v] = True
         order.append(v)
     return order
+
+
+def _refuse_wide_cut(strands: int, cap: int) -> None:
+    """The one refusal of every sweep: a cut of more than ``cap`` open
+    strands, two per cut edge."""
+    if strands > cap:
+        raise StateSpaceError(
+            f"the vertex sweep cuts {strands // 2} edges ({strands} "
+            f"open strands), over the state cap {cap}"
+        )
 
 
 def _sweep_steps(rs: RotationSystem, cap: int):
@@ -185,7 +200,7 @@ def _sweep_steps(rs: RotationSystem, cap: int):
     swept: set[int] = set()
     opened: list[int] = []
     steps = []
-    for v in _sweep_order(rs):
+    for v in _sweep_order(rs.vertex_count, ends.values()):
         swept.add(v)
         own = [t for a in ribbon.corners[v] for t in (a, ribbon.arc[a])]
         local = {t: i for i, t in enumerate(opened + own)}
@@ -200,11 +215,7 @@ def _sweep_steps(rs: RotationSystem, cap: int):
         shut = {i for pair in glues for i in pair}
         keep = [i for i in range(len(local)) if i not in shut]
         opened = [t for t, i in local.items() if i not in shut]
-        if len(opened) > cap:
-            raise StateSpaceError(
-                f"the vertex sweep cuts {len(opened) // 2} edges ({len(opened)} "
-                f"open strands), over the state cap {cap}"
-            )
+        _refuse_wide_cut(len(opened), cap)
         where = [-1] * len(local)
         for j, i in enumerate(keep):
             where[i] = j
@@ -325,6 +336,49 @@ def rank_polynomials(rs: RotationSystem, cap: int = DEFAULT_STATE_CAP) -> tuple[
         table = nxt
     (counts,) = table.values()
     return tuple(IntPoly(row) for row in _read_digits(counts, bits, nv))
+
+
+def _edge_labelings(nv: int, ends, labels: int, fits, cap: int) -> int:
+    """The number of labelings of the edges ``ends`` (end-vertex pairs) by
+    ``range(labels)`` under which the labels at each vertex, a loop's twice,
+    pass ``fits``.  A transfer matrix on :func:`_sweep_order`: the table maps
+    the labels of the cut edges, in the order they were cut, to the number
+    of labelings of the swept part.  Refuses a cut of more than ``cap``
+    strands, two per cut edge, as the vertex sweeps do on the same order."""
+    at: list[list[int]] = [[] for _ in range(nv)]
+    for e, (u, w) in enumerate(ends):
+        at[u].append(e)
+        if w != u:
+            at[w].append(e)
+    cut: list[int] = []
+    steps = []
+    for v in _sweep_order(nv, ends):
+        shut = [cut.index(e) for e in at[v] if e in cut]
+        new = [e for e in at[v] if e not in cut]
+        loops = [i for i, e in enumerate(new) if ends[e][0] == ends[e][1]]
+        opened = [i for i in range(len(new)) if i not in loops]
+        keep = [i for i in range(len(cut)) if i not in shut]
+        cut = [cut[i] for i in keep] + [new[i] for i in opened]
+        _refuse_wide_cut(2 * len(cut), cap)
+        # the labels of the opened edges that each labeling of the shut ones allows
+        moves = {
+            s: [
+                tuple([c[i] for i in opened])
+                for c in product(range(labels), repeat=len(new))
+                if fits(s + c + tuple([c[i] for i in loops]))
+            ]
+            for s in product(range(labels), repeat=len(shut))
+        }
+        steps.append((shut, keep, moves))
+    table = {(): 1}
+    for shut, keep, moves in steps:
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, count in table.items():
+            head = tuple([key[i] for i in keep])
+            for tail in moves[tuple([key[i] for i in shut])]:
+                nxt[head + tail] = nxt.get(head + tail, 0) + count
+        table = nxt
+    return sum(table.values())
 
 
 # ---------------------------------------------------------------------------

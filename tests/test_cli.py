@@ -130,6 +130,25 @@ def test_tait(capsys):
     assert out.strip() == "60"
 
 
+def test_tait_of_prism50(capsys, tmp_path):
+    """The 100-vertex plane prism: past any backtracking, not past the sweep."""
+    p = tmp_path / "prism50.vpd"
+    p.write_text(serialize_vpd(prism(50)))
+    code, out, _ = run(capsys, "tait", str(p))
+    assert code == 0
+    assert out == "1125899906842632\n"
+
+
+def test_tait_refuses_a_wide_cut_as_the_state_sum_does(capsys):
+    """The edge-label sweep walks the vertex sweep's order and refuses its cut."""
+    code, out, err = run(capsys, "tait", "--cap", "4", f"{DATA}/k33.vpd")
+    assert (code, out) == (2, "")
+    assert (code, out, err) == run(capsys, "vertex-poly", "--cap", "4", f"{DATA}/k33.vpd")
+
+
+DODEC_REFUSAL = "skipped (the complex needs 12722176 basis elements, more than 262144)"
+
+
 def test_check_passes(capsys, theta_path):
     code, out, _ = run(capsys, "check", "--n", "2,3", "--verify-paths", theta_path)
     assert code == 0
@@ -149,11 +168,12 @@ def test_check_passes(capsys, theta_path):
             "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  ok\n"
         ),
         (
-            "dodec",  # past the matchings gate: the #PM rows say so
+            "dodec",  # the complex is refused by its exact size; the sweeps count the rest
             "euler(filtered, n=2) == V(Gamma, 2)               ok\n"
-            "homology identities (n=2)                         skipped (|V| = 20)\n"
-            "plane: rank0 == 2 * #PM (n=2)                     skipped (|V| = 20)\n"
-            "plane: rank1 == 4 * #PM * #bridges (n=2)          skipped (|V| = 20)\n"
+            "delta o delta = 0 (n=2)                           " + DODEC_REFUSAL + "\n"
+            "graded Euler == n-color polynomial (n=2)          " + DODEC_REFUSAL + "\n"
+            "plane: rank0 == 2 * #PM (n=2)                     ok\n"
+            "plane: rank1 == 4 * #PM * #bridges (n=2)          ok\n"
             "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  ok\n"
         ),
     ],
@@ -164,38 +184,32 @@ def test_check_text_pinned(capsys, name, expected):
     assert out == expected
 
 
-def test_check_runs_the_filtered_rows_past_every_gate(capsys, tmp_path):
-    """A plane prism with |V| = 26, |E| = 39 > TAIT_EDGE_CAP, is past every
-    gate but the state sum's: its filtered Euler characteristic is still
-    checked against V(Gamma, n), and every identity past its gate is named
-    as skipped, with the size that tripped it, in text and in JSON."""
-    rs = prism(13)
-    assert rs.edge_count > oracles.TAIT_EDGE_CAP
+def test_check_counts_every_plane_row_and_sizes_every_complex(capsys, tmp_path):
+    """A plane prism with |V| = 26 and |E| = 39: the edge-label sweeps count
+    its perfect matchings and Tait colorings within the state sum's cap, so
+    every plane row runs, and each n's homology rows are skipped with the
+    complex's exact size, in text and in JSON."""
     p = tmp_path / "prism13.vpd"
-    p.write_text(serialize_vpd(rs))
+    p.write_text(serialize_vpd(prism(13)))
+    refusal = "skipped (the complex needs {} basis elements, more than 262144)"
+    rows = [
+        ["euler(filtered, n=2) == V(Gamma, 2)", "ok"],
+        ["delta o delta = 0 (n=2)", refusal.format(4071686144)],
+        ["graded Euler == n-color polynomial (n=2)", refusal.format(4071686144)],
+        ["plane: rank0 == 2 * #PM (n=2)", "ok"],
+        ["plane: rank1 == 4 * #PM * #bridges (n=2)", "ok"],
+        ["plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait", "ok"],
+        ["euler(filtered, n=3) == V(Gamma, 3)", "ok"],
+        ["delta o delta = 0 (n=3)", refusal.format(125935858416)],
+        ["graded Euler == n-color polynomial (n=3)", refusal.format(125935858416)],
+    ]
     code, out, _ = run(capsys, "check", "--n", "2,3", str(p))
     assert code == 0
-    assert out == (
-        "euler(filtered, n=2) == V(Gamma, 2)               ok\n"
-        "homology identities (n=2)                         skipped (|V| = 26)\n"
-        "plane: rank0 == 2 * #PM (n=2)                     skipped (|V| = 26)\n"
-        "plane: rank1 == 4 * #PM * #bridges (n=2)          skipped (|V| = 26)\n"
-        "plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait  skipped (|E| = 39)\n"
-        "euler(filtered, n=3) == V(Gamma, 3)               ok\n"
-        "homology identities (n=3)                         skipped (|V| = 26)\n"
-    )
+    width = max(len(name) for name, _ in rows)
+    assert out == "".join(f"{name:<{width}}  {status}\n" for name, status in rows)
     code, out, _ = run(capsys, "check", "--n", "2,3", "--json", str(p))
-    data = json.loads(out)
-    assert code == 0 and data["ok"] is True
-    assert data["results"] == [
-        ["euler(filtered, n=2) == V(Gamma, 2)", "ok"],
-        ["homology identities (n=2)", "skipped (|V| = 26)"],
-        ["plane: rank0 == 2 * #PM (n=2)", "skipped (|V| = 26)"],
-        ["plane: rank1 == 4 * #PM * #bridges (n=2)", "skipped (|V| = 26)"],
-        ["plane: euler(filtered, n=2) == 2^(|V|/2) * #Tait", "skipped (|E| = 39)"],
-        ["euler(filtered, n=3) == V(Gamma, 3)", "ok"],
-        ["homology identities (n=3)", "skipped (|V| = 26)"],
-    ]
+    assert code == 0
+    assert json.loads(out) == {"results": rows, "ok": True}
 
 
 def test_check_skips_a_refused_complex_and_keeps_the_other_rows(capsys, tmp_path):
@@ -281,20 +295,19 @@ def test_state_sum_refuses_a_wide_cut(capsys, command):
     assert code == 0
 
 
-def test_vertex_poly_past_the_hypercube_cap(capsys, tmp_path, monkeypatch):
-    """A plane prism with |V| = 26 > 24: V(2) = 2^13 #Tait."""
+def test_vertex_poly_of_a_26_vertex_prism(capsys, tmp_path):
+    """A plane prism with |V| = 26: V(2) = 2^13 #Tait."""
     rs = prism(13)
     p = tmp_path / "prism13.vpd"
     p.write_text(serialize_vpd(rs))
     code, out, _ = run(capsys, "vertex-poly", "--json", str(p))
     assert code == 0
     poly = IntPoly(dict(json.loads(out)["terms"]))
-    monkeypatch.setattr(oracles, "TAIT_EDGE_CAP", rs.edge_count)
     assert poly(2) == 2**13 * oracles.count_tait_colorings(oracles.AbstractGraph.from_rotation_system(rs))
 
 
-def test_filtered_past_the_hypercube_cap(capsys, tmp_path, monkeypatch):
-    """A plane prism with |V| = 26 > 24: euler = 2^13 #Tait and rank0 =
+def test_filtered_of_a_26_vertex_prism(capsys, tmp_path):
+    """A plane prism with |V| = 26: euler = 2^13 #Tait and rank0 =
     2 #PM."""
     rs = prism(13)
     p = tmp_path / "prism13.vpd"
@@ -303,7 +316,6 @@ def test_filtered_past_the_hypercube_cap(capsys, tmp_path, monkeypatch):
     assert code == 0
     fr = json.loads(out)
     g = oracles.AbstractGraph.from_rotation_system(rs)
-    monkeypatch.setattr(oracles, "TAIT_EDGE_CAP", rs.edge_count)
     assert fr["euler"] == 2**13 * oracles.count_tait_colorings(g) == 67_092_480
     assert fr["ranks"][0] == 2 * len(oracles.perfect_matchings(g)) == 1042
 

@@ -1,15 +1,24 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_oracles import backtrack_tait_colorings
+from test_ribbon import prism, random_cubic
+from test_vpd import trivalent_systems
 
+import vhx
 from vhx.oracles import (
     AbstractGraph,
     bridges,
     classify_matching,
+    count_perfect_matchings,
     count_tait_colorings,
     perfect_matchings,
 )
-from vhx.vpd import parse_vpd
+from vhx.poly import vertex_polynomial
+from vhx.states import StateSpaceError
+from vhx.vpd import VPDError, parse_vpd
 
 PM_COUNTS = {
     "theta": 3,
@@ -55,6 +64,53 @@ def test_tait_requires_trivalent():
     g = AbstractGraph(2, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         count_tait_colorings(g)
+
+
+def assert_sweeps_match_the_references(rs):
+    g = AbstractGraph.from_rotation_system(rs)
+    assert count_tait_colorings(g) == backtrack_tait_colorings(g)
+    assert count_perfect_matchings(g) == len(perfect_matchings(g))
+
+
+@pytest.mark.parametrize("name", [*vhx.FIXTURES, "lollipop"])
+def test_sweeps_match_the_references_on_the_fixtures(graphs, name):
+    """The lollipop's three loops are in no matching and in no coloring."""
+    assert_sweeps_match_the_references(graphs[name])
+
+
+@pytest.mark.parametrize("neg_prob", [0.0, 0.3])
+def test_sweeps_match_the_references_on_random_cubic_graphs(neg_prob):
+    rng = random.Random(f"edge-labelings-{neg_prob}")
+    for nv in [2, 4, 6, 8, 10, 12] * 5:
+        assert_sweeps_match_the_references(random_cubic(rng, nv, neg_prob))
+
+
+@given(trivalent_systems())
+@settings(max_examples=60, deadline=None)
+def test_sweeps_match_the_references_on_generated_systems(text):
+    try:
+        rs = parse_vpd(text)
+    except VPDError:
+        assume(False)
+    assert_sweeps_match_the_references(rs)
+
+
+def test_tait_colorings_of_prisms_are_the_vertex_polynomial_at_two():
+    """Penrose: V(prism_k, 2) = 2^k #Tait, past any backtracking."""
+    for k in range(3, 51):
+        rs = prism(k)
+        tait = count_tait_colorings(AbstractGraph.from_rotation_system(rs))
+        assert 2**k * tait == vertex_polynomial(rs)(2), k
+    assert tait == 1125899906842632
+
+
+def test_sweeps_refuse_a_cut_over_the_cap(graphs):
+    """k33's sweep cuts 5 edges, 10 strands, as the state sums' does."""
+    g = AbstractGraph.from_rotation_system(graphs["k33"])
+    for count, value in ((count_tait_colorings, 12), (count_perfect_matchings, 6)):
+        with pytest.raises(StateSpaceError, match="10 open strands"):
+            count(g, 8)
+        assert count(g, 10) == value
 
 
 def test_classify_theta(graphs):

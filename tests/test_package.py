@@ -48,6 +48,7 @@ EXPORTS = {
         "AbstractGraph",
         "bridges",
         "classify_matching",
+        "count_perfect_matchings",
         "count_tait_colorings",
         "perfect_matchings",
     ),
