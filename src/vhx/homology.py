@@ -15,6 +15,15 @@ matches a model's circles across each of its band flips, and traces and
 band models are kept on the ribbon and shared by every n.  The algebra is
 commutative and cocommutative, so an edge map is an unordered sum of terms
 that does not depend on which of a split's two new circles is listed first.
+
+The assembler composes only the edges that can be nonzero.  m, Delta and
+eta are homogeneous in q, so an edge map moves the exponent sum of the k0
+circles through the flipped vertex's bands by one fixed amount onto the k1
+circles there; where no sum in [0, k0 (n-1)] can land in [0, k1 (n-1)] the
+map is zero and is not composed (:func:`build_vertex_complex`).  Each trace
+keeps these counts per vertex.  An edge and its opposite edge join the same
+two swap masks, so they share one band pairing.
+
 A complex keeps each block's dimension and differential, never its basis.
 Coefficients are integer pairs (a, b) meaning a + b sqrt n, a perfect
 square's root folded into a, from the step tables through the edge maps
@@ -213,6 +222,29 @@ def _band_model(partner: tuple[int, ...], swaps: int, path: tuple[int, ...]):
     return tuple(steps), [w[0] for w in start], tuple(owner), [w[0] for w in end]
 
 
+def _pairing(rank, ntok: int) -> tuple[int, ...]:
+    """Pairs a band's tokens, given by their ranks on a state's walks, by
+    the arcs outside the bands.  A band crossing is a pair of walk positions
+    (odd, even), so an arc outside the bands runs from an even position to
+    the next odd one; the arcs through walk starts run from a circle's last
+    band token to its first, and are paired last."""
+    partner, loose, prev = [-1] * len(rank), [], -1
+    for i in sorted(range(len(rank)), key=rank.__getitem__):
+        if rank[i] & 1 and prev >= 0 and rank[prev] // ntok == rank[i] // ntok:
+            partner[prev], partner[i] = i, prev
+        elif prev >= 0:
+            loose.append(prev)
+        if rank[i] & 1 and partner[i] < 0:
+            loose.append(i)
+        prev = -1 if rank[i] & 1 else i
+    loose += [prev] if prev >= 0 else []
+    for i, j in zip(loose[::2], loose[1::2]):
+        partner[i], partner[j] = j, i
+    if -1 in partner:
+        raise InvariantError("band tokens do not pair up along the circles")
+    return tuple(partner)
+
+
 class LocalMaps:
     """Hypercube-edge maps of one ribbon at one n, composed on the circles
     the flipped bands touch (basis elements are numbered by the codes of
@@ -230,38 +262,17 @@ class LocalMaps:
             raise ValueError("n must be >= 2")
         self.ribbon, self.n = ribbon, n
         self._paths: dict[tuple, tuple] = {}
+        self._gathers = [self._path(path)[0] for path in ribbon.bands]
         self.codes = functools.cache(functools.partial(_codes, n))
         self._compose = functools.cache(functools.partial(_compose, n))
 
-    def trace(self, mask: int) -> tuple[tuple[int, ...], "array"]:
-        """Each circle's first token on the walks of :meth:`Ribbon.trace`,
-        and each token's rank: its circle times the token count, plus its
-        position on its walk.  Kept per swap mask; the walks are not."""
-        traces = self.ribbon.traces
-        if mask not in traces:
-            # an array holds a rank in 4 bytes, a list in an int object; its
-            # module loads only in processes that build a complex
-            from array import array
-
-            owner, walks = self.ribbon.trace(mask)
-            rank = [0] * len(owner)
-            for c, walk in enumerate(walks):
-                for r, t in enumerate(walk, c * len(owner)):
-                    rank[t] = r
-            traces[mask] = tuple(w[0] for w in walks), array("I", rank)
-        return traces[mask]
-
-    def edge_map(self, mask: int, path, variants):
-        """The composed band flips on the edges ``path`` from swap mask
-        ``mask``, summed over ``variants`` (one variant per step each).
-
-        Gives ``(kb, ka, local, stable)``: the circle counts at both ends,
-        entries (source code, target code, (a, b)) on the touched circles in
-        no fixed order, and the (source, target) codes of every exponent
-        assignment of the untouched ones, one pair per map entry each.
-        """
-        n, nt, arc = self.n, self.ribbon.ntok, self.ribbon.arc
-        if path not in self._paths:
+    def _path(self, path) -> tuple:
+        """A path's band gather (its band tokens, numbered from the flipped
+        vertex's end), the swap-mask bit of each of its distinct edges, the
+        path over those edges, and the swap mask it flips."""
+        got = self._paths.get(path)
+        if got is None:
+            arc = self.ribbon.arc
             edges = tuple(dict.fromkeys(path))
             flip = functools.reduce(operator.xor, (1 << (e - 1) for e in path))
             # a band's end at the flipped vertex is the one whose two corner
@@ -271,38 +282,68 @@ class LocalMaps:
             on = {e - 1 for e in edges}
             ins = [4 * e - 4 for e in edges]
             ins = [q if {arc[q] >> 2, arc[q + 1] >> 2} <= on else q + 3 for q in ins]
-            band = [q ^ i for q in ins for i in range(4)]
-            self._paths[path] = band, edges, tuple(map(edges.index, path)), flip
-        band, edges, lpath, flip = self._paths[path]
-        firsts, rank = self.trace(mask)
-        firsts_a, rank_a = self.trace(mask ^ flip)
-        # a band crossing is a pair of walk positions (odd, even), so an arc
-        # outside the bands runs from an even position to the next odd one;
-        # the arcs through walk starts run from a circle's last band token
-        # to its first, and are paired last
-        rank = [rank[t] for t in band]
-        partner, loose, prev = [-1] * len(band), [], -1
-        for i in sorted(range(len(band)), key=rank.__getitem__):
-            if rank[i] & 1 and prev >= 0 and rank[prev] // nt == rank[i] // nt:
-                partner[prev], partner[i] = i, prev
-            elif prev >= 0:
-                loose.append(prev)
-            if rank[i] & 1 and partner[i] < 0:
-                loose.append(i)
-            prev = -1 if rank[i] & 1 else i
-        loose += [prev] if prev >= 0 else []
-        for i, j in zip(loose[::2], loose[1::2]):
-            partner[i], partner[j] = j, i
-        if -1 in partner:
-            raise InvariantError("band tokens do not pair up along the circles")
+            gather = operator.itemgetter(*(q ^ i for q in ins for i in range(4)))
+            shifts = tuple(e - 1 for e in edges)
+            got = self._paths[path] = gather, shifts, tuple(map(edges.index, path)), flip
+        return got
+
+    def _traced(self, mask: int) -> tuple:
+        """The ribbon's trace entry of ``mask``: each circle's first token on
+        the walks of :meth:`Ribbon.trace`, each token's rank (its circle
+        times the token count, plus its position on its walk) and, per
+        vertex, the number of circles through its bands' tokens.  Kept per
+        swap mask; the walks are not."""
+        traces = self.ribbon.traces
+        entry = traces.get(mask)
+        if entry is None:
+            # an array holds a rank in 4 bytes, a list in an int object; its
+            # module loads only in processes that build a complex
+            from array import array
+
+            owner, walks = self.ribbon.trace(mask)
+            rank = [0] * len(owner)
+            for c, walk in enumerate(walks):
+                for r, t in enumerate(walk, c * len(owner)):
+                    rank[t] = r
+            touched = bytes([len(set(gather(owner))) for gather in self._gathers])
+            entry = traces[mask] = tuple(w[0] for w in walks), array("I", rank), touched
+        return entry
+
+    def trace(self, mask: int) -> tuple[tuple[int, ...], "array"]:
+        """Each circle's first token and each token's rank under ``mask``."""
+        return self._traced(mask)[:2]
+
+    def band_key(self, mask: int, path, partner: tuple[int, ...] | None = None) -> tuple:
+        """The band model key of the edge from swap mask ``mask`` along
+        ``path``: the pairing of the bands' tokens by the arcs outside them
+        (:func:`_pairing`, read off the start state unless ``partner`` is
+        given), the bands' swaps and the path over the distinct edges.
+
+        A flip changes no arc outside its bands, so both ends of an edge
+        give one pairing: the edges s -> s+v and ~(s+v) -> ~s, which join
+        the same two swap masks in opposite directions, share it, and their
+        swap bits differ by the flip's."""
+        gather, shifts, lpath, _ = self._path(path)
+        if partner is None:
+            partner = _pairing(gather(self._traced(mask)[1]), self.ribbon.ntok)
         sw = mask ^ self.ribbon.sign_mask
-        key = tuple(partner), sum((sw >> (e - 1) & 1) << i for i, e in enumerate(edges)), lpath
+        return partner, sum((sw >> e & 1) << i for i, e in enumerate(shifts)), lpath
+
+    def keyed_map(self, mask: int, path, key: tuple, variants):
+        """The edge map from swap mask ``mask`` along ``path`` on the band
+        model ``key`` (:meth:`band_key`), summed over ``variants``; see
+        :meth:`edge_map`."""
+        n, nt = self.n, self.ribbon.ntok
+        gather, _, _, flip = self._path(path)
+        firsts, rank, _ = self._traced(mask)
+        firsts_a, rank_a, _ = self._traced(mask ^ flip)
         models = self.ribbon.band_models
         if key not in models:
             models[key] = _band_model(*key)
         steps, start, end_owner, end = models[key]
+        rank = gather(rank)
         gb = [rank[t] // nt for t in start]
-        ends = [rank_a[t] // nt for t in band]
+        ends = [r // nt for r in gather(rank_a)]
         ga = [ends[t] for t in end]
         untouched = [(c, rank_a[t] // nt) for c, t in enumerate(firsts) if c not in gb]
         images = sorted(ga + [a for _, a in untouched])
@@ -320,6 +361,18 @@ class LocalMaps:
             xb, xa = n**c, n**a
             stable = [(s + e * xb, t + e * xa) for s, t in stable for e in range(n)]
         return len(firsts), len(firsts_a), local, stable
+
+    def edge_map(self, mask: int, path, variants):
+        """The composed band flips on the edges ``path`` from swap mask
+        ``mask``, summed over ``variants`` (one variant per step each).
+
+        Gives ``(kb, ka, local, stable)``: the circle counts at both ends,
+        entries (source code, target code, (a, b)) on the touched circles in
+        no fixed order, and the (source, target) codes of every exponent
+        assignment of the untouched ones, one pair per map entry each.  Any
+        variants may be mixed here: the degree window is the assembler's.
+        """
+        return self.keyed_map(mask, path, self.band_key(mask, path), variants)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +392,15 @@ def _sized_maps(rs: RotationSystem, n: int, cap: int) -> LocalMaps:
     return maps
 
 
+def _window(n: int, tilde_count: int, k0: int, k1: int) -> bool:
+    """Whether an edge map from k0 touched circles to k1 has a degree
+    window: an exponent sum in [0, k0 (n-1)] that lands in [0, k1 (n-1)]
+    once it moves by (k1 - k0 + 3) m - tilde_count * n (see
+    :func:`build_vertex_complex`)."""
+    delta = (k1 - k0 + 3) * half_m(n) - tilde_count * n
+    return delta <= k1 * (n - 1) and k0 * (n - 1) + delta >= 0
+
+
 def build_vertex_complex(
     rs: RotationSystem,
     n: int,
@@ -353,6 +415,23 @@ def build_vertex_complex(
     ``v`` flips the bands ``ribbon.bands[v]`` in order, toggling swap mask
     ``ribbon.vertex_masks[v]``.  :func:`_sized_maps` refuses a complex too
     big for ``MAX_BASIS`` before any state is traced.
+
+    Only edges whose degree window is open are composed.  An element of a
+    weight-i state with k circles and exponent sum t sits at q-degree
+    k m - t + 3 m i.  m, Delta and eta are homogeneous in q, a tilde map
+    raising the degree by n, and every placement of :func:`_placements`
+    holds ``tilde_count`` tilde maps, so an edge map raises the degree by
+    exactly tilde_count * n, the bigrading each entry is checked for.  The
+    circles the bands do not touch keep their exponents, so the edge moves
+    the exponent sum of the k0 circles through the flipped vertex's bands
+    by delta = (k1 - k0 + 3) m - tilde_count * n onto the k1 circles
+    there.  If no sum in [0, k0 (n-1)] lands in [0, k1 (n-1)], the map is
+    zero (:func:`_window`); the counts are read off the end states' traces,
+    for every n.  The edges s -> s+v and ~(s+v) -> ~s join the same two
+    swap masks in opposite directions, so they share one band pairing
+    (:meth:`LocalMaps.band_key`).  With ``verify_paths`` every composed
+    edge is checked in all six flip orders; a skipped edge is zero in every
+    order.
     """
     maps = _sized_maps(rs, n, cap)
     ribbon = maps.ribbon
@@ -361,54 +440,75 @@ def build_vertex_complex(
     shift = 3 * m
     values: dict[tuple[int, int], tuple[int, int]] = {}  # entries share one tuple per value
     dims: dict[tuple[int, int], int] = {}
-    masks, ks = [], []
+    masks, ks, touched = [], [], []
     offsets = []  # per state, its first position in each of its blocks
     for s in range(1 << d):
         low = s & -s
         masks.append(masks[s ^ low] ^ site_masks[d - low.bit_length()] if s else 0)
-        k = len(maps.trace(masks[s])[0])
+        firsts, _, counts = maps._traced(masks[s])
+        k = len(firsts)
         ks.append(k)
+        touched.append(counts)
         i = s.bit_count()
         keys = [(i, k * m - t + shift * i) for t in range(k * (n - 1) + 1)]
         offsets.append([dims.get(key, 0) for key in keys])
         for key, size in zip(keys, maps.codes(k)[3]):
             dims[key] = dims.get(key, 0) + size
+    # each circle through a vertex's bands holds two or more of their 4 per band tokens
+    top = 2 * max(map(len, paths)) + 1
+    window = [[_window(n, tilde_count, k0, k1) for k1 in range(top)] for k0 in range(top)]
 
     diff: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
-    for s, (mask, kb, offs_b) in enumerate(zip(masks, ks, offsets)):
-        i = s.bit_count()
+
+    def emit(s: int, v: int, key: tuple) -> None:
+        """The entries of the edge that flips vertex ``v`` from state ``s``."""
+        mask, kb, offs_b, i = masks[s], ks[s], offsets[s], s.bit_count()
+        path, bit = paths[v], 1 << (d - 1 - v)
+        _, ka, local, stable = maps.keyed_map(mask, path, key, variants)
+        if verify_paths:
+            want = sorted(local)
+            for order in itertools.permutations(range(len(path))):
+                other = maps.edge_map(mask, tuple(path[o] for o in order), variants)
+                if sorted(other[2]) != want:
+                    bits = tuple(s >> (d - 1 - u) & 1 for u in range(d))
+                    raise InvariantError(
+                        f"path dependence at state {bits}, vertex {v}, order {order}"
+                    )
         _, dsum_b, rank_b, _ = maps.codes(kb)
+        offs_a = offsets[s | bit]
+        _, dsum_a, rank_a, _ = maps.codes(ka)
+        negate = (s >> (d - v)).bit_count() & 1  # 1s left of site v
+        jb0, ja0 = kb * m + shift * i, ka * m + shift * (i + 1)
+        for sp, tp, (a, b) in local:
+            val = (-a, -b) if negate else (a, b)
+            val = values.setdefault(val, val)
+            for ss, st in stable:
+                src, tgt = sp + ss, tp + st
+                ds, dt = dsum_b[src], dsum_a[tgt]
+                j = jb0 - ds
+                if ja0 - dt != j + bigrade_j:
+                    raise InvariantError("bigrading violation in differential")
+                block = diff.get((i, j))
+                if block is None:
+                    block = diff[(i, j)] = {}
+                block[(offs_a[dt] + rank_a[tgt], offs_b[ds] + rank_b[src])] = val
+
+    full = (1 << d) - 1
+    for s in range(1 << d):
         for v, path in enumerate(paths):
             bit = 1 << (d - 1 - v)
-            if s & bit:
+            # the opposite edge ~(s+v) -> ~s runs from t; each pair once
+            t = full ^ s ^ bit
+            if s & bit or t < s:
                 continue
-            _, ka, local, stable = maps.edge_map(mask, path, variants)
-            if verify_paths:
-                want = sorted(local)
-                for order in itertools.permutations(range(len(path))):
-                    other = maps.edge_map(mask, tuple(path[o] for o in order), variants)
-                    if sorted(other[2]) != want:
-                        bits = tuple(s >> (d - 1 - u) & 1 for u in range(d))
-                        raise InvariantError(
-                            f"path dependence at state {bits}, vertex {v}, order {order}"
-                        )
-            offs_a = offsets[s | bit]
-            _, dsum_a, rank_a, _ = maps.codes(ka)
-            negate = (s >> (d - v)).bit_count() & 1  # 1s left of site v
-            jb0, ja0 = kb * m + shift * i, ka * m + shift * (i + 1)
-            for sp, tp, (a, b) in local:
-                val = (-a, -b) if negate else (a, b)
-                val = values.setdefault(val, val)
-                for ss, st in stable:
-                    src, tgt = sp + ss, tp + st
-                    ds, dt = dsum_b[src], dsum_a[tgt]
-                    j = jb0 - ds
-                    if ja0 - dt != j + bigrade_j:
-                        raise InvariantError("bigrading violation in differential")
-                    block = diff.get((i, j))
-                    if block is None:
-                        block = diff[(i, j)] = {}
-                    block[(offs_a[dt] + rank_a[tgt], offs_b[ds] + rank_b[src])] = val
+            k0, k1 = touched[s][v], touched[t][v]
+            forward, back = window[k0][k1], window[k1][k0]
+            if forward or back:
+                key = maps.band_key(masks[s], path)
+                if forward:
+                    emit(s, v, key)
+                if back:
+                    emit(t, v, maps.band_key(masks[t], path, key[0]))
     return ChainComplex(n, dims, diff, bigrade_j=bigrade_j)
 
 

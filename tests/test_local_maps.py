@@ -11,7 +11,9 @@ a {target: coefficient} dict; each target appears once per source.
 A ribbon traces each swap mask and builds each band model once for all
 the complexes built on it, a relabeled ribbon needs no more band models
 than the original, and a build rejects an end state whose circles disagree
-with an edge's band model.
+with an edge's band model.  An edge map is empty exactly when its degree
+window is, opposite edges share one band pairing, and a build composes
+only the edges whose window is open.
 """
 
 import functools
@@ -20,9 +22,10 @@ import random
 
 import pytest
 import reference_homology as ref
+from conftest import SMALL_FIXTURES
 from reference_algebra import QuadScalar
 from test_homology import PRISM4, vertex_edge_map_graded
-from test_ribbon import SMALL, prism, relabel
+from test_ribbon import CORPUS_SEED, SMALL, prism, random_cubic, relabel
 
 import vhx
 from vhx import homology
@@ -198,3 +201,108 @@ def test_build_rejects_a_broken_end_state_trace(monkeypatch, broken):
         LocalMaps(ribbon, 2).edge_map(0, ribbon.bands[0], _placements(0))
     with pytest.raises(InvariantError, match="band model disagrees"):
         build_vertex_complex(rs, 2)
+
+
+def _window_corpus():
+    """The fixtures but dodec, the lollipop (loops), prism4 and seeded
+    random cubic graphs of up to 8 vertices with no, some and many
+    negative edges (loops and multi-edges allowed)."""
+    out = {name: SMALL[name] for name in (*SMALL_FIXTURES, "lollipop")}
+    out["prism4"] = prism(4)
+    for prob in (0.0, 0.3, 0.6):
+        rng = random.Random(f"{CORPUS_SEED}-window-{prob}")
+        for nv in (2, 4, 6, 8):
+            out[f"r{nv}-{prob}"] = random_cubic(rng, nv, prob)
+    return out
+
+
+WINDOW_CORPUS = _window_corpus()
+
+
+def hypercube_edges(rs):
+    """(start swap mask, vertex) of every hypercube edge: a state and its
+    complement share a swap mask, and exactly one of them leaves ``v`` at 0,
+    so the states with vertex 0 at 0 give each edge once."""
+    for bits in itertools.product([0, 1], repeat=rs.vertex_count - 1):
+        mask = state_mask(rs, (0, *bits))
+        for v in range(rs.vertex_count):
+            yield mask, v
+
+
+def touched_circles(ribbon, mask, v):
+    """The circles through the tokens of vertex ``v``'s bands."""
+    owner, _ = ribbon.trace(mask)
+    return len({owner[t] for e in set(ribbon.bands[v]) for t in range(4 * e - 4, 4 * e)})
+
+
+def test_window_corpus_covers_loops_negative_edges_and_eight_vertices():
+    graphs = WINDOW_CORPUS.values()
+    assert any(u == w for rs in graphs for u, w in rs.edge_endpoints().values())
+    assert sum(any(rs.edge_sign(e) < 0 for e in range(1, rs.edge_count + 1)) for rs in graphs) > 4
+    assert max(rs.vertex_count for rs in graphs) == 8
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CORPUS))
+def test_an_edge_map_is_zero_exactly_when_its_degree_window_is_empty(name):
+    """The maps m, Delta and eta are homogeneous in q, so an edge map
+    moves the exponent sum of the k0 circles through the flipped vertex's
+    bands by delta = (k1 - k0 + 3) m - tilde_count * n onto the k1 circles
+    there.  Where no sum in [0, k0 (n-1)] lands in [0, k1 (n-1)], the edge
+    map, with all of its checks, has no entries; and, as observed on this
+    corpus, where one does it has some.  The counts are the ones the trace
+    entries keep, and the window is the one the assembler reads."""
+    rs = WINDOW_CORPUS[name]
+    ribbon = rs.ribbon
+    for n in (2, 3, 4, 5):
+        maps, m = LocalMaps(ribbon, n), half_m(n)
+        for mask, v in hypercube_edges(rs):
+            end = mask ^ ribbon.vertex_masks[v]
+            k0, k1 = touched_circles(ribbon, mask, v), touched_circles(ribbon, end, v)
+            assert maps._traced(mask)[2][v] == k0 and maps._traced(end)[2][v] == k1
+            for t in range(4):
+                delta = (k1 - k0 + 3) * m - t * n
+                window = any(0 <= x + delta <= k1 * (n - 1) for x in range(k0 * (n - 1) + 1))
+                assert homology._window(n, t, k0, k1) == window
+                local = maps.edge_map(mask, ribbon.bands[v], _placements(t))[2]
+                assert bool(local) == window, (mask, v, n, t)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CORPUS))
+def test_opposite_edges_share_one_band_pairing(name):
+    """The edges s -> s+v and ~(s+v) -> ~s join the same two swap masks in
+    opposite directions.  Their band tokens pair up alike, and the reverse
+    key's swap bits are the forward key's with the flipped edges' bits
+    (each distinct edge an odd number of times on the path) toggled."""
+    rs = WINDOW_CORPUS[name]
+    ribbon, maps = rs.ribbon, LocalMaps(rs.ribbon, 2)
+    for bits in itertools.product([0, 1], repeat=rs.vertex_count):
+        for v in range(rs.vertex_count):
+            if bits[v]:
+                continue
+            path, up = ribbon.bands[v], list(bits)
+            up[v] = 1
+            mask, back = state_mask(rs, bits), state_mask(rs, [1 - b for b in up])
+            assert back == mask ^ ribbon.vertex_masks[v]
+            assert state_mask(rs, [1 - b for b in bits]) == mask
+            edges = list(dict.fromkeys(path))
+            flips = sum((path.count(e) & 1) << i for i, e in enumerate(edges))
+            partner, swaps, lpath = maps.band_key(mask, path)
+            assert maps.band_key(back, path) == (partner, swaps ^ flips, lpath)
+
+
+def test_build_composes_only_the_edges_with_an_open_window(monkeypatch):
+    """prism5 has 10 * 2^9 = 5,120 hypercube edges; a build composes a band
+    model on 1,250 of them at n = 2 and 4,400 at n = 3, the rest having an
+    empty degree window."""
+    composed, keyed_map = [], LocalMaps.keyed_map
+
+    def counted(self, mask, path, *args):
+        composed.append((mask, path))
+        return keyed_map(self, mask, path, *args)
+
+    monkeypatch.setattr(LocalMaps, "keyed_map", counted)
+    rs = prism(5)
+    for n, want in ((2, 1250), (3, 4400)):
+        composed.clear()
+        build_vertex_complex(rs, n)
+        assert len(composed) == len(set(composed)) == want
