@@ -181,11 +181,13 @@ def harmonic_kernel_check(
     """Check dim(ker delta-hat intersect ker of its adjoint) per state
     against the combinatorial coloring count.
 
-    The kernel is n^k minus the exact rank over Q(sqrt n) of the state's
-    outgoing hat maps stacked on the transposes of its incoming ones, their
-    entries kept as integer pairs.  The traces and band models are the
-    ribbon's, shared with the complexes built on it, and the check is
-    refused, before any trace, where the complex at ``n`` would be.
+    The kernel is n^k minus the exact rank of the state's outgoing hat maps
+    stacked on the transposes of its incoming ones, each map's integer
+    entries being its coefficients over one power of sqrt n
+    (:meth:`LocalMaps.edge_map`), a scalar per map that leaves the rank as
+    it is.  The traces and band models are the ribbon's, shared with the
+    complexes built on it, and the check is refused, before any trace, where
+    the complex at ``n`` would be.
     """
     from .homology import _sized_maps, matrix_rank
 
@@ -208,11 +210,11 @@ def harmonic_kernel_check(
             kb, ka, local, stable = maps.edge_map(
                 mask ^ ribbon.vertex_masks[v] if incoming else mask, path, (("hat",) * 3,)
             )
-            for sp, tp, ab in local:
+            for sp, tp, c in local:
                 for ss, st in stable:
                     src, tgt = sp + ss, tp + st
-                    block[(rows + src, tgt) if incoming else (rows + tgt, src)] = ab
+                    block[(rows + src, tgt) if incoming else (rows + tgt, src)] = c
             rows += n ** (kb if incoming else ka)
-        kernel = n**k - matrix_rank(block, rows, n**k, n)
+        kernel = n**k - matrix_rank(block)
         per_state[bits] = (count, kernel, "ok" if kernel == count else "mismatch")
     return KernelReport(n, per_state)

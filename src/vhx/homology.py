@@ -24,12 +24,21 @@ map is zero and is not composed (:func:`build_vertex_complex`).  Each trace
 keeps these counts per vertex.  An edge and its opposite edge join the same
 two swap masks, so they share one band pairing.
 
-A complex keeps each block's dimension and differential, never its basis.
-Coefficients are integer pairs (a, b) meaning a + b sqrt n, a perfect
-square's root folded into a, from the step tables through the edge maps
-and differentials to the ranks; ranks are exact over Q(sqrt n) by
-fraction-free elimination in Z[sqrt n] with a first-nonzero row-major
-pivot rule.
+A complex keeps each block's dimension and differential, never its basis,
+and its entries are integers.  Only eta has a coefficient other than 1,
+namely sqrt n, and on a hypercube edge s -> t its count e has the parity
+of 1 + k(t) - k(s), k counting a state's circles (the parity lemma).
+Proof: the edge's three band flips are a merges, b splits and e etas, so
+a + b + e = 3, and b - a = k(t) - k(s), since the circles the bands do
+not touch are the same at both ends; so e = 3 - (a + b), which is
+3 - (b - a) = 1 + k(t) - k(s) mod 2.  Every entry is thus c sqrt n^e with
+c an integer.  Scale each element of state s by sqrt n^phi(s), with
+phi(s) = (k(s) + i(s)) mod 2, i the weight: an entry from s to t becomes
+c n^((e + phi(s) - phi(t)) / 2).  That is an integer, since
+phi(s) - phi(t) = k(s) - k(t) - 1 = e mod 2, and phi(s) - phi(t) = -1
+only for odd e.  A diagonal change of basis keeps ranks, delta o delta = 0
+and kernels, so ranks are exact over Q by fraction-free integer
+elimination with a first-nonzero row-major pivot rule.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import json
 import math
 import operator
 
-from .algebra import _isqrt_exact, half_m, structure_terms
+from .algebra import half_m, structure_terms
 from .poly import LaurentPoly, state_histogram
 from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError
 from .vpd import Record, Ribbon, RotationSystem
@@ -87,9 +96,10 @@ class ChainComplex(Record):
     """Per-(i, j) dimensions ``dims`` with sparse differentials.
 
     ``diff[(i, j)]`` maps block C^(i,j) -> C^(i+1, j + bigrade_j) as a sparse
-    dict (row, col) -> (a, b), the integers of a + b sqrt n.  No basis is
-    kept: a block's elements are numbered state by state (vertex 0 the most
-    significant bit), each state's in the code order of :func:`_codes`.
+    dict (row, col) -> integer, in the basis scaled by powers of sqrt n (see
+    :mod:`vhx.homology`).  No basis is kept: a block's elements are numbered
+    state by state (vertex 0 the most significant bit), each state's in the
+    code order of :func:`_codes`.
     """
 
     _fields = ("n", "dims", "diff", "bigrade_j")
@@ -98,7 +108,7 @@ class ChainComplex(Record):
         self,
         n: int,
         dims: dict[tuple[int, int], int],
-        diff: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]],
+        diff: dict[tuple[int, int], dict[tuple[int, int], int]],
         bigrade_j: int = 0,
     ):
         self.n = n
@@ -138,37 +148,38 @@ def _codes(n: int, k: int) -> tuple[list, list[int], list[int], list[int]]:
     return exps, dsum, rank, seen
 
 
-# m, Delta and eta by correspondence kind and input exponents, with
-# coefficients as integer pairs (a, b)
+# m, Delta and eta by correspondence kind and input exponents
 _step_terms = functools.cache(structure_terms)
 
 
 def _compose(n: int, k0: int, steps: tuple, variants: tuple) -> list:
-    """Entries (x, y, (a, b)) of a composite on the touched circles, for every
-    x in colexicographic order; Delta is cocommutative, so the band model's
-    order of a split's two new circles gives the same entries as any other."""
+    """Entries (x, y, c) of a composite on the touched circles, for every x
+    in colexicographic order, over sqrt n^(e mod 2) for its e eta steps:
+    c counts the paths from x to y, times n^(e // 2).  Every term is
+    positive, so no entry cancels.  Delta is cocommutative, so the band
+    model's order of a split's two new circles gives the same entries as
+    any other."""
     out = []
+    scale = n ** (sum(kind == "same-circle" for kind, *_ in steps) // 2)
     for x in _codes(n, k0)[0]:
-        row: dict[tuple[int, ...], tuple[int, int]] = {}
+        row: dict[tuple[int, ...], int] = {}
         for variant in variants:
-            front = {x: (1, 0)}
+            front = {x: scale}
             for (kind, act_b, act_a, stable, k1), var in zip(steps, variant):
-                nxt: dict[tuple[int, ...], tuple[int, int]] = {}
-                for y, (a, b) in front.items():
-                    for outs, (c, d) in _step_terms(n, var, kind, tuple(y[p] for p in act_b)):
+                nxt: dict[tuple[int, ...], int] = {}
+                for y, c in front.items():
+                    for outs in _step_terms(n, var, kind, tuple(y[p] for p in act_b)):
                         z = [0] * k1
                         for p, o in zip(act_a, outs):
                             z[p] = o
                         for pb, pa in stable:
                             z[pa] = y[pb]
                         z = tuple(z)
-                        za, zb = nxt.get(z, (0, 0))
-                        nxt[z] = (za + a * c + n * b * d, zb + a * d + b * c)
-                front = {z: v for z, v in nxt.items() if v != (0, 0)}
-            for z, (a, b) in front.items():
-                za, zb = row.get(z, (0, 0))
-                row[z] = (za + a, zb + b)
-        out.extend((x, z, v) for z, v in row.items() if v != (0, 0))
+                        nxt[z] = nxt.get(z, 0) + c
+                front = nxt
+            for z, c in front.items():
+                row[z] = row.get(z, 0) + c
+        out.extend((x, z, c) for z, c in row.items())
     return out
 
 
@@ -367,9 +378,12 @@ class LocalMaps:
         ``mask``, summed over ``variants`` (one variant per step each).
 
         Gives ``(kb, ka, local, stable)``: the circle counts at both ends,
-        entries (source code, target code, (a, b)) on the touched circles in
-        no fixed order, and the (source, target) codes of every exponent
-        assignment of the untouched ones, one pair per map entry each.  Any
+        entries (source code, target code, c) on the touched circles in no
+        fixed order, and the (source, target) codes of every exponent
+        assignment of the untouched ones, one pair per map entry each.  The
+        map's coefficient is c sqrt n^((1 + ka - kb) mod 2), the parity of
+        its eta count (see :mod:`vhx.homology`), so the flip orders of one
+        edge give the same entries even where their eta counts differ.  Any
         variants may be mixed here: the degree window is the assembler's.
         """
         return self.keyed_map(mask, path, self.band_key(mask, path), variants)
@@ -438,7 +452,6 @@ def build_vertex_complex(
     site_masks, paths, variants = ribbon.vertex_masks, ribbon.bands, _placements(tilde_count)
     bigrade_j, d, m = tilde_count * n, len(paths), half_m(n)
     shift = 3 * m
-    values: dict[tuple[int, int], tuple[int, int]] = {}  # entries share one tuple per value
     dims: dict[tuple[int, int], int] = {}
     masks, ks, touched = [], [], []
     offsets = []  # per state, its first position in each of its blocks
@@ -458,7 +471,7 @@ def build_vertex_complex(
     top = 2 * max(map(len, paths)) + 1
     window = [[_window(n, tilde_count, k0, k1) for k1 in range(top)] for k0 in range(top)]
 
-    diff: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
+    diff: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
     def emit(s: int, v: int, key: tuple) -> None:
         """The entries of the edge that flips vertex ``v`` from state ``s``."""
@@ -477,11 +490,14 @@ def build_vertex_complex(
         _, dsum_b, rank_b, _ = maps.codes(kb)
         offs_a = offsets[s | bit]
         _, dsum_a, rank_a, _ = maps.codes(ka)
-        negate = (s >> (d - v)).bit_count() & 1  # 1s left of site v
+        # the entries lack sqrt n where 1 + ka - kb is odd; on elements scaled
+        # by sqrt n^phi it becomes n from a state with phi = 1, else 1
+        scale = n if (1 + ka - kb) & (kb + i) & 1 else 1
+        if (s >> (d - v)).bit_count() & 1:  # 1s left of site v
+            scale = -scale
         jb0, ja0 = kb * m + shift * i, ka * m + shift * (i + 1)
-        for sp, tp, (a, b) in local:
-            val = (-a, -b) if negate else (a, b)
-            val = values.setdefault(val, val)
+        for sp, tp, c in local:
+            val = scale * c
             for ss, st in stable:
                 src, tgt = sp + ss, tp + st
                 ds, dt = dsum_b[src], dsum_a[tgt]
@@ -525,24 +541,18 @@ def delta_graded_pieces(
 # exact rank computation
 
 
-def matrix_rank(block: dict, nrows: int, ncols: int, n: int) -> int:
-    """Rank over Q(sqrt n) of a block of integer pairs (a, b) meaning
-    a + b sqrt n, by fraction-free elimination in Z[sqrt n]; pivots are the
-    first nonzero entry in row-major order.
+def matrix_rank(block: dict) -> int:
+    """Rank over Q of an integer block {(row, col): value}, by fraction-free
+    elimination; pivots are the first nonzero entry in row-major order.
 
-    A perfect square's root is folded into a first (b = 0), so no zero
-    divisor of Z[x]/(x^2 - n) occurs.  A pivot row is kept times its
-    pivot's conjugate, so the pivot is its norm d, a nonzero integer.  A row
-    with c there becomes (d * row - c * pivot_row) / gcd(d, c), then is
-    divided by the gcd of its integers."""
-    root = _isqrt_exact(n)
-    rows: dict[int, dict[int, tuple[int, int]]] = {}
+    A pivot row is kept divided by the gcd of its entries, its pivot d
+    positive.  A row with c there becomes (d * row - c * pivot_row) /
+    gcd(d, c), then is divided by the gcd of its entries."""
+    rows: dict[int, dict[int, int]] = {}
     for (r, c), v in block.items():
-        if root is not None:
-            v = (v[0] + root * v[1], 0)
-        if v[0] or v[1]:
+        if v:
             rows.setdefault(r, {})[c] = v
-    pivots: dict[int, tuple[int, dict[int, tuple[int, int]]]] = {}
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for r in sorted(rows):
         cur = rows.pop(r)  # eliminated in place, and freed once done
         # a pivot row's other entries lie right of its pivot, so pivot
@@ -553,52 +563,43 @@ def matrix_rank(block: dict, nrows: int, ncols: int, n: int) -> int:
             pc = heapq.heappop(todo)
             if pc not in cur:
                 continue
-            ca, cb = cur.pop(pc)
             d, prow = pivots[pc]
-            g = math.gcd(d, ca, cb)
-            d, ca, cb = d // g, ca // g, cb // g
+            g = math.gcd(d, cur[pc])
+            d, f = d // g, cur.pop(pc) // g
             if d != 1:
-                cur = {c: (d * x, d * y) for c, (x, y) in cur.items()}
-            for c, (x, y) in prow.items():
-                a, b = cur.pop(c, (0, 0))
-                a, b = a - ca * x - n * cb * y, b - ca * y - cb * x
-                if a or b:
-                    cur[c] = (a, b)
+                cur = {c: d * x for c, x in cur.items()}
+            for c, x in prow.items():
+                y = cur.pop(c, 0) - f * x
+                if y:
+                    cur[c] = y
                     if c in pivots:
                         heapq.heappush(todo, c)
             if d != 1 and cur:
-                g = math.gcd(*(t for v in cur.values() for t in v))
-                cur = {c: (x // g, y // g) for c, (x, y) in cur.items()}
+                g = math.gcd(*cur.values())
+                cur = {c: x // g for c, x in cur.items()}
         if cur:
             pc = min(cur)
-            pa, pb = cur.pop(pc)
-            d = pa * pa - n * pb * pb
-            prow = {c: (pa * x - n * pb * y, pa * y - pb * x) for c, (x, y) in cur.items()}
-            g = math.gcd(d, *(t for v in prow.values() for t in v)) * (-1 if d < 0 else 1)
-            pivots[pc] = (d // g, {c: (x // g, y // g) for c, (x, y) in prow.items()})
+            d = cur.pop(pc)
+            g = math.gcd(d, *cur.values()) * (-1 if d < 0 else 1)
+            pivots[pc] = (d // g, {c: x // g for c, x in cur.items()})
     return len(pivots)
 
 
 def chain_condition_holds(cx: ChainComplex) -> bool:
-    """delta(i+1) o delta(i) = 0 for every consecutive pair of blocks, in
-    integer pairs (a, b); a perfect square's root is folded into a sum when
-    it is tested."""
-    n, k, root = cx.n, cx.bigrade_j, _isqrt_exact(cx.n)
+    """delta(i+1) o delta(i) = 0 for every consecutive pair of blocks."""
+    k = cx.bigrade_j
     for (i, j), block in cx.diff.items():
         nxt = cx.diff.get((i + 1, j + k))
         if not nxt:
             continue
-        nxt_cols: dict[int, list[tuple[int, int, int]]] = {}
-        for (r2, mid), (x, y) in nxt.items():
-            nxt_cols.setdefault(mid, []).append((r2, x, y))
-        acc: dict[tuple[int, int], tuple[int, int]] = {}
-        for (mid, c), (a, b) in block.items():
-            for r2, x, y in nxt_cols.get(mid, ()):
-                sa, sb = acc.get((r2, c), (0, 0))
-                acc[(r2, c)] = (sa + a * x + n * b * y, sb + a * y + b * x)
-        if root is not None:
-            acc = {key: (a + root * b, 0) for key, (a, b) in acc.items()}
-        if any(a or b for a, b in acc.values()):
+        nxt_cols: dict[int, list[tuple[int, int]]] = {}
+        for (r2, mid), x in nxt.items():
+            nxt_cols.setdefault(mid, []).append((r2, x))
+        acc: dict[tuple[int, int], int] = {}
+        for (mid, c), a in block.items():
+            for r2, x in nxt_cols.get(mid, ()):
+                acc[(r2, c)] = acc.get((r2, c), 0) + a * x
+        if any(acc.values()):
             return False
     return True
 
@@ -612,7 +613,7 @@ def bigraded_homology(cx: ChainComplex) -> RankTable:
     @functools.cache
     def block_rank(i, j):
         block = cx.diff.get((i, j))
-        return matrix_rank(block, cx.dim(i + 1, j), cx.dim(i, j), cx.n) if block else 0
+        return matrix_rank(block) if block else 0
 
     for i, j in sorted(cx.dims):
         dim = cx.dim(i, j)
@@ -630,9 +631,3 @@ def graded_euler(ranks: RankTable) -> LaurentPoly:
     for (i, j), r in ranks.ranks.items():
         out[j] = out.get(j, 0) + (-1) ** i * r
     return LaurentPoly(out)
-
-
-def chain_euler(cx: ChainComplex) -> LaurentPoly:
-    """Graded Euler characteristic from chain-group dimensions (equal to the
-    homological one by rank-nullity)."""
-    return graded_euler(RankTable(cx.n, cx.dims))

@@ -2,11 +2,11 @@
 coefficients, and the structure maps m / Delta / eta as lists of
 (output exponents, :class:`QuadScalar`) terms.
 
-:mod:`vhx.algebra` gives its coefficients as integer pairs (a, b) meaning
-a + b sqrt n; this reads them as field elements, so the reference
-assembly, the Fraction rank and the color-basis oracle compute over
-Q(sqrt n) itself.  Its structure maps are the library's step tables,
-:func:`vhx.algebra.structure_terms`, with each pair made a ``QuadScalar``.
+The maps are derived here from their definition on k[x]/(x^n - t), eta
+with coefficient sqrt n, and share no code with :mod:`vhx.algebra`, whose
+step tables list output monomials alone: the vertex complex takes eta's
+root out by a change of basis.  So the reference assembly, the Fraction
+rank and the color-basis oracle compute over Q(sqrt n) itself.
 """
 
 from __future__ import annotations
@@ -14,8 +14,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from vhx.algebra import _check, _isqrt_exact, half_m, structure_terms
 from vhx.vpd import Frozen
+
+# the powers of t that each variant keeps: plain is the t = 0 part, tilde
+# the degree-n part, hat both (the maps of k[x]/(x^n - 1))
+T_POWERS = {"plain": (0,), "tilde": (1,), "hat": (0, 1)}
 
 
 class QuadScalar(Frozen):
@@ -28,8 +31,8 @@ class QuadScalar(Frozen):
     _fields = ("a", "b", "radicand")
 
     def __init__(self, a: Fraction, b: Fraction, radicand: int):
-        r = _isqrt_exact(radicand) if b else None
-        if r is not None:
+        r = math.isqrt(radicand)
+        if b and r * r == radicand:
             a, b = a + b * r, Fraction(0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -82,26 +85,57 @@ class QuadScalar(Frozen):
         return f"({self.a} + {self.b}*sqrt({self.radicand}))"
 
 
+def root_power(n: int, e: int) -> QuadScalar:
+    """sqrt(n)^e for any integer e."""
+    whole = Fraction(n) ** (e // 2)
+    return QuadScalar(Fraction(0), whole, n) if e & 1 else QuadScalar(whole, Fraction(0), n)
+
+
+def half_m(n: int) -> int:
+    """The integer m of the grading: n/2 (even) or (n-1)/2 (odd)."""
+    return n // 2
+
+
+def _check(n: int, *ks: int) -> None:
+    for k in ks:
+        if not 0 <= k < n:
+            raise ValueError(f"exponent {k} out of range for n={n}")
+
+
 def qdeg(n: int, k: int) -> int:
     """Quantum degree of the basis element x^k."""
     _check(n, k)
     return half_m(n) - k
 
 
-def _scalars(n: int, terms: list) -> list[tuple[tuple[int, ...], QuadScalar]]:
-    return [(out, QuadScalar.make(a, b, n)) for out, (a, b) in terms]
+def _reduce(n: int, variant: str, p: int, coeff: QuadScalar) -> list:
+    """x^p = t^w x^(p - w n) in k[x]/(x^n - t), kept if the variant keeps t^w."""
+    w, r = divmod(p, n)
+    return [((r,), coeff)] if w in T_POWERS[variant] else []
 
 
 def map_m(n: int, variant: str, i: int, j: int) -> list[tuple[tuple[int, ...], QuadScalar]]:
-    """Multiplication V (x) V -> V."""
-    return _scalars(n, structure_terms(n, variant, "merge", (i, j)))
+    """Multiplication V (x) V -> V: x^i x^j."""
+    _check(n, i, j)
+    return _reduce(n, variant, i + j, QuadScalar.of_int(1, n))
 
 
 def map_delta(n: int, variant: str, k: int) -> list[tuple[tuple[int, ...], QuadScalar]]:
-    """Comultiplication V -> V (x) V."""
-    return _scalars(n, structure_terms(n, variant, "split", (k,)))
+    """Comultiplication V -> V (x) V: the sum of x^a (x) x^b over the
+    exponent pairs with x^a x^b t^w = x^(k + 2m), w a power of t the
+    variant keeps."""
+    _check(n, k)
+    one, top = QuadScalar.of_int(1, n), k + 2 * half_m(n)
+    return [
+        ((a, b), one)
+        for w in T_POWERS[variant]
+        for a in range(n)
+        for b in range(n)
+        if a + b + w * n == top
+    ]
 
 
 def map_eta(n: int, variant: str, k: int) -> list[tuple[tuple[int, ...], QuadScalar]]:
-    """Same-circle map V -> V, with coefficient sqrt(n)."""
-    return _scalars(n, structure_terms(n, variant, "same-circle", (k,)))
+    """Same-circle map V -> V: sqrt(n) x^(k + m)."""
+    _check(n, k)
+    return _reduce(n, variant, k + half_m(n), QuadScalar.root(n))

@@ -7,9 +7,9 @@ conjugate transpose.  A state's harmonic kernel is the common kernel of its
 outgoing hat maps and of the adjoints of its incoming ones, counted here as
 the singular values of the stacked color-basis blocks at or below a
 threshold.  Hat maps come from the dict-of-monomials assembly of
-``reference_homology.py`` on the reference tracer, so this shares no code
-with :func:`vhx.colorings.harmonic_kernel_check` beyond the algebra's step
-tables, :func:`vhx.algebra.structure_terms`.  Needs numpy, which only the
+``reference_homology.py`` on the reference tracer, with the structure
+maps of ``reference_algebra.py``, so this shares no code with
+:func:`vhx.colorings.harmonic_kernel_check`.  Needs numpy, which only the
 tests install.
 """
 

@@ -4,9 +4,10 @@
 Every hypercube edge enumerates all n^k exponent tuples of its state,
 matches circles by token sets, and composes dicts of ``QuadScalar``s.
 Circles come from the reference tracer in ``reference_tracer.py`` and
-scalars are the ``QuadScalar``s of ``reference_algebra.py``, so this shares
-only :func:`vhx.algebra.structure_terms` (the step tables) and
-:func:`vhx.algebra.half_m` with the assembler.
+scalars and structure maps are those of ``reference_algebra.py``, eta
+carrying sqrt n, so this shares no algebra with the assembler: its
+differentials are the complex's before the change of basis that makes
+the assembler's entries integers.
 
 :func:`matrix_rank` is the rank that predates the fraction-free one in
 :mod:`vhx.homology`: elimination over Q(sqrt n) in ``QuadScalar``, with
@@ -19,10 +20,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from reference_algebra import QuadScalar, map_delta, map_eta, map_m, qdeg
+from reference_algebra import QuadScalar, half_m, map_delta, map_eta, map_m, qdeg
 from reference_tracer import CircleDecomposition, reference_trace, vertex_swaps
 
-from vhx.algebra import half_m
 from vhx.states import InvariantError
 from vhx.vpd import RotationSystem
 
@@ -184,21 +184,22 @@ def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
     )
 
 
-def graded_edge_maps(rs, n, bits, vertex):
-    """``vertex_edge_map_graded`` for tilde counts 0..3 at once, sharing the
-    six elementary maps and the four two-step compositions of the edge."""
+def graded_edge_maps(rs, n, bits, vertex, tilde_counts=range(4)):
+    """``vertex_edge_map_graded`` for each of ``tilde_counts`` at once,
+    sharing the elementary maps and two-step compositions of the edge."""
     decs, edges = site_path(rs, bits, vertex)
-    step = {
-        (idx, var): elementary_tensor_map(decs[idx], decs[idx + 1], edges[idx], n, var)
-        for idx in range(3)
-        for var in ("plain", "tilde")
-    }
-    pairs = {}
-    for variants in itertools.product(("plain", "tilde"), repeat=2):
-        pairs[variants] = compose(step[0, variants[0]], step[1, variants[1]])
+
+    @lru_cache(maxsize=None)
+    def step(idx, var):
+        return elementary_tensor_map(decs[idx], decs[idx + 1], edges[idx], n, var)
+
+    @lru_cache(maxsize=None)
+    def pair(var0, var1):
+        return compose(step(0, var0), step(1, var1))
+
     return [
-        graded_sum(compose(pairs[v[:2]], step[2, v[2]]) for v in placements(t))
-        for t in range(4)
+        graded_sum(compose(pair(*v[:2]), step(2, v[2])) for v in placements(t))
+        for t in tilde_counts
     ]
 
 
@@ -211,8 +212,8 @@ def _drop_zeros(diff):
             del diff[key]
 
 
-def vertex_pieces(rs, n) -> list[ReferenceComplex]:
-    """The vertex complex's graded pieces for tilde counts 0..3."""
+def vertex_pieces(rs, n, tilde_counts=range(4)) -> list[ReferenceComplex]:
+    """The vertex complex's graded pieces for ``tilde_counts``."""
     m = half_m(n)
     nv = rs.vertex_count
     bases = {}
@@ -223,7 +224,7 @@ def vertex_pieces(rs, n) -> list[ReferenceComplex]:
             j = sum(qdeg(n, e) for e in exps) + 3 * m * i
             bases.setdefault((i, j), []).append((bits, exps))
     index = {key: {be: r for r, be in enumerate(lst)} for key, lst in bases.items()}
-    diffs = [{} for _ in range(4)]
+    diffs = [{} for _ in tilde_counts]
     for bits in itertools.product([0, 1], repeat=nv):
         i = sum(bits)
         for v in range(nv):
@@ -231,8 +232,9 @@ def vertex_pieces(rs, n) -> list[ReferenceComplex]:
                 continue
             head = bits[:v] + (1,) + bits[v + 1 :]
             sign = -1 if sum(bits[:v]) % 2 else 1
-            for t, emap in enumerate(graded_edge_maps(rs, n, bits, v)):
-                kshift, diff = t * n, diffs[t]
+            emaps = graded_edge_maps(rs, n, bits, v, tilde_counts)
+            for t, emap, diff in zip(tilde_counts, emaps, diffs):
+                kshift = t * n
                 for a, lst in emap.items():
                     ja = sum(qdeg(n, e) for e in a) + 3 * m * i
                     block = diff.setdefault((i, ja), {})
@@ -248,7 +250,9 @@ def vertex_pieces(rs, n) -> list[ReferenceComplex]:
                         block[key] = val if prev is None else prev + val
     for diff in diffs:
         _drop_zeros(diff)
-    return [ReferenceComplex(n, bases, diff, bigrade_j=t * n) for t, diff in enumerate(diffs)]
+    return [
+        ReferenceComplex(n, bases, diff, bigrade_j=t * n) for t, diff in zip(tilde_counts, diffs)
+    ]
 
 
 def matrix_rank(block: dict[tuple[int, int], QuadScalar], nrows: int, ncols: int) -> int:

@@ -144,5 +144,20 @@ def test_delta_is_cocommutative(n, variant):
     circles is listed first."""
     for k in range(n):
         terms = structure_terms(n, variant, "split", (k,))
-        flipped = [(out[::-1], c) for out, c in terms]
-        assert sorted(terms) == sorted(flipped)
+        assert sorted(terms) == sorted(out[::-1] for out in terms)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("variant", ["plain", "tilde", "hat"])
+def test_step_tables_match_reference_maps(n, variant):
+    """The step tables list the reference maps' output monomials in order:
+    m and Delta with coefficient 1, eta with sqrt n."""
+    one, root = QuadScalar.of_int(1, n), QuadScalar.root(n)
+    for i in range(n):
+        want = [(out, one) for out in structure_terms(n, variant, "split", (i,))]
+        assert map_delta(n, variant, i) == want
+        want = [(out, root) for out in structure_terms(n, variant, "same-circle", (i,))]
+        assert map_eta(n, variant, i) == want
+        for j in range(n):
+            want = [(out, one) for out in structure_terms(n, variant, "merge", (i, j))]
+            assert map_m(n, variant, i, j) == want

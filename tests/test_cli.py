@@ -244,7 +244,7 @@ def test_check_reports_invariant_failure_and_runs_on(capsys, theta_path, monkeyp
     from vhx import homology
 
     # an impossible rank makes some homology rank negative
-    monkeypatch.setattr(homology, "matrix_rank", lambda block, nrows, ncols, n: nrows + ncols)
+    monkeypatch.setattr(homology, "matrix_rank", lambda block: 10**9)
     code, out, _ = run(capsys, "check", "--n", "2", theta_path)
     assert code == 3
     rows = out.splitlines()
@@ -374,7 +374,7 @@ def test_invariant_violation_exit_3(capsys, theta_path, monkeypatch):
     # a usage-error handler catching ValueError must not swallow it
     assert not issubclass(InvariantError, ValueError)
     # an impossible rank makes some homology rank negative
-    monkeypatch.setattr(homology, "matrix_rank", lambda block, nrows, ncols, n: nrows + ncols)
+    monkeypatch.setattr(homology, "matrix_rank", lambda block: 10**9)
     code, out, err = run(capsys, "homology", "--n", "2", theta_path)
     assert code == 3
     assert out == ""
@@ -429,8 +429,8 @@ def test_cold_start_loads_only_the_layers_a_command_runs():
 def test_commands_and_the_kernel_check_run_without_numpy():
     """Under ``python -S``, homology, filtered, check, matchings and tait on
     theta, and the harmonic kernel check after them, never load numpy; nor,
-    since homology computes on integer pairs, ``fractions`` or ``decimal``
-    (n = 4 takes the perfect-square fold)."""
+    since homology computes on integers, ``fractions`` or ``decimal`` (at
+    n = 4, a perfect square, too)."""
     import os
     import subprocess
     import sys

@@ -213,7 +213,7 @@ def test_harmonic_kernel_theta(graphs, n):
     check_harmonic_kernel(graphs["theta"], n)
 
 
-# n = 4 folds sqrt(n) into the rational part
+# n = 4, a perfect square, too
 @pytest.mark.parametrize(
     "name,n",
     [(name, n) for name in SMALL_FIXTURES if name != "theta" for n in (2, 3)] + [("k4", 4)],

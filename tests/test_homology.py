@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from reference_algebra import QuadScalar
+from reference_algebra import QuadScalar, root_power
 from test_ribbon import CORPUS_SEED, SMALL, prism, random_cubic, relabel
 
 import vhx
@@ -10,11 +10,11 @@ from vhx.algebra import half_m
 from vhx.homology import (
     ChainComplex,
     LocalMaps,
+    RankTable,
     _placements,
     bigraded_homology,
     build_vertex_complex,
     chain_condition_holds,
-    chain_euler,
     delta_graded_pieces,
     graded_euler,
     matrix_rank,
@@ -42,10 +42,10 @@ THETA_TABLE_N2 = {
 def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
     """Sum of compositions with exactly ``tilde_count`` tilde factors, on the
     hypercube edge that 1-smooths ``vertex`` from the vertex state ``bits``,
-    as {source exponents: [(target exponents, (a, b))]} with coefficient
-    a + b sqrt n: :meth:`LocalMaps.edge_map` expanded over the untouched
-    circles.  Each target appears once per source, and terms come in no
-    fixed order."""
+    as {source exponents: [(target exponents, coefficient)]}:
+    :meth:`LocalMaps.edge_map` expanded over the untouched circles, each
+    integer times sqrt n^((1 + ka - kb) mod 2) as a ``QuadScalar``.  Each
+    target appears once per source, and terms come in no fixed order."""
     mask = state_mask(rs, bits)
     if bits[vertex]:
         raise StateSpaceError(f"no hypercube edge 1-smooths vertex {vertex} from {bits}")
@@ -53,22 +53,30 @@ def vertex_edge_map_graded(rs, n, bits, vertex, tilde_count, order=(0, 1, 2)):
     maps = LocalMaps(rs.ribbon, n)
     kb, ka, local, stable = maps.edge_map(mask, path, _placements(tilde_count))
     exps_b, exps_a = maps.codes(kb)[0], maps.codes(ka)[0]
+    # the entries lack the sqrt n of an odd eta count
+    root = root_power(n, (1 + ka - kb) % 2)
     out: dict[tuple[int, ...], list] = {}
     for sp, tp, c in local:
+        coeff = root * QuadScalar.of_int(c, n)
         for ss, st in stable:
-            out.setdefault(exps_b[sp + ss], []).append((exps_a[tp + st], c))
+            out.setdefault(exps_b[sp + ss], []).append((exps_a[tp + st], coeff))
     return out
 
 
+def chain_euler(cx: ChainComplex):
+    """Graded Euler characteristic from chain-group dimensions (equal to the
+    homological one by rank-nullity)."""
+    return graded_euler(RankTable(cx.n, cx.dims))
+
+
 def test_matrix_rank():
-    # entries are integer pairs (a, b) = a + b sqrt 2
-    one, r = (1, 0), (0, 1)
-    # [[1, r], [r, 2]] is singular over Q(sqrt 2)
-    block = {(0, 0): one, (0, 1): r, (1, 0): r, (1, 1): (2, 0)}
-    assert matrix_rank(block, 2, 2, 2) == 1
-    block[(1, 1)] = (3, 0)
-    assert matrix_rank(block, 2, 2, 2) == 2
-    assert matrix_rank({}, 4, 5, 2) == 0
+    # [[1, sqrt 2], [sqrt 2, 2]] is singular over Q(sqrt 2), and so is
+    # [[1, 2], [1, 2]], its second row scaled by 1/sqrt 2 and column by sqrt 2
+    block = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}
+    assert matrix_rank(block) == 1
+    block[(1, 1)] = 3
+    assert matrix_rank(block) == 2
+    assert matrix_rank({(0, 0): 0, (3, 4): 0}) == matrix_rank({}) == 0
 
 
 def test_theta_homology_table(graphs):
@@ -109,7 +117,7 @@ def test_graded_euler_is_bracket(graphs, name, n):
 def test_theta_lee_edge_maps(graphs):
     """The published graded-piece values on the theta graph at n = 2."""
     theta = graphs["theta"]
-    r2 = (0, 1)  # sqrt 2 as an integer pair
+    r2 = QuadScalar.root(2)
     out = vertex_edge_map_graded(theta, 2, (0, 0), 0, 0)
     assert out == {(0, 0, 0): [((1,), r2)]}
     out = vertex_edge_map_graded(theta, 2, (0, 0), 0, 1)
@@ -158,7 +166,7 @@ def test_edge_maps_and_kernel_check_refuse_n_below_two(graphs, n):
 
 def _compose_blocks(A, B, p):
     """Entries of B o A where A has q-jump p (blocks (i, j) -> (i+1, j+p)),
-    the integer pairs of both read as ``QuadScalar``s."""
+    in integers."""
     out = {}
     for (i, j), blk in A.diff.items():
         nxt = B.diff.get((i + 1, j + p))
@@ -168,8 +176,7 @@ def _compose_blocks(A, B, p):
             for (r2, c2), v2 in nxt.items():
                 if c2 == r1:
                     key = (i, j, r2, c1)
-                    prod = QuadScalar.make(*v2, B.n) * QuadScalar.make(*v1, A.n)
-                    out[key] = out.get(key, QuadScalar.of_int(0, A.n)) + prod
+                    out[key] = out.get(key, 0) + v2 * v1
     return out
 
 
@@ -183,8 +190,8 @@ def test_graded_pieces_anticommute(graphs, k):
         if q not in pieces:
             continue
         for key, v in _compose_blocks(A, pieces[q], p).items():
-            total[key] = total.get(key, QuadScalar.of_int(0, 2)) + v
-    assert all(not v for v in total.values())
+            total[key] = total.get(key, 0) + v
+    assert not any(total.values())
 
 
 def test_graded_pieces_bigrades(graphs):
@@ -195,15 +202,14 @@ def test_graded_pieces_bigrades(graphs):
 
 
 def test_chain_condition_detects_nonzero_square():
-    one = (1, 0)
     # C^0 -> C^1 (dim 2) -> C^2: [1, 1]^T then [1, -1] composes to zero
     cx = ChainComplex(
         2,
         {(0, 0): 1, (1, 0): 2, (2, 0): 1},
-        {(0, 0): {(0, 0): one, (1, 0): one}, (1, 0): {(0, 0): one, (0, 1): (-1, 0)}},
+        {(0, 0): {(0, 0): 1, (1, 0): 1}, (1, 0): {(0, 0): 1, (0, 1): -1}},
     )
     assert chain_condition_holds(cx)
-    cx.diff[(1, 0)][(0, 1)] = one
+    cx.diff[(1, 0)][(0, 1)] = 1
     assert not chain_condition_holds(cx)
 
 

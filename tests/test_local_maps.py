@@ -4,8 +4,10 @@
 ``delta_graded_pieces``, the graded vertex edge maps of
 ``LocalMaps.edge_map`` (``test_homology.vertex_edge_map_graded``) and the
 hat maps of the kernel check must equal the dict-of-monomials reference in
-``reference_homology.py`` exactly, on the fixtures, the lollipop and the
-generated corpus of ``test_ribbon.py`` up to |V| = 8.
+``reference_homology.py`` over Q(sqrt n), once their integer entries undo
+the complex's change of basis, on the fixtures, the lollipop and the
+generated corpus of ``test_ribbon.py`` up to |V| = 8.  The parity lemma
+that makes the entries integers holds on every edge of generated systems.
 An edge map is an unordered sum, so each source's terms are compared as
 a {target: coefficient} dict; each target appears once per source.
 A ribbon traces each swap mask and builds each band model once for all
@@ -23,9 +25,12 @@ import random
 import pytest
 import reference_homology as ref
 from conftest import SMALL_FIXTURES
-from reference_algebra import QuadScalar
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference_algebra import QuadScalar, root_power
 from test_homology import PRISM4, vertex_edge_map_graded
 from test_ribbon import CORPUS_SEED, SMALL, prism, random_cubic, relabel
+from test_vpd import trivalent_systems
 
 import vhx
 from vhx import homology
@@ -38,9 +43,10 @@ from vhx.homology import (
     delta_graded_pieces,
 )
 from vhx.states import InvariantError, state_mask
+from vhx.vpd import VPDError, parse_vpd
 
 GATED = sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8)
-# n = 4 folds sqrt(n) into the rational part
+# n = 4: the reference folds sqrt 4 into the rational part
 CASES = [(name, n) for name in GATED for n in (2, 3)] + [("k4", 4)]
 
 
@@ -62,15 +68,22 @@ def element_order(n, circles):
 def assert_same(cx, want):
     """Equal dimensions, the reference's elements listed in the assembler's
     order (so the differentials' positions name the same elements), and
-    equal differentials once the complex's integer pairs (a, b) are read as
-    the reference's ``QuadScalar``s."""
+    equal differentials once the complex's integer entries undo its change
+    of basis, which scales each element of a state with k circles and
+    weight i by sqrt n^phi, phi = (k + i) mod 2: an entry c from s to t is
+    c sqrt n^(phi(t) - phi(s)) over Q(sqrt n)."""
     assert cx.bigrade_j == want.bigrade_j
     assert cx.dims == {key: len(basis) for key, basis in want.bases.items()}
     circles = {bits: len(e) for basis in want.bases.values() for bits, e in basis}
     assert element_order(cx.n, circles) == want.bases
-    scalar = functools.cache(lambda ab: QuadScalar.make(*ab, cx.n))
-    scalars = {key: {rc: scalar(ab) for rc, ab in blk.items()} for key, blk in cx.diff.items()}
-    assert scalars == want.diff
+    n = cx.n
+    scalar = functools.cache(lambda c, d: QuadScalar.of_int(c, n) * root_power(n, d))
+    phi = {key: [(sum(b) + len(e)) & 1 for b, e in basis] for key, basis in want.bases.items()}
+    got = {}
+    for (i, j), block in cx.diff.items():
+        src, tgt = phi[(i, j)], phi[(i + 1, j + cx.bigrade_j)]
+        got[(i, j)] = {(r, c): scalar(v, tgt[r] - src[c]) for (r, c), v in block.items()}
+    assert got == want.diff
 
 
 def rows(emap):
@@ -108,15 +121,13 @@ def test_vertex_complex_matches_reference(name, n):
 @pytest.mark.parametrize("name,n", [("theta", 2), ("theta", 3), ("thetaneg", 2), ("k4", 2), ("lollipop", 2), ("rand4neg", 3)])
 def test_vertex_edge_maps_match_reference(name, n):
     """Same sources, and each source's terms equal as a {target: scalar}
-    dict, in whatever order they come, once the integer pairs (a, b) are
-    read as the reference's ``QuadScalar``s."""
+    dict, in whatever order they come, once the integer entries take back
+    the sqrt n of an odd eta count."""
     rs = SMALL[name]
-    scalar = functools.cache(lambda ab: QuadScalar.make(*ab, n))
     for bits, v in vertex_flips(rs):
         for t in range(4):
             for order in itertools.permutations(range(3)):
                 got = vertex_edge_map_graded(rs, n, bits, v, t, order)
-                got = {x: [(y, scalar(ab)) for y, ab in terms] for x, terms in got.items()}
                 assert rows(got) == rows(ref.vertex_edge_map_graded(rs, n, bits, v, t, order))
 
 
@@ -131,10 +142,12 @@ def test_hat_matrices_match_reference(name, n):
             state_mask(rs, bits), rs.ribbon.bands[v], (("hat",) * 3,)
         )
         exps_b, exps_a = maps.codes(kb)[0], maps.codes(ka)[0]
+        root = root_power(n, (1 + ka - kb) % 2)
         got: dict = {}
-        for sp, tp, (a, b) in local:
+        for sp, tp, c in local:
+            coeff = root * QuadScalar.of_int(c, n)
             for ss, st in stable:
-                got.setdefault(exps_b[sp + ss], {})[exps_a[tp + st]] = QuadScalar.make(a, b, n)
+                got.setdefault(exps_b[sp + ss], {})[exps_a[tp + st]] = coeff
         assert got == rows(ref.vertex_edge_map(rs, n, bits, v, ("hat",) * 3))
 
 
@@ -306,3 +319,25 @@ def test_build_composes_only_the_edges_with_an_open_window(monkeypatch):
         composed.clear()
         build_vertex_complex(rs, n)
         assert len(composed) == len(set(composed)) == want
+
+
+@given(trivalent_systems(), st.integers(2, 6))
+@settings(max_examples=40, deadline=None)
+def test_parity_lemma_on_generated_systems(text, n):
+    """Every hypercube edge's band model has an eta count of the parity of
+    1 + k1 - k0, its circles k0 at the start and k1 at the end (the parity
+    lemma of :mod:`vhx.homology`), and so every graded piece, tilde counts
+    0 to 3, has integer entries."""
+    try:
+        rs = parse_vpd(text)
+    except VPDError:
+        assume(False)
+    maps = LocalMaps(rs.ribbon, n)
+    for bits, v in vertex_flips(rs):
+        maps.edge_map(state_mask(rs, bits), rs.ribbon.bands[v], _placements(0))
+    assert len(rs.ribbon.band_models) > 0
+    for steps, start, _, end in rs.ribbon.band_models.values():
+        etas = sum(kind == "same-circle" for kind, *_ in steps)
+        assert etas % 2 == (1 + len(end) - len(start)) % 2
+    for cx in delta_graded_pieces(rs, n).values():
+        assert all(type(v) is int for block in cx.diff.values() for v in block.values())

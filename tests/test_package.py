@@ -115,9 +115,9 @@ def test_import_vhx_loads_no_layer_until_asked():
 
 
 def test_library_calls_never_load_fractions():
-    """Off the CLI path too: the complexes, their homology (n = 4 takes the
-    perfect-square fold), the graded pieces, the kernel check and the
-    filtered ranks compute on integer pairs alone."""
+    """Off the CLI path too: the complexes, their homology (at n = 4, a
+    perfect square, too), the graded pieces, the kernel check and the
+    filtered ranks compute on integers alone."""
     out = run_fresh(
         "import sys, vhx\n"
         "k4, theta = vhx.load_fixture('k4'), vhx.load_fixture('theta')\n"
