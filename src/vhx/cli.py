@@ -4,88 +4,114 @@ Exit codes: 0 success, 2 parse/usage error, 3 invariant-suite failure or
 violated internal invariant.
 
 Each command imports the layers it runs in its handler, so ``faces`` loads
-only :mod:`~vhx.vpd` and a state sum only the state-sum layers, and a run
-that names a command builds that command's argument parser alone.
+only :mod:`~vhx.vpd` and a state sum only the state-sum layers.  A run that
+names a command with known options is read without argparse, and its JSON
+is written without json: a job loads neither.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError
-from .vpd import VPDError, genus_and_orientability, parse_vpd
+from .vpd import VPDError, _dumps, genus_and_orientability, parse_vpd
 
 
 def _parse_n_list(text: str) -> list[int]:
     try:
         ns = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad --n value {text!r}")
-    if not ns or any(n < 2 for n in ns):
-        raise argparse.ArgumentTypeError("--n takes integers >= 2 (comma-separated)")
-    return ns
+        msg = f"bad --n value {text!r}"
+    else:
+        if ns and min(ns) >= 2:
+            return ns
+        msg = "--n takes integers >= 2 (comma-separated)"
+    import argparse
+
+    raise argparse.ArgumentTypeError(msg)
 
 
-def _build_parser(command: str | None = None, p=None) -> argparse.ArgumentParser:
-    """The full parser; or the parser of ``command`` alone, made as the full
-    parser makes that subparser (``p``), so that it prints and fails alike."""
-    if command is None:
-        ap = argparse.ArgumentParser(
-            prog="vhx",
-            description="Invariants of trivalent ribbon graphs in VPD notation.",
-        )
-        ap.add_argument("--version", action="version", version=f"vhx {__version__}")
-        sub = ap.add_subparsers(dest="command", required=True)
-        for name, (_, help_, _) in _COMMANDS.items():
-            _build_parser(name, sub.add_parser(name, help=help_))
-        return ap
-    if p is None:
-        p = argparse.ArgumentParser(prog=f"vhx {command}")
-    p.add_argument("input", help="path to a .vpd file")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_STATE_CAP,
-        help="refuse a vertex sweep that cuts more than CAP open strands, two "
-        "per cut edge; homology sizes its complex with the same sweep "
-        "(default %(default)s)",
+# option -> (type, or None for a flag; default; help).  Every command takes
+# --json and --cap; _COMMANDS names the others it takes.
+_OPTIONS = {
+    "--json": (None, False, "emit JSON"),
+    "--cap": (
+        int,
+        DEFAULT_STATE_CAP,
+        "refuse a vertex sweep that cuts more than CAP open strands, two per cut "
+        "edge; homology sizes its complex with the same sweep (default %(default)s)",
+    ),
+    "--n": (_parse_n_list, (2,), "number of colors; accepts a comma list (default 2)"),
+    "--two-var": (
+        None,
+        False,
+        "print the rank table over all requested n (rows n, columns t-degree)",
+    ),
+    "--verify-paths": (None, False, "also verify independence of the six elementary-map orders"),
+}
+
+
+def _options(command: str) -> tuple[str, ...]:
+    return ("--json", "--cap", *_COMMANDS[command][2])
+
+
+def _build_parser():
+    import argparse
+
+    ap = argparse.ArgumentParser(
+        prog="vhx",
+        description="Invariants of trivalent ribbon graphs in VPD notation.",
     )
-    if _COMMANDS[command][2]:
-        p.add_argument(
-            "--n",
-            type=_parse_n_list,
-            default=[2],
-            help="number of colors; accepts a comma list (default 2)",
-        )
-    if command == "tm-poly":
-        p.add_argument(
-            "--two-var",
-            action="store_true",
-            help="print the rank table over all requested n (rows n, columns t-degree)",
-        )
-    if command == "check":
-        p.add_argument(
-            "--verify-paths",
-            action="store_true",
-            help="also verify independence of the six elementary-map orders",
-        )
-    return p
+    ap.add_argument("--version", action="version", version=f"vhx {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, help_, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("input", help="path to a .vpd file")
+        for opt in _options(name):
+            type_, default, text = _OPTIONS[opt]
+            if type_ is None:
+                p.add_argument(opt, action="store_true", help=text)
+            else:
+                p.add_argument(opt, type=type_, default=default, help=text)
+    return ap
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named command's parser alone, a fraction of the cost of
-    all nine; the full parser takes any other argv, and one with arguments
-    that parser leaves over, for its usage and errors."""
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _build_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` read as argparse reads it, when it is ``<command> <input>``
+    with the command's options, each given once or more as ``--opt`` or
+    ``--opt VALUE``; None for anything else."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    dests = {opt: opt[2:].replace("-", "_") for opt in _options(argv[0])}
+    args = {"command": argv[0], "input": None}
+    args |= {dest: _OPTIONS[opt][1] for opt, dest in dests.items()}
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if not tok.startswith("-"):
+            if args["input"] is not None:
+                return None
+            args["input"] = tok
+        elif tok not in dests:
+            return None
+        elif _OPTIONS[tok][0] is None:
+            args[dests[tok]] = True
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                args[dests[tok]] = _OPTIONS[tok][0](value)
+            except Exception:  # int's ValueError, _parse_n_list's ArgumentTypeError
+                return None
+    return None if args["input"] is None else SimpleNamespace(**args)
+
+
+def _parse_args(argv: list[str]):
+    """The reader's namespace, or argparse's for any argv it declines: help,
+    version, abbreviations, ``--opt=value`` and every usage error."""
+    return _read_args(argv) or _build_parser().parse_args(argv)
 
 
 def _load(path: str):
@@ -100,7 +126,7 @@ def cmd_faces(rs, args) -> int:
     circles = euler - rs.vertex_count + rs.edge_count
     if args.json:
         print(
-            json.dumps(
+            _dumps(
                 {
                     "vertices": rs.vertex_count,
                     "edges": rs.edge_count,
@@ -124,7 +150,7 @@ def _print_poly(args, n: int, poly) -> None:
     """One n's polynomial: JSON tagged with n, or text prefixed by ``n=``
     when several n were asked for."""
     if args.json:
-        print(json.dumps({"n": n} | json.loads(poly.to_json())))
+        print(_dumps({"n": n, "var": poly.var, "terms": poly.terms()}))
     else:
         prefix = f"n={n}: " if len(args.n) > 1 else ""
         print(prefix + poly.to_text())
@@ -179,11 +205,7 @@ def cmd_tm_poly(rs, args) -> int:
     results = [(n, filtered_ranks(rs, n, cap=args.cap)) for n in args.n]
     if args.two_var:
         if args.json:
-            print(
-                json.dumps(
-                    {"rows": [{"n": n, "ranks": fr.ranks} for n, fr in results]}
-                )
-            )
+            print(_dumps({"rows": [{"n": n, "ranks": fr.ranks} for n, fr in results]}))
         else:
             width = max(
                 (len(str(r)) for _, fr in results for r in fr.ranks), default=1
@@ -214,7 +236,7 @@ def cmd_matchings(rs, args) -> int:
                     "cycles": cycles,
                 }
             )
-        print(json.dumps({"count": len(pms), "matchings": rows}))
+        print(_dumps({"count": len(pms), "matchings": rows}))
     else:
         print(f"{len(pms)} perfect matching(s)")
         for m in pms:
@@ -230,7 +252,7 @@ def cmd_tait(rs, args) -> int:
 
     g = AbstractGraph.from_rotation_system(rs)
     count = count_tait_colorings(g, args.cap)
-    print(json.dumps({"tait": count}) if args.json else str(count))
+    print(_dumps({"tait": count}) if args.json else str(count))
     return 0
 
 
@@ -288,24 +310,24 @@ def cmd_check(rs, args) -> int:
     width = max(len(name) for name, _ in results)
     failed = any(status.startswith("FAIL") for _, status in results)
     if args.json:
-        print(json.dumps({"results": [[n, s] for n, s in results], "ok": not failed}))
+        print(_dumps({"results": [[n, s] for n, s in results], "ok": not failed}))
     else:
         for name, status in results:
             print(f"{name:<{width}}  {status}")
     return 3 if failed else 0
 
 
-# command -> (handler, help, whether it takes --n)
+# command -> (handler, help, its options besides --json and --cap)
 _COMMANDS = {
-    "faces": (cmd_faces, "boundary circles, Euler characteristic, genus", False),
-    "ncolor-poly": (cmd_ncolor_poly, "n-color vertex polynomial in q", True),
-    "vertex-poly": (cmd_vertex_poly, "vertex polynomial, symbolic in n", False),
-    "homology": (cmd_homology, "bigraded homology rank table", True),
-    "filtered": (cmd_filtered, "filtered homology ranks, Euler characteristic, TM", True),
-    "tm-poly": (cmd_tm_poly, "total matching polynomial", True),
-    "matchings": (cmd_matchings, "perfect matchings with even/odd classification", False),
-    "tait": (cmd_tait, "number of proper 3-edge-colorings", False),
-    "check": (cmd_check, "run the invariant suite", True),
+    "faces": (cmd_faces, "boundary circles, Euler characteristic, genus", ()),
+    "ncolor-poly": (cmd_ncolor_poly, "n-color vertex polynomial in q", ("--n",)),
+    "vertex-poly": (cmd_vertex_poly, "vertex polynomial, symbolic in n", ()),
+    "homology": (cmd_homology, "bigraded homology rank table", ("--n",)),
+    "filtered": (cmd_filtered, "filtered homology ranks, Euler characteristic, TM", ("--n",)),
+    "tm-poly": (cmd_tm_poly, "total matching polynomial", ("--n", "--two-var")),
+    "matchings": (cmd_matchings, "perfect matchings with even/odd classification", ()),
+    "tait": (cmd_tait, "number of proper 3-edge-colorings", ()),
+    "check": (cmd_check, "run the invariant suite", ("--n", "--verify-paths")),
 }
 
 

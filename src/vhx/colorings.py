@@ -17,7 +17,7 @@ import itertools
 
 from .poly import _Poly, rank_polynomials
 from .states import DEFAULT_STATE_CAP, state_mask
-from .vpd import Record, RotationSystem
+from .vpd import Record, RotationSystem, _dumps
 
 
 class TPoly(_Poly):
@@ -99,11 +99,7 @@ class FilteredRanks(Record):
         return TPoly({i: r for i, r in enumerate(self.ranks) if r})
 
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {"n": self.n, "ranks": self.ranks, "euler": self.euler, "tm": self.total}
-        )
+        return _dumps({"n": self.n, "ranks": self.ranks, "euler": self.euler, "tm": self.total})
 
 
 def filtered_ranks(

@@ -46,14 +46,13 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import json
 import math
 import operator
 
 from .algebra import half_m, structure_terms
 from .poly import LaurentPoly, state_histogram
 from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError
-from .vpd import Record, Ribbon, RotationSystem
+from .vpd import Record, Ribbon, RotationSystem, _dumps
 
 # Largest basis a complex may have; a bigger one is refused from its exact
 # size, before any state is traced (prism6 at n = 3, 224,784 elements, peaks
@@ -73,7 +72,7 @@ class RankTable(Record):
 
     def to_json(self) -> str:
         items = [[i, j, r] for (i, j), r in sorted(self.ranks.items())]
-        return json.dumps({"n": self.n, "ranks": items})
+        return _dumps({"n": self.n, "ranks": items})
 
     def to_text(self) -> str:
         if not self.ranks:

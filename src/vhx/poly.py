@@ -21,12 +21,11 @@ a cut of more than ``cap`` open strands, two per cut edge.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 
 from .algebra import half_m
 from .states import DEFAULT_STATE_CAP, StateSpaceError, cache_per_graph, hypercube_ribbon
-from .vpd import RotationSystem
+from .vpd import RotationSystem, _dumps
 
 
 class _Poly:
@@ -120,9 +119,12 @@ class _Poly:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
 
+    def terms(self) -> list[list[int]]:
+        """[exponent, coefficient] pairs, highest exponent first."""
+        return [[e, self.coeffs[e]] for e in sorted(self.coeffs, reverse=True)]
+
     def to_json(self) -> str:
-        terms = [[e, self.coeffs[e]] for e in sorted(self.coeffs, reverse=True)]
-        return json.dumps({"var": self.var, "terms": terms})
+        return _dumps({"var": self.var, "terms": self.terms()})
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_text()})"

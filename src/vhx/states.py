@@ -33,10 +33,11 @@ def hypercube_ribbon(rs: RotationSystem) -> Ribbon:
 
 
 def cache_per_graph(fn):
-    """``fn(rs, cap)`` kept for the 64 latest keys (rs, cap), one key however
-    ``cap`` is passed or defaulted."""
-    cached = functools.lru_cache(maxsize=64)(fn)
-    call = functools.wraps(fn)(lambda rs, cap=DEFAULT_STATE_CAP: cached(rs, cap))
+    """``fn(rs, cap)`` kept for the 64 latest keys (rs.vertices, cap), one key
+    however ``cap`` is passed or defaulted.  A miss runs ``fn`` on a fresh
+    system, so the cache holds no caller's ribbon and its traces."""
+    cached = functools.lru_cache(maxsize=64)(lambda vs, cap: fn(RotationSystem(vs), cap))
+    call = functools.wraps(fn)(lambda rs, cap=DEFAULT_STATE_CAP: cached(rs.vertices, cap))
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call
 

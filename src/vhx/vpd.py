@@ -70,6 +70,27 @@ class Frozen(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _dumps(value) -> str:
+    """``json.dumps(value)``, byte for byte, without importing json for what
+    vhx prints: str-keyed dicts, lists, tuples, ints, bools and printable
+    ASCII strings free of ``"`` and ``\\``.  Anything else goes to json."""
+    t = type(value)
+    if t is bool:
+        return "true" if value else "false"
+    if t is int:
+        return repr(value)
+    if t is str and value.isascii() and value.isprintable():
+        if '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    if t is list or t is tuple:
+        return "[" + ", ".join(map(_dumps, value)) + "]"
+    if t is dict and all(type(k) is str for k in value):
+        return "{" + ", ".join(f"{_dumps(k)}: {_dumps(v)}" for k, v in value.items()) + "}"
+    import json
+
+    return json.dumps(value)
+
+
 # ---------------------------------------------------------------------------
 # rotation systems
 

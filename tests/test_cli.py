@@ -1,7 +1,12 @@
+import ast
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_ribbon import prism
 
 from vhx import oracles
@@ -393,6 +398,10 @@ COLD_START_UNLOADED = (
     "vhx.homology",
     "vhx.colorings",
     "vhx.oracles",
+    "argparse",
+    "gettext",
+    "locale",
+    "json",
 )
 
 
@@ -406,7 +415,7 @@ def test_cold_start_loads_only_the_layers_a_command_runs():
 
     theta = f"{DATA}/theta.vpd"
     code = (
-        "import json, sys\n"
+        "import sys\n"
         "import vhx.cli\n"
         f"unloaded = {COLD_START_UNLOADED!r}\n"
         "loaded = [[m for m in unloaded if m in sys.modules]]\n"
@@ -414,7 +423,7 @@ def test_cold_start_loads_only_the_layers_a_command_runs():
         f"             ['ncolor-poly', '--n', '2,3', {theta!r}]):\n"
         "    assert vhx.cli.main(argv) == 0\n"
         "    loaded.append([m for m in unloaded if m in sys.modules])\n"
-        "print(json.dumps(loaded))\n"
+        "print(repr(loaded))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(DATA).parent.parent))
     res = subprocess.run(
@@ -423,14 +432,15 @@ def test_cold_start_loads_only_the_layers_a_command_runs():
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert lines[0].startswith("vertices 2") and lines[1] == "2*n^3 - 2*n"
-    assert json.loads(lines[-1]) == [[], [], [], []]
+    assert ast.literal_eval(lines[-1]) == [[], [], [], []]
 
 
 def test_commands_and_the_kernel_check_run_without_numpy():
     """Under ``python -S``, homology, filtered, check, matchings and tait on
     theta, and the harmonic kernel check after them, never load numpy; nor,
     since homology computes on integers, ``fractions`` or ``decimal`` (at
-    n = 4, a perfect square, too)."""
+    n = 4, a perfect square, too); nor, reading their argv and writing their
+    output, ``argparse`` or ``json``."""
     import os
     import subprocess
     import sys
@@ -445,7 +455,7 @@ def test_commands_and_the_kernel_check_run_without_numpy():
         "    assert vhx.cli.main(argv) == 0, argv\n"
         "assert vhx.harmonic_kernel_check(vhx.load_fixture('theta'), 2).ok\n"
         "assert vhx.harmonic_kernel_check(vhx.load_fixture('theta'), 4).ok\n"
-        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+        "print([m for m in ('fractions', 'decimal', 'argparse', 'json') if m in sys.modules])\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(DATA).parent.parent))
@@ -481,3 +491,71 @@ def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, theta_p
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
     assert [_outcome(capsys, argv) for argv in argvs] == fast
     assert [code for code, _, _ in fast] == [0] + [2] * (len(cases) - 2) + [0, 0, 0, 2]
+
+
+# pieces of a command line: a command's own options with good values, and
+# any command's options with bad ones, and what only argparse reads
+_GOOD = {
+    "--cap": st.sampled_from(["24", " 5", "5_0", "+7", "0"]),
+    "--n": st.sampled_from(["2", "2,3", "3,2,4", " 2, 3 ", "2,,3,"]),
+}
+_BAD = st.sampled_from(["1", "a,b", "", "x", "-1", "-5_0", "--json"])
+_OTHER = st.one_of(
+    st.sampled_from([["--two-var"], ["--verify-paths"], ["--n", "2"]]),
+    st.tuples(st.sampled_from(["--cap", "--n"]), _BAD).map(list),
+    st.sampled_from(["--cap", "--n", "--cap=8", "--n=2", "--js", "--two", "-h", "--", "-", "x"]).map(
+        lambda tok: [tok]
+    ),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command, then pieces with the input path among them (or not, or
+    twice)."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    own = st.sampled_from(cli._options(command)).flatmap(
+        lambda opt: _GOOD[opt].map(lambda v: [opt, v]) if opt in _GOOD else st.just([opt])
+    )
+    pieces = draw(st.lists(st.one_of(own, own, own, _OTHER), max_size=4))
+    rest = [tok for piece in pieces for tok in piece]
+    for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+        rest.insert(draw(st.integers(0, len(rest))), f"{DATA}/theta.vpd")
+    return [command, *rest]
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` returns (its attributes) or exits with, and the
+    bytes it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@given(_argvs())
+@settings(max_examples=400, deadline=None)
+def test_argv_reader_matches_argparse(argv):
+    """An argv the reader accepts gives argparse's attributes; one it
+    declines reaches argparse, which prints and exits as it always did."""
+    full = _parsed(lambda argv: cli._build_parser().parse_args(argv), argv)
+    read = cli._read_args(argv)
+    if read is not None:
+        assert (vars(read), "", "") == full
+    else:
+        assert _parsed(cli._parse_args, argv) == full
+
+
+def test_argv_reader_reads_real_calls():
+    """The argv real calls use never reaches argparse."""
+    theta = f"{DATA}/theta.vpd"
+    for argv in (
+        ["faces", "--json", theta],
+        ["homology", theta, "--n", "2,3", "--cap", "20", "--json"],
+        ["tm-poly", "--two-var", "--n", "2,3,4", theta],
+        ["check", "--n", "2", "--verify-paths", theta, "--json"],
+    ):
+        assert cli._read_args(argv) is not None, argv

@@ -341,3 +341,21 @@ def test_homology_invariant_under_relabeling(name):
         for other in others:
             assert other != rs
             assert bigraded_homology(build_vertex_complex(other, n)).ranks == want
+
+
+def test_built_complexes_leave_no_graph_alive():
+    """The state-histogram cache that sizes every complex keys on vertex
+    tuples, so a dropped graph takes its ribbon, traces and band models
+    with it: 30 relabeled prism5 copies, each built at n = 2 and dropped."""
+    import gc
+    import weakref
+
+    rng = random.Random(f"{CORPUS_SEED}-alive")
+    refs = []
+    for _ in range(30):
+        rs = relabel(prism(5), rng)
+        build_vertex_complex(rs, 2)
+        refs.append(weakref.ref(rs))
+        del rs
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []

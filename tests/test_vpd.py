@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from reference_tracer import reference_trace
 import vhx
 from vhx.vpd import (
     VPDError,
+    _dumps,
     blowup,
     genus_and_orientability,
     parse_vpd,
@@ -185,3 +188,49 @@ def test_euler_characteristic_bound(text):
     orientable, g = genus_and_orientability(rs)
     euler = rs.vertex_count - rs.edge_count + reference_trace(rs).circle_count
     assert euler == (2 - 2 * g if orientable else 2 - g)
+
+
+# text json.dumps escapes, and text it writes as is
+_TEXT = st.one_of(st.text(), st.text(alphabet='ab "\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.booleans(), st.integers(), st.integers(-(10**40), 10**40), _TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_equals_json_dumps(value):
+    assert _dumps(value) == json.dumps(value)
+
+
+def test_to_json_equals_json_dumps_of_its_dict(graphs):
+    """Every polynomial, rank table and filtered-rank record vhx prints, on
+    the small fixtures, reads as json.dumps writes its dict."""
+    from vhx.colorings import filtered_ranks
+    from vhx.homology import bigraded_homology, build_vertex_complex
+    from vhx.poly import ncolor_vertex_polynomial, vertex_polynomial
+
+    def poly_dict(p):
+        return {"var": p.var, "terms": [[e, c] for e, c in sorted(p.coeffs.items(), reverse=True)]}
+
+    for name in ("theta", "thetaneg", "k4", "thetab", "p3", "k33"):
+        rs = graphs[name]
+        p = vertex_polynomial(rs)
+        assert p.to_json() == json.dumps(poly_dict(p))
+        for n in (2, 3):
+            p = ncolor_vertex_polynomial(rs, n)
+            assert p.to_json() == json.dumps(poly_dict(p))
+            fr = filtered_ranks(rs, n)
+            assert fr.to_json() == json.dumps(
+                {"n": n, "ranks": fr.ranks, "euler": fr.euler, "tm": fr.total}
+            )
+            assert fr.tm_poly().to_json() == json.dumps(poly_dict(fr.tm_poly()))
+            table = bigraded_homology(build_vertex_complex(rs, n))
+            ranks = [[i, j, r] for (i, j), r in sorted(table.ranks.items())]
+            assert table.to_json() == json.dumps({"n": n, "ranks": ranks})
