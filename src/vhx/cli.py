@@ -6,7 +6,9 @@ violated internal invariant.
 Each command imports the layers it runs in its handler, so ``faces`` loads
 only :mod:`~vhx.vpd` and a state sum only the state-sum layers.  A run that
 names a command with known options is read without argparse, and its JSON
-is written without json: a job loads neither.
+is written without json: a job loads neither.  Every command takes
+``--json``; ``--cap`` goes only to the commands whose sweeps read it, so
+``faces`` and ``matchings`` refuse it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 # option -> (type, or None for a flag; default; help).  Every command takes
-# --json and --cap; _COMMANDS names the others it takes.
+# --json; _COMMANDS names the others it takes, --cap where a sweep reads it.
 _OPTIONS = {
     "--json": (None, False, "emit JSON"),
     "--cap": (
@@ -54,7 +56,7 @@ _OPTIONS = {
 
 
 def _options(command: str) -> tuple[str, ...]:
-    return ("--json", "--cap", *_COMMANDS[command][2])
+    return ("--json", *_COMMANDS[command][2])
 
 
 def _build_parser():
@@ -317,17 +319,21 @@ def cmd_check(rs, args) -> int:
     return 3 if failed else 0
 
 
-# command -> (handler, help, its options besides --json and --cap)
+# command -> (handler, help, its options besides --json)
 _COMMANDS = {
     "faces": (cmd_faces, "boundary circles, Euler characteristic, genus", ()),
-    "ncolor-poly": (cmd_ncolor_poly, "n-color vertex polynomial in q", ("--n",)),
-    "vertex-poly": (cmd_vertex_poly, "vertex polynomial, symbolic in n", ()),
-    "homology": (cmd_homology, "bigraded homology rank table", ("--n",)),
-    "filtered": (cmd_filtered, "filtered homology ranks, Euler characteristic, TM", ("--n",)),
-    "tm-poly": (cmd_tm_poly, "total matching polynomial", ("--n", "--two-var")),
+    "ncolor-poly": (cmd_ncolor_poly, "n-color vertex polynomial in q", ("--cap", "--n")),
+    "vertex-poly": (cmd_vertex_poly, "vertex polynomial, symbolic in n", ("--cap",)),
+    "homology": (cmd_homology, "bigraded homology rank table", ("--cap", "--n")),
+    "filtered": (
+        cmd_filtered,
+        "filtered homology ranks, Euler characteristic, TM",
+        ("--cap", "--n"),
+    ),
+    "tm-poly": (cmd_tm_poly, "total matching polynomial", ("--cap", "--n", "--two-var")),
     "matchings": (cmd_matchings, "perfect matchings with even/odd classification", ()),
-    "tait": (cmd_tait, "number of proper 3-edge-colorings", ()),
-    "check": (cmd_check, "run the invariant suite", ("--n", "--verify-paths")),
+    "tait": (cmd_tait, "number of proper 3-edge-colorings", ("--cap",)),
+    "check": (cmd_check, "run the invariant suite", ("--cap", "--n", "--verify-paths")),
 }
 
 

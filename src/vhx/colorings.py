@@ -132,9 +132,9 @@ def induced_matching(coloring: FaceColoring, rs: RotationSystem) -> tuple[frozen
     proper at every vertex, ``perfect matching`` when it is partial (exactly
     two colors) at every vertex, ``mixed`` otherwise.
     """
-    owner, walks = rs.ribbon.trace(state_mask(rs, coloring.state))
+    owner, firsts, _ = rs.ribbon.trace(state_mask(rs, coloring.state))
     colors = coloring.colors
-    if len(colors) != len(walks):
+    if len(colors) != len(firsts):
         raise ValueError("coloring length does not match the state's circles")
     # the number of colors each vertex sees at its corners
     kinds = {len({colors[owner[a]] for a in outs}) for outs in rs.ribbon.corners}
@@ -194,7 +194,7 @@ def harmonic_kernel_check(
     for bits in itertools.product([0, 1], repeat=rs.vertex_count):
         mask = state_mask(rs, bits)
         # a corner's circle is its out token's rank over the token count
-        firsts, rank = maps.trace(mask)
+        firsts, rank, _ = maps.trace(mask)
         k = len(firsts)
         corners = [[rank[a] // ribbon.ntok for a in outs] for outs in ribbon.corners]
         count = _count_constrained(corners, k, n)

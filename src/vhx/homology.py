@@ -52,7 +52,7 @@ import operator
 from .algebra import half_m, structure_terms
 from .poly import LaurentPoly, state_histogram
 from .states import DEFAULT_STATE_CAP, InvariantError, StateSpaceError
-from .vpd import Record, Ribbon, RotationSystem, _dumps
+from .vpd import Record, Ribbon, RotationSystem, _dumps, walk
 
 # Largest basis a complex may have; a bigger one is refused from its exact
 # size, before any state is traced (prism6 at n = 3, 224,784 elements, peaks
@@ -187,21 +187,22 @@ def circle_correspondence(before, after, edge: int) -> tuple:
     :func:`_compose` step ``(kind, active_before, active_after,
     stable_pairs, circles_after)``.
 
-    ``before`` and ``after`` are (owner array, walks) traces of a ribbon
-    or of a band model.  Active circles meet the flipped band's four
-    tokens; every other circle must reappear with the same token set,
-    paired as (before index, after index).  The kind (merge, split or
-    same-circle) follows the circle-count delta.
+    ``before`` and ``after`` are :func:`~vhx.vpd.walk` traces of a ribbon
+    or of a band model, read for their owners and first tokens.  Active
+    circles meet the flipped band's four tokens; every other circle must
+    reappear with the same token set, paired as (before index, after
+    index).  The kind (merge, split or same-circle) follows the
+    circle-count delta.
     """
-    (own_b, walks_b), (own_a, walks_a) = before, after
+    (own_b, firsts_b, _), (own_a, firsts_a, _) = before, after
     q = 4 * edge - 4
     act_b = tuple(sorted({own_b[q], own_b[q + 1], own_b[q + 2], own_b[q + 3]}))
     act_a = tuple(sorted({own_a[q], own_a[q + 1], own_a[q + 2], own_a[q + 3]}))
-    kb, ka = len(walks_b), len(walks_a)
+    kb, ka = len(firsts_b), len(firsts_a)
     # name a stable circle by its partner (the after circle holding its
     # first token) and an active one by -1: the token sets agree exactly
     # when every token gets the same name on both sides
-    partner = [-1 if c in act_b else own_a[walk[0]] for c, walk in enumerate(walks_b)]
+    partner = [-1 if c in act_b else own_a[t] for c, t in enumerate(firsts_b)]
     name_a = [-1 if c in act_a else c for c in range(ka)]
     if list(map(partner.__getitem__, own_b)) != list(map(name_a.__getitem__, own_a)):
         raise InvariantError("stable circle has no token-set partner")
@@ -218,22 +219,19 @@ def circle_correspondence(before, after, edge: int) -> tuple:
 def _band_model(partner: tuple[int, ...], swaps: int, path: tuple[int, ...]):
     """Flips ``path`` on a band model: band i has tokens 4i..4i+3, glued
     across as q ^ 2 (q ^ 3 while bit i of ``swaps`` is set), and ``partner``
-    joins tokens by the arcs outside the bands.  Gives the ``steps`` of
-    :func:`_compose`, each start circle's first token, and the end owner
-    array and first tokens."""
-    # a ribbon with just the tracing tables, the outside arcs as its corners
-    model = Ribbon.__new__(Ribbon)
-    model.ntok, model.arc, model.sign_mask = len(partner), partner, 0
-    model.succ, model.succ_edge = [q ^ 2 for q in partner], [q >> 2 for q in partner]
+    joins tokens by the arcs outside the bands, which :func:`~vhx.vpd.walk`
+    takes for its corner arcs.  Gives the ``steps`` of :func:`_compose`,
+    each start circle's first token, and the end owner array and first
+    tokens."""
     masks = itertools.accumulate((1 << i for i in path), operator.xor, initial=swaps)
-    states = [model.trace(m) for m in masks]
+    states = [walk(partner, m) for m in masks]
     steps = [circle_correspondence(states[s], states[s + 1], i + 1) for s, i in enumerate(path)]
-    (_, start), (owner, end) = states[0], states[-1]
-    return tuple(steps), [w[0] for w in start], tuple(owner), [w[0] for w in end]
+    (_, start, _), (owner, end, _) = states[0], states[-1]
+    return tuple(steps), start, tuple(owner), end
 
 
 def _pairing(rank, ntok: int) -> tuple[int, ...]:
-    """Pairs a band's tokens, given by their ranks on a state's walks, by
+    """Pairs a band's tokens, given by their ranks on a state's circles, by
     the arcs outside the bands.  A band crossing is a pair of walk positions
     (odd, even), so an arc outside the bands runs from an even position to
     the next odd one; the arcs through walk starts run from a circle's last
@@ -258,14 +256,14 @@ def _pairing(rank, ntok: int) -> tuple[int, ...]:
 class LocalMaps:
     """Hypercube-edge maps of one ribbon at one n, composed on the circles
     the flipped bands touch (basis elements are numbered by the codes of
-    :func:`_codes`).  An edge map reads the traces of its two end states,
-    each circle's first token and each token's rank: the start circles'
-    arcs outside the bands pair up the bands' tokens, and that pairing, the
-    bands' swaps and the flip order key a band model (:func:`_band_model`),
-    whose end circles must be the end state's.  Traces and models do not
-    depend on n, so they are the ribbon's ``traces`` and ``band_models``.
-    Band tokens are numbered from the flipped vertex's end, so no key
-    depends on which end is odd."""
+    :func:`_codes`).  An edge map reads the traces of its two end states
+    (:meth:`trace`): the start circles' arcs outside the bands pair up the
+    bands' tokens (:meth:`pairing`), and that pairing, the bands' swaps and
+    the flip order key a band model (:func:`_band_model`), whose end
+    circles must be the end state's.  Traces and models do not depend on
+    n, so they are the ribbon's ``traces`` and ``band_models``.  Band
+    tokens are numbered from the flipped vertex's end, so no key depends on
+    which end is odd."""
 
     def __init__(self, ribbon: Ribbon, n: int):
         if n < 2:
@@ -297,12 +295,10 @@ class LocalMaps:
             got = self._paths[path] = gather, shifts, tuple(map(edges.index, path)), flip
         return got
 
-    def _traced(self, mask: int) -> tuple:
-        """The ribbon's trace entry of ``mask``: each circle's first token on
-        the walks of :meth:`Ribbon.trace`, each token's rank (its circle
-        times the token count, plus its position on its walk) and, per
-        vertex, the number of circles through its bands' tokens.  Kept per
-        swap mask; the walks are not."""
+    def trace(self, mask: int) -> tuple:
+        """The ribbon's trace entry of ``mask``: each circle's first token
+        and each token's rank (:func:`~vhx.vpd.walk`) and, per vertex, the
+        number of circles through its bands' tokens.  Kept per swap mask."""
         traces = self.ribbon.traces
         entry = traces.get(mask)
         if entry is None:
@@ -310,48 +306,49 @@ class LocalMaps:
             # module loads only in processes that build a complex
             from array import array
 
-            owner, walks = self.ribbon.trace(mask)
-            rank = [0] * len(owner)
-            for c, walk in enumerate(walks):
-                for r, t in enumerate(walk, c * len(owner)):
-                    rank[t] = r
+            owner, firsts, rank = self.ribbon.trace(mask)
             touched = bytes([len(set(gather(owner))) for gather in self._gathers])
-            entry = traces[mask] = tuple(w[0] for w in walks), array("I", rank), touched
+            entry = traces[mask] = firsts, array("I", rank), touched
         return entry
 
-    def trace(self, mask: int) -> tuple[tuple[int, ...], "array"]:
-        """Each circle's first token and each token's rank under ``mask``."""
-        return self._traced(mask)[:2]
-
-    def band_key(self, mask: int, path, partner: tuple[int, ...] | None = None) -> tuple:
-        """The band model key of the edge from swap mask ``mask`` along
-        ``path``: the pairing of the bands' tokens by the arcs outside them
-        (:func:`_pairing`, read off the start state unless ``partner`` is
-        given), the bands' swaps and the path over the distinct edges.
+    def pairing(self, mask: int, path) -> tuple[int, ...]:
+        """The pairing of the bands' tokens of ``path`` by the arcs outside
+        them, read off swap mask ``mask`` (:func:`_pairing`).
 
         A flip changes no arc outside its bands, so both ends of an edge
         give one pairing: the edges s -> s+v and ~(s+v) -> ~s, which join
-        the same two swap masks in opposite directions, share it, and their
-        swap bits differ by the flip's."""
-        gather, shifts, lpath, _ = self._path(path)
-        if partner is None:
-            partner = _pairing(gather(self._traced(mask)[1]), self.ribbon.ntok)
-        sw = mask ^ self.ribbon.sign_mask
-        return partner, sum((sw >> e & 1) << i for i, e in enumerate(shifts)), lpath
+        the same two swap masks in opposite directions, share it."""
+        gather = self._path(path)[0]
+        return _pairing(gather(self.trace(mask)[1]), self.ribbon.ntok)
 
-    def keyed_map(self, mask: int, path, key: tuple, variants):
-        """The edge map from swap mask ``mask`` along ``path`` on the band
-        model ``key`` (:meth:`band_key`), summed over ``variants``; see
-        :meth:`edge_map`."""
+    def edge_map(self, mask: int, path, variants, partner: tuple[int, ...] | None = None):
+        """The composed band flips on the edges ``path`` from swap mask
+        ``mask``, summed over ``variants`` (one variant per step each), on
+        the band model of the pairing ``partner`` (:meth:`pairing`, read
+        off ``mask`` unless given).
+
+        Gives ``(kb, ka, local, stable)``: the circle counts at both ends,
+        entries (source code, target code, c) on the touched circles in no
+        fixed order, and the (source, target) codes of every exponent
+        assignment of the untouched ones, one pair per map entry each.  The
+        map's coefficient is c sqrt n^((1 + ka - kb) mod 2), the parity of
+        its eta count (see :mod:`vhx.homology`), so the flip orders of one
+        edge give the same entries even where their eta counts differ.  Any
+        variants may be mixed here: the degree window is the assembler's.
+        """
         n, nt = self.n, self.ribbon.ntok
-        gather, _, _, flip = self._path(path)
-        firsts, rank, _ = self._traced(mask)
-        firsts_a, rank_a, _ = self._traced(mask ^ flip)
+        gather, shifts, lpath, flip = self._path(path)
+        firsts, rank, _ = self.trace(mask)
+        firsts_a, rank_a, _ = self.trace(mask ^ flip)
+        rank = gather(rank)
+        if partner is None:
+            partner = _pairing(rank, nt)
+        sw = mask ^ self.ribbon.sign_mask
+        key = partner, sum((sw >> e & 1) << i for i, e in enumerate(shifts)), lpath
         models = self.ribbon.band_models
         if key not in models:
             models[key] = _band_model(*key)
         steps, start, end_owner, end = models[key]
-        rank = gather(rank)
         gb = [rank[t] // nt for t in start]
         ends = [r // nt for r in gather(rank_a)]
         ga = [ends[t] for t in end]
@@ -371,21 +368,6 @@ class LocalMaps:
             xb, xa = n**c, n**a
             stable = [(s + e * xb, t + e * xa) for s, t in stable for e in range(n)]
         return len(firsts), len(firsts_a), local, stable
-
-    def edge_map(self, mask: int, path, variants):
-        """The composed band flips on the edges ``path`` from swap mask
-        ``mask``, summed over ``variants`` (one variant per step each).
-
-        Gives ``(kb, ka, local, stable)``: the circle counts at both ends,
-        entries (source code, target code, c) on the touched circles in no
-        fixed order, and the (source, target) codes of every exponent
-        assignment of the untouched ones, one pair per map entry each.  The
-        map's coefficient is c sqrt n^((1 + ka - kb) mod 2), the parity of
-        its eta count (see :mod:`vhx.homology`), so the flip orders of one
-        edge give the same entries even where their eta counts differ.  Any
-        variants may be mixed here: the degree window is the assembler's.
-        """
-        return self.keyed_map(mask, path, self.band_key(mask, path), variants)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +424,7 @@ def build_vertex_complex(
     zero (:func:`_window`); the counts are read off the end states' traces,
     for every n.  The edges s -> s+v and ~(s+v) -> ~s join the same two
     swap masks in opposite directions, so they share one band pairing
-    (:meth:`LocalMaps.band_key`).  With ``verify_paths`` every composed
+    (:meth:`LocalMaps.pairing`).  With ``verify_paths`` every composed
     edge is checked in all six flip orders; a skipped edge is zero in every
     order.
     """
@@ -457,7 +439,7 @@ def build_vertex_complex(
     for s in range(1 << d):
         low = s & -s
         masks.append(masks[s ^ low] ^ site_masks[d - low.bit_length()] if s else 0)
-        firsts, _, counts = maps._traced(masks[s])
+        firsts, _, counts = maps.trace(masks[s])
         k = len(firsts)
         ks.append(k)
         touched.append(counts)
@@ -472,11 +454,12 @@ def build_vertex_complex(
 
     diff: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
-    def emit(s: int, v: int, key: tuple) -> None:
-        """The entries of the edge that flips vertex ``v`` from state ``s``."""
+    def emit(s: int, v: int, partner: tuple) -> None:
+        """The entries of the edge that flips vertex ``v`` from state ``s``,
+        on the band pairing ``partner``."""
         mask, kb, offs_b, i = masks[s], ks[s], offsets[s], s.bit_count()
         path, bit = paths[v], 1 << (d - 1 - v)
-        _, ka, local, stable = maps.keyed_map(mask, path, key, variants)
+        _, ka, local, stable = maps.edge_map(mask, path, variants, partner)
         if verify_paths:
             want = sorted(local)
             for order in itertools.permutations(range(len(path))):
@@ -519,11 +502,11 @@ def build_vertex_complex(
             k0, k1 = touched[s][v], touched[t][v]
             forward, back = window[k0][k1], window[k1][k0]
             if forward or back:
-                key = maps.band_key(masks[s], path)
+                partner = maps.pairing(masks[s], path)
                 if forward:
-                    emit(s, v, key)
+                    emit(s, v, partner)
                 if back:
-                    emit(t, v, maps.band_key(masks[t], path, key[0]))
+                    emit(t, v, partner)
     return ChainComplex(n, dims, diff, bigrade_j=bigrade_j)
 
 

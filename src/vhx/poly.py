@@ -37,10 +37,6 @@ class _Poly:
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
-    def monomial(cls, e: int, c: int = 1):
-        return cls({e: c})
-
-    @classmethod
     def zero(cls):
         return cls()
 

@@ -12,9 +12,10 @@ side of each half-edge to the *incoming* side of the next one; across an edge
 the tokens of the two half-edges are glued side-to-side, with the sides
 swapped when the edge is negative.  Circles are the closed curves formed by
 the corner arcs and the gluings.  :class:`Ribbon` compiles this once per
-rotation system into integer tables keyed by an edge-swap bitmask, and its
-one walk, ``trace``, is the only way vhx reads circles: it gives every
-token's circle and each circle's tokens.
+rotation system into integer tables keyed by an edge-swap bitmask, and
+:func:`walk` is the only way vhx reads circles, on a ribbon or on a band
+model: it gives every token's circle, each circle's first token and every
+token's rank along its circle.
 """
 
 from __future__ import annotations
@@ -295,10 +296,6 @@ class Ribbon:
         self.ntok = ntok
         self.arc = arc
         self.corners = tuple(corners)
-        # successor of token p: cross p's corner arc, then the edge there;
-        # under a swapped edge the successor is succ[p] ^ 1
-        self.succ = [q ^ 2 for q in arc]
-        self.succ_edge = [q >> 2 for q in arc]
         self.sign_mask = sum(1 << (e - 1) for e in range(1, rs.edge_count + 1) if neg[e])
         # the edges a vertex flip swaps (a loop is swapped twice, i.e. not at all)
         self.vertex_masks = tuple(vertex_masks)
@@ -307,33 +304,36 @@ class Ribbon:
         # homology.LocalMaps' swap-mask traces and band models, for every n
         self.traces, self.band_models = {}, {}
 
-    def trace(self, mask: int) -> tuple[list[int], list[list[int]]]:
-        """Owner array (circle index of every token id) and the token ids of
-        each circle in traversal order, under swap mask ``mask``.
+    def trace(self, mask: int) -> tuple[list[int], tuple[int, ...], list[int]]:
+        """The :func:`walk` of swap mask ``mask``."""
+        return walk(self.arc, mask ^ self.sign_mask)
 
-        Each circle starts at its minimal token and alternates a corner arc
-        with an edge gluing, so circles are numbered by minimal token.
-        """
-        sw = mask ^ self.sign_mask
-        arc, succ, succ_edge = self.arc, self.succ, self.succ_edge
-        owner = [-1] * self.ntok
-        walks: list[list[int]] = []
-        for s in range(self.ntok):
-            if owner[s] >= 0:
-                continue
-            c = len(walks)
-            walk: list[int] = []
-            p = s
-            while True:
-                q = arc[p]
-                owner[p] = owner[q] = c
-                walk.append(p)
-                walk.append(q)
-                p = succ[p] ^ (sw >> succ_edge[p] & 1)
-                if p == s:
-                    break
-            walks.append(walk)
-        return owner, walks
+
+def walk(arc: list[int], swaps: int) -> tuple[list[int], tuple[int, ...], list[int]]:
+    """The circles of corner arcs ``arc`` glued across as ``q ^ 2``, or
+    ``q ^ 3`` where bit ``q >> 2`` of ``swaps`` is set: every token's
+    circle, each circle's first token, and every token's rank, its circle
+    times the token count plus its position on its circle.
+
+    Each circle starts at its minimal token and alternates a corner arc
+    with an edge gluing, so circles are numbered by minimal token.
+    """
+    ntok = len(arc)
+    owner, rank, firsts = [-1] * ntok, [0] * ntok, []
+    for s in range(ntok):
+        if owner[s] >= 0:
+            continue
+        c, r, p = len(firsts), len(firsts) * ntok, s
+        firsts.append(s)
+        while True:
+            q = arc[p]
+            owner[p] = owner[q] = c
+            rank[p], rank[q] = r, r + 1
+            r += 2
+            p = q ^ 2 ^ (swaps >> (q >> 2) & 1)
+            if p == s:
+                break
+    return owner, tuple(firsts), rank
 
 
 def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:

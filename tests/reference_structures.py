@@ -23,7 +23,10 @@ def corner_walk(ribbon: Ribbon):
     corner_of = [0] * ribbon.ntok  # the out token of each token's corner arc
     for a in outs:
         corner_of[a] = corner_of[ribbon.arc[a]] = a
-    succ, succ_edge = ribbon.succ, ribbon.succ_edge
+    # successor of token p: cross p's corner arc, then the edge there;
+    # under a swapped edge the successor is succ[p] ^ 1
+    succ = [q ^ 2 for q in ribbon.arc]
+    succ_edge = [q >> 2 for q in ribbon.arc]
 
     def corner_labels(mask: int) -> tuple[list[int], int]:
         sw = mask ^ ribbon.sign_mask

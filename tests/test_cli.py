@@ -559,3 +559,17 @@ def test_argv_reader_reads_real_calls():
         ["check", "--n", "2", "--verify-paths", theta, "--json"],
     ):
         assert cli._read_args(argv) is not None, argv
+
+
+@pytest.mark.parametrize("command", ["faces", "matchings"])
+def test_cap_is_taken_only_by_the_commands_whose_sweeps_read_it(capsys, command):
+    """faces and matchings run no vertex sweep, so they take no --cap: the
+    reader declines it, and argparse refuses it as unrecognized."""
+    theta = f"{DATA}/theta.vpd"
+    argv = [command, "--cap", "4", theta]
+    assert cli._read_args(argv) is None
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"\nvhx: error: unrecognized arguments: --cap {theta}\n")
+    capped = [name for name in cli._COMMANDS if "--cap" in cli._options(name)]
+    assert capped == ["ncolor-poly", "vertex-poly", "homology", "filtered", "tm-poly", "tait", "check"]

@@ -29,9 +29,9 @@ def state_decomposition(rs, bits):
 def state_count(rs, bits, n):
     """Harmonic n-colorings of vertex state ``bits``, counted as
     ``harmonic_kernel_check`` counts each state: by each corner's circle."""
-    owner, walks = rs.ribbon.trace(state_mask(rs, bits))
+    owner, firsts, _ = rs.ribbon.trace(state_mask(rs, bits))
     corners = [[owner[a] for a in outs] for outs in rs.ribbon.corners]
-    return _count_constrained(corners, len(walks), n)
+    return _count_constrained(corners, len(firsts), n)
 
 
 def brute_count(dec, n):

@@ -24,7 +24,7 @@ import random
 
 import pytest
 import reference_homology as ref
-from conftest import SMALL_FIXTURES
+from conftest import SMALL_FIXTURES, trace_of, walks_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_algebra import QuadScalar, root_power
@@ -43,7 +43,7 @@ from vhx.homology import (
     delta_graded_pieces,
 )
 from vhx.states import InvariantError, state_mask
-from vhx.vpd import VPDError, parse_vpd
+from vhx.vpd import RotationSystem, VPDError, parse_vpd
 
 GATED = sorted(name for name, rs in SMALL.items() if rs.vertex_count <= 8)
 # n = 4: the reference folds sqrt 4 into the rational part
@@ -199,17 +199,17 @@ def test_build_rejects_a_broken_end_state_trace(monkeypatch, broken):
     rs = vhx.parse_vpd(PRISM4)
     ribbon = rs.ribbon
     end, band = ribbon.vertex_masks[0], [t for e in ribbon.bands[0] for t in range(4 * e - 4, 4 * e)]
-    owner, walks = ribbon.trace(end)
-    walks = [list(w) for w in walks]
+    kept = ribbon.trace(end)
+    owner, walks = kept[0], walks_of(kept)
     if broken == "band token":
         t, u = band[-1], walks[(owner[band[-1]] + 1) % len(walks)][0]
     else:
-        owner_0, walks_0 = ribbon.trace(0)
-        t, u = [w[0] for c, w in enumerate(walks_0) if c not in {owner_0[x] for x in band}][:2]
+        owner_0, firsts_0, _ = ribbon.trace(0)
+        t, u = [f for c, f in enumerate(firsts_0) if c not in {owner_0[x] for x in band}][:2]
     walks[owner[t]].remove(t)
     walks[owner[u]].append(t)
-    trace = ribbon.trace
-    monkeypatch.setattr(ribbon, "trace", lambda mask: (owner, walks) if mask == end else trace(mask))
+    trace, broken_trace = ribbon.trace, trace_of(walks, ribbon.ntok)
+    monkeypatch.setattr(ribbon, "trace", lambda mask: broken_trace if mask == end else trace(mask))
     with pytest.raises(InvariantError, match="band model disagrees"):
         LocalMaps(ribbon, 2).edge_map(0, ribbon.bands[0], _placements(0))
     with pytest.raises(InvariantError, match="band model disagrees"):
@@ -244,7 +244,7 @@ def hypercube_edges(rs):
 
 def touched_circles(ribbon, mask, v):
     """The circles through the tokens of vertex ``v``'s bands."""
-    owner, _ = ribbon.trace(mask)
+    owner = ribbon.trace(mask)[0]
     return len({owner[t] for e in set(ribbon.bands[v]) for t in range(4 * e - 4, 4 * e)})
 
 
@@ -271,7 +271,7 @@ def test_an_edge_map_is_zero_exactly_when_its_degree_window_is_empty(name):
         for mask, v in hypercube_edges(rs):
             end = mask ^ ribbon.vertex_masks[v]
             k0, k1 = touched_circles(ribbon, mask, v), touched_circles(ribbon, end, v)
-            assert maps._traced(mask)[2][v] == k0 and maps._traced(end)[2][v] == k1
+            assert maps.trace(mask)[2][v] == k0 and maps.trace(end)[2][v] == k1
             for t in range(4):
                 delta = (k1 - k0 + 3) * m - t * n
                 window = any(0 <= x + delta <= k1 * (n - 1) for x in range(k0 * (n - 1) + 1))
@@ -283,10 +283,13 @@ def test_an_edge_map_is_zero_exactly_when_its_degree_window_is_empty(name):
 @pytest.mark.parametrize("name", sorted(WINDOW_CORPUS))
 def test_opposite_edges_share_one_band_pairing(name):
     """The edges s -> s+v and ~(s+v) -> ~s join the same two swap masks in
-    opposite directions.  Their band tokens pair up alike, and the reverse
-    key's swap bits are the forward key's with the flipped edges' bits
-    (each distinct edge an odd number of times on the path) toggled."""
-    rs = WINDOW_CORPUS[name]
+    opposite directions.  Their band tokens pair up alike, so the reverse
+    edge's map on the forward edge's pairing is the one it reads off its own
+    start, and the reverse band model key's swap bits are the forward key's
+    with the flipped edges' bits (each distinct edge an odd number of times
+    on the path) toggled.  The system is copied, so that its ribbon holds
+    only the band models of the edge at hand."""
+    rs = RotationSystem(WINDOW_CORPUS[name].vertices)
     ribbon, maps = rs.ribbon, LocalMaps(rs.ribbon, 2)
     for bits in itertools.product([0, 1], repeat=rs.vertex_count):
         for v in range(rs.vertex_count):
@@ -299,26 +302,49 @@ def test_opposite_edges_share_one_band_pairing(name):
             assert state_mask(rs, [1 - b for b in bits]) == mask
             edges = list(dict.fromkeys(path))
             flips = sum((path.count(e) & 1) << i for i, e in enumerate(edges))
-            partner, swaps, lpath = maps.band_key(mask, path)
-            assert maps.band_key(back, path) == (partner, swaps ^ flips, lpath)
+            sw, lpath = mask ^ ribbon.sign_mask, tuple(map(edges.index, path))
+            swaps = sum((sw >> (e - 1) & 1) << i for i, e in enumerate(edges))
+            partner = maps.pairing(mask, path)
+            assert maps.pairing(back, path) == partner
+            ribbon.band_models.clear()
+            for t in range(4):
+                variants = _placements(t)
+                maps.edge_map(mask, path, variants, partner)
+                want = maps.edge_map(back, path, variants)
+                assert maps.edge_map(back, path, variants, partner) == want
+            keys = {(partner, swaps, lpath), (partner, swaps ^ flips, lpath)}
+            assert ribbon.band_models.keys() == keys
 
 
 def test_build_composes_only_the_edges_with_an_open_window(monkeypatch):
     """prism5 has 10 * 2^9 = 5,120 hypercube edges; a build composes a band
     model on 1,250 of them at n = 2 and 4,400 at n = 3, the rest having an
     empty degree window."""
-    composed, keyed_map = [], LocalMaps.keyed_map
+    composed, edge_map = [], LocalMaps.edge_map
 
     def counted(self, mask, path, *args):
         composed.append((mask, path))
-        return keyed_map(self, mask, path, *args)
+        return edge_map(self, mask, path, *args)
 
-    monkeypatch.setattr(LocalMaps, "keyed_map", counted)
+    monkeypatch.setattr(LocalMaps, "edge_map", counted)
     rs = prism(5)
     for n, want in ((2, 1250), (3, 4400)):
         composed.clear()
         build_vertex_complex(rs, n)
         assert len(composed) == len(set(composed)) == want
+
+
+def test_build_reads_one_band_pairing_per_pair_of_opposite_edges(monkeypatch):
+    """A prism5 build reads a band pairing once for each pair of opposite
+    edges with an open window and hands it to both: 1,250 pairings at
+    n = 2, and 2,200 at n = 3, where it composes 4,400 edges."""
+    calls, pairing = [], homology._pairing
+    monkeypatch.setattr(homology, "_pairing", lambda *args: calls.append(1) or pairing(*args))
+    rs = prism(5)
+    for n, want in ((2, 1250), (3, 2200)):
+        calls.clear()
+        build_vertex_complex(rs, n)
+        assert len(calls) == want
 
 
 @given(trivalent_systems(), st.integers(2, 6))

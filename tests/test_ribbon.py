@@ -46,7 +46,7 @@ from vhx.poly import IntPoly, rank_polynomials, state_histogram, vertex_polynomi
 from vhx.states import state_mask
 from vhx.vpd import VPDError, genus_and_orientability, parse_vpd, serialize_vpd
 
-from conftest import LOLLIPOP, SMALL_FIXTURES
+from conftest import LOLLIPOP, SMALL_FIXTURES, walks_of
 
 CORPUS_SEED = 20240115
 CORPUS_SIZES = (2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12)
@@ -111,8 +111,10 @@ SMALL = {name: vhx.load_fixture(name) for name in SMALL_FIXTURES} | CORPUS
 
 def decomposition(ribbon, mask):
     """The kernel's circles under swap mask ``mask`` as the reference
-    tracer's record: token tuples per circle, and the corner map."""
-    owner, walks = ribbon.trace(mask)
+    tracer's record: token tuples per circle, each rebuilt from its tokens'
+    ranks, and the corner map."""
+    trace = ribbon.trace(mask)
+    owner, walks = trace[0], walks_of(trace)
     circles = tuple(tuple((t // 2 + 1, t % 2 + 1) for t in walk) for walk in walks)
     corner_map = tuple(tuple(owner[a] for a in outs) for outs in ribbon.corners)
     return CircleDecomposition(circles, corner_map)
@@ -356,7 +358,7 @@ def test_corner_labels_match_decomposition(name):
             swaps = frozenset(e for e in range(1, rs.edge_count + 1) if mask >> (e - 1) & 1)
             refs[mask] = reference_trace(rs, swaps)
         ref = refs[mask]
-        firsts, rank = maps.trace(mask)
+        firsts, rank, _ = maps.trace(mask)
         corners = [[rank[a] // ribbon.ntok for a in outs] for outs in ribbon.corners]
         labels = first_occurrence(ref.corner_map)
         assert first_occurrence(corners) == labels

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import trace_of, walks_of
 from reference_homology import circle_correspondence as reference_correspondence
 from reference_tracer import reference_trace, vertex_state
 
@@ -85,13 +86,12 @@ def test_circle_correspondence_rejects_broken_traces(graphs):
     with pytest.raises(InvariantError):
         circle_correspondence(before, after, 2)
     # a stable circle whose tokens moved to another circle has no partner
-    owner, walks = after
-    moved = list(owner)
+    owner, walks = after[0], walks_of(after)
     stable = [c for c in range(len(walks)) if c not in {owner[t] for t in range(4)}]
-    t = walks[stable[0]][-1]
-    moved[t] = owner[0]
+    t = walks[stable[0]].pop()
+    walks[owner[0]].append(t)
     with pytest.raises(InvariantError, match="no token-set partner"):
-        circle_correspondence(before, (moved, walks), 1)
+        circle_correspondence(before, trace_of(walks, ribbon.ntok), 1)
 
 
 def test_site_path_counts(graphs):

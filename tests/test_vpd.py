@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import walks_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_tracer import reference_trace
@@ -115,7 +116,8 @@ def test_genus(graphs):
 
 def test_corner_map_shape(graphs):
     ribbon = graphs["theta"].ribbon
-    owner, walks = ribbon.trace(0)
+    trace = ribbon.trace(0)
+    owner, walks = trace[0], walks_of(trace)
     labels = [owner[a] for outs in ribbon.corners for a in outs]
     assert len(labels) == 6 and len(walks) == 3
     # theta all-zero state: each vertex sees all three circles
@@ -168,7 +170,8 @@ def test_roundtrip_random(text):
     except VPDError:
         assume(False)
     assert parse_vpd(serialize_vpd(rs)) == rs
-    owner, walks = rs.ribbon.trace(0)
+    trace = rs.ribbon.trace(0)
+    owner, walks = trace[0], walks_of(trace)
     # every token appears exactly once over all circles, as in the reference
     tokens = [t for walk in walks for t in walk]
     assert len(tokens) == len(set(tokens)) == 4 * rs.edge_count
