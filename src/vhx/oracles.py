@@ -5,14 +5,17 @@ even/odd classification, Tait colorings (proper 3-edge-colorings), and
 bridges serve as independent oracles for the theorems the homology side
 computes categorically.  Counts come from an edge-label sweep
 (:func:`~vhx.poly._edge_labelings`), refused past the same ``cap`` as the
-state sums; lists come from enumeration.
+state sums; lists come from enumeration.  Bridges and cycle profiles are
+component counts (:func:`~vhx.vpd.components`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .poly import _edge_labelings
 from .states import DEFAULT_STATE_CAP
-from .vpd import Frozen, RotationSystem
+from .vpd import Frozen, RotationSystem, components
 
 
 class AbstractGraph(Frozen):
@@ -78,39 +81,25 @@ def perfect_matchings(g: AbstractGraph) -> list[frozenset[int]]:
 
 
 def classify_matching(g: AbstractGraph, matching: frozenset[int]) -> tuple[bool, list[int]]:
-    """(is_even, cycle length profile) of the 2-regular complement G \\ M."""
+    """(is_even, cycle length profile) of G \\ M for a perfect matching M of
+    a trivalent graph.  G \\ M is 2-regular, so each of its components is a
+    cycle with as many edges as vertices: the lengths are the edge counts
+    per component."""
+    if not g.is_trivalent():
+        raise ValueError("cycle profiles require a trivalent graph")
     covered = set()
     for e in matching:
+        if e not in range(len(g.edges)):
+            raise ValueError("not a perfect matching")
         u, w = g.edges[e]
         if u == w or u in covered or w in covered:
             raise ValueError("not a perfect matching")
         covered.update((u, w))
     if len(covered) != g.n_vertices:
         raise ValueError("not a perfect matching")
-    rest = [i for i in range(len(g.edges)) if i not in matching]
-    inc: dict[int, list[int]] = {v: [] for v in range(g.n_vertices)}
-    for e in rest:
-        u, w = g.edges[e]
-        inc[u].append(e)
-        inc[w].append(e)
-    lengths = []
-    seen_e: set[int] = set()
-    for start in rest:
-        if start in seen_e:
-            continue
-        length = 0
-        e, v = start, g.edges[start][0]
-        while e not in seen_e:
-            seen_e.add(e)
-            length += 1
-            u, w = g.edges[e]
-            v = w if (u == v and u != w) else u
-            nxt = [x for x in inc[v] if x not in seen_e]
-            if not nxt:
-                break
-            e = nxt[0]
-        lengths.append(length)
-    lengths.sort()
+    rest = [uw for e, uw in enumerate(g.edges) if e not in matching]
+    label = components(g.n_vertices, rest)
+    lengths = sorted(Counter(label[u] for u, _ in rest).values())
     return all(l % 2 == 0 for l in lengths), lengths
 
 
@@ -129,38 +118,12 @@ def count_perfect_matchings(g: AbstractGraph, cap: int = DEFAULT_STATE_CAP) -> i
 
 
 def bridges(g: AbstractGraph) -> frozenset[int]:
-    """Cut edges, by the standard low-link computation (iterative)."""
-    inc = g.incident()
-    disc = [-1] * g.n_vertices
-    low = [0] * g.n_vertices
-    out: set[int] = set()
-    timer = 0
-    for root in range(g.n_vertices):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # (v, via edge, child idx)
-        while stack:
-            v, via, idx = stack.pop()
-            if idx == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if idx < len(inc[v]):
-                stack.append((v, via, idx + 1))
-                e = inc[v][idx]
-                if e == via:
-                    continue
-                u, w = g.edges[e]
-                if u == w:
-                    continue
-                other = w if u == v else u
-                if disc[other] == -1:
-                    stack.append((other, e, 0))
-                else:
-                    low[v] = min(low[v], disc[other])
-            elif via != -1:
-                u, w = g.edges[via]
-                parent = u if disc[u] < disc[v] else w
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    out.add(via)
-    return frozenset(out)
+    """Cut edges: an edge is a bridge iff removing it leaves more
+    components.  One component count per edge, O(|E| * (|V| + |E|))."""
+    def count(edges) -> int:
+        return len(set(components(g.n_vertices, edges)))
+
+    whole = count(g.edges)
+    return frozenset(
+        e for e in range(len(g.edges)) if count(g.edges[:e] + g.edges[e + 1 :]) > whole
+    )

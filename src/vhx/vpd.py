@@ -146,21 +146,27 @@ class RotationSystem(Frozen):
         return all(len(v) == 3 for v in self.vertices)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = {v: set() for v in range(self.vertex_count)}
-        for ends in self.edge_endpoints().values():
-            u, w = ends
-            adj[u].add(w)
-            adj[w].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return len(set(components(self.vertex_count, self.edge_endpoints().values()))) == 1
+
+
+def components(nv: int, edges) -> list[int]:
+    """A component label per vertex ``0 .. nv-1`` of the multigraph whose
+    edges are the end-vertex pairs ``edges``: the least vertex of its
+    component.  Union-find links the larger root below the smaller, so
+    every vertex's parent is at most the vertex, and one pass in vertex
+    order resolves every label."""
+    label = list(range(nv))
+    for u, w in edges:
+        while label[u] != u:
+            label[u] = u = label[label[u]]
+        while label[w] != w:
+            label[w] = w = label[label[w]]
+        if u < w:
+            u, w = w, u
+        label[u] = w
+    for v in range(nv):
+        label[v] = label[label[v]]
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -340,32 +346,20 @@ def genus_and_orientability(rs: RotationSystem) -> tuple[bool, int]:
     """(orientable, genus) for orientable systems; (False, crosscaps) else.
 
     Orientability: the system is orientable iff some set of vertex
-    reflections makes every edge positive, i.e. iff no negative loop exists
-    and the sign constraints are consistent along every cycle.
+    reflections makes every edge positive, i.e. iff its orientation double
+    cover falls into two components.  The cover has vertices ``2v + sheet``;
+    a positive edge stays on its sheet and a negative edge crosses to the
+    other one, so a negative loop joins the two sheets.
     """
     if not rs.is_connected():
         raise VPDError("genus requires a connected graph")
     neg = rs._negative()
-    ends = rs.edge_endpoints()
-    orient: dict[int, int] = {0: 1}
-    stack = [0]
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(rs.vertex_count)}
-    for e, (u, w) in ends.items():
-        adj[u].append((w, e))
-        adj[w].append((u, e))
-    orientable = all(not neg[e] or u != w for e, (u, w) in ends.items())
-    while stack and orientable:
-        u = stack.pop()
-        for w, e in adj[u]:
-            if u == w:
-                continue
-            want = orient[u] * (-1 if neg[e] else 1)
-            if w not in orient:
-                orient[w] = want
-                stack.append(w)
-            elif orient[w] != want:
-                orientable = False
-                break
+    cover = [
+        (2 * u + sheet, 2 * w + (sheet ^ neg[e]))
+        for e, (u, w) in rs.edge_endpoints().items()
+        for sheet in (0, 1)
+    ]
+    orientable = len(set(components(2 * rs.vertex_count, cover))) == 2
     F = len(rs.ribbon.trace(0)[1])
     euler = rs.vertex_count - rs.edge_count + F
     if orientable:

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference_oracles import backtrack_tait_colorings
+from reference_oracles import backtrack_tait_colorings, tarjan_bridges, walk_cycle_profile
 from test_ribbon import prism, random_cubic
-from test_vpd import trivalent_systems
+from test_vpd import signed_systems, trivalent_systems
 
 import vhx
 from vhx.oracles import (
@@ -146,6 +146,33 @@ def test_classify_rejects_non_matching(graphs):
         classify_matching(g, frozenset({0, 1}))
 
 
+@pytest.mark.parametrize("index", [-1, -3, 3, 10])
+def test_classify_rejects_indices_outside_the_edge_list(graphs, index):
+    """A negative index would pick an edge from the end of the list, and a
+    large one is not an edge: neither is a matching of theta."""
+    g = AbstractGraph.from_rotation_system(graphs["theta"])
+    assert classify_matching(g, frozenset({len(g.edges) - 1})) == (True, [2])
+    with pytest.raises(ValueError, match="not a perfect matching"):
+        classify_matching(g, frozenset({index}))
+
+
+def test_classify_refuses_a_non_trivalent_graph():
+    """A cycle profile needs G \\ M to be 2-regular.  Edge 0 matches both
+    vertices of this 4-regular multigraph, but leaves a loop at each."""
+    g = AbstractGraph(2, ((0, 1), (0, 1), (0, 0), (1, 1)))
+    with pytest.raises(ValueError, match="trivalent"):
+        classify_matching(g, frozenset({0}))
+
+
+@given(signed_systems().map(AbstractGraph.from_rotation_system))
+@example(AbstractGraph(4, ((0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 3))))
+@example(AbstractGraph(4, ((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3))))
+@settings(max_examples=150, deadline=None)
+def test_classify_matches_the_cycle_walk(g):
+    for m in perfect_matchings(g):
+        assert classify_matching(g, m) == walk_cycle_profile(g, m)
+
+
 def test_bridges(graphs):
     assert bridges(AbstractGraph.from_rotation_system(graphs["theta"])) == frozenset()
     assert bridges(AbstractGraph.from_rotation_system(graphs["dodec"])) == frozenset()
@@ -199,6 +226,14 @@ def random_graphs(draw):
         for _ in range(ne)
     )
     return AbstractGraph(nv, edges)
+
+
+@given(random_graphs())
+@example(AbstractGraph(1, ()))
+@example(AbstractGraph(5, ((0, 1), (1, 0), (1, 2), (2, 2), (3, 4))))
+@settings(max_examples=200, deadline=None)
+def test_bridges_match_tarjan(g):
+    assert bridges(g) == tarjan_bridges(g)
 
 
 @given(random_graphs())

@@ -2,15 +2,17 @@ import json
 
 import pytest
 from conftest import walks_of
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_tracer import reference_trace
 
 import vhx
 from vhx.vpd import (
+    RotationSystem,
     VPDError,
     _dumps,
     blowup,
+    components,
     genus_and_orientability,
     parse_vpd,
     serialize_vpd,
@@ -113,6 +115,89 @@ def test_genus(graphs):
     orientable, crosscaps = genus_and_orientability(graphs["thetaneg"])
     assert not orientable and crosscaps == 1
 
+
+
+def bfs_partition(nv: int, edges) -> set[frozenset[int]]:
+    """The vertex sets of the components, by breadth-first search."""
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    parts: set[frozenset[int]] = set()
+    seen: set[int] = set()
+    for root in range(nv):
+        if root in seen:
+            continue
+        part, frontier = {root}, [root]
+        while frontier:
+            for w in adj[frontier.pop()]:
+                if w not in part:
+                    part.add(w)
+                    frontier.append(w)
+        seen |= part
+        parts.add(frozenset(part))
+    return parts
+
+
+@st.composite
+def vertex_pairs(draw):
+    """Up to 9 vertices and 12 edges: loops, parallel edges and vertices
+    with no edge all occur."""
+    nv = draw(st.integers(0, 9))
+    vertex = st.integers(0, max(nv - 1, 0))
+    return nv, draw(st.lists(st.tuples(vertex, vertex), max_size=12 if nv else 0))
+
+
+@given(vertex_pairs())
+@example((3, []))
+@example((5, [(0, 0), (1, 2), (2, 1), (4, 4)]))
+@settings(max_examples=200, deadline=None)
+def test_components_are_the_bfs_partition(graph):
+    nv, edges = graph
+    label = components(nv, edges)
+    assert len(label) == nv
+    parts: dict[int, set[int]] = {}
+    for v, c in enumerate(label):
+        parts.setdefault(c, set()).add(v)
+    assert set(map(frozenset, parts.values())) == bfs_partition(nv, edges)
+
+
+@st.composite
+def signed_systems(draw):
+    """Signed trivalent rotation systems on 2-8 vertices, connected or not:
+    a random pairing of the half-edge labels and any set of negative edges,
+    so loops, negative loops and parallel edges all occur."""
+    nv = draw(st.sampled_from([2, 4, 6, 8]))
+    ne = 3 * nv // 2
+    perm = draw(st.permutations(range(1, 2 * ne + 1)))
+    neg = draw(st.sets(st.integers(1, ne)))
+    labels = [-h if h % 2 and (h + 1) // 2 in neg else h for h in perm]
+    return RotationSystem(tuple(tuple(labels[3 * v : 3 * v + 3]) for v in range(nv)))
+
+
+@given(signed_systems())
+@example(RotationSystem(((-1, 2, 3), (4, 5, 6))))  # a negative loop
+@example(RotationSystem(((1, 2, 3), (4, -5, 6))))  # a positive and a negative loop
+@example(RotationSystem(((1, 6, 4), (2, 3, -5))))  # thetaneg: parallel edges
+@example(RotationSystem(((-1, 6, 4), (2, 3, -5))))  # two negative parallel edges
+@settings(max_examples=200, deadline=None)
+def test_orientable_iff_some_vertex_reflections_make_every_edge_positive(rs):
+    """Reflecting vertex v negates the sign of each non-loop edge at v; a
+    loop meets its vertex twice and keeps its sign.  Brute force over all
+    2^|V| sets of reflections."""
+    ends = rs.edge_endpoints()
+    if len(bfs_partition(rs.vertex_count, ends.values())) != 1:
+        with pytest.raises(VPDError, match="connected"):
+            genus_and_orientability(rs)
+        return
+    balanced = any(
+        all(
+            rs.edge_sign(e) * (-1) ** ((flips >> u & 1) + (flips >> w & 1)) == 1
+            for e, (u, w) in ends.items()
+        )
+        for flips in range(2**rs.vertex_count)
+    )
+    assert genus_and_orientability(rs)[0] == balanced
 
 def test_corner_map_shape(graphs):
     ribbon = graphs["theta"].ribbon
