@@ -428,6 +428,8 @@ def build_vertex_complex(
     edge is checked in all six flip orders; a skipped edge is zero in every
     order.
     """
+    if tilde_count not in range(4):
+        raise ValueError(f"tilde_count is 0, 1, 2 or 3, not {tilde_count}")
     maps = _sized_maps(rs, n, cap)
     ribbon = maps.ribbon
     site_masks, paths, variants = ribbon.vertex_masks, ribbon.bands, _placements(tilde_count)

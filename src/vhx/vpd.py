@@ -119,6 +119,8 @@ class RotationSystem(Frozen):
 
     def edge_sign(self, e: int) -> int:
         """Sign of edge ``e`` (1-based): -1 iff its odd label is negated."""
+        if not 1 <= e <= self.edge_count:
+            raise ValueError(f"edge {e} is not an edge: edges are 1..{self.edge_count}")
         return -1 if self._negative()[e] else 1
 
     def _negative(self) -> list[bool]:
@@ -172,7 +174,19 @@ def components(nv: int, edges) -> list[int]:
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
-_TOKEN = re.compile(r"\s*(G\s*\[|V\s*\[|\]|,|-?\s*\d+)")
+# VPD tokens, one group per kind: 1 "G[", 2 "V[", 3 a label, 4 ",", 5 "]",
+# and 6 any other non-space character
+_TOKEN = re.compile(r"(G\s*\[)|(V\s*\[)|((?:-\s*)?\d+)|(,)|(\])|(\S)")
+# the grammar G[V[label,...],...]: per state, the next state for each token
+# kind it accepts, and what it expected otherwise
+_GRAMMAR = (
+    ({1: 1}, "expected 'G['"),
+    ({2: 2}, "expected 'V['"),
+    ({3: 3}, "expected integer"),
+    ({4: 2, 5: 4}, "expected ']'"),
+    ({4: 1, 5: 5}, "expected ']'"),
+    ({}, "trailing input after closing bracket"),
+)
 
 
 def parse_vpd(text: str, any_valence: bool = False) -> RotationSystem:
@@ -182,57 +196,31 @@ def parse_vpd(text: str, any_valence: bool = False) -> RotationSystem:
         col = at - (text.rfind("\n", 0, at) + 1) + 1
         raise VPDError(f"{msg} at line {line}, column {col}")
 
-    pos = 0
-    tokens: list[tuple[str, int]] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            at = len(text) - len(text[pos:].lstrip())
-            if at == len(text):
-                break
-            fail(f"unexpected character {text[at]!r}", at)
-        tokens.append((re.sub(r"\s+", "", m.group(1)), m.start(1)))
-        pos = m.end()
+    tokens = list(_TOKEN.finditer(text))
+    kinds = [m.lastindex for m in tokens]
+    if 6 in kinds:
+        m = tokens[kinds.index(6)]
+        fail(f"unexpected character {m[6]!r}", m.start())
+    state, verts = 0, []
+    for kind, m in zip(kinds, tokens):
+        accepts, expected = _GRAMMAR[state]
+        if kind not in accepts:
+            fail(expected, m.start())
+        state = accepts[kind]
+        if kind == 2:
+            verts.append([])
+        elif kind == 3:
+            try:
+                label = int("".join(m[3].split()))
+            except ValueError:  # more digits than int() reads
+                fail("half-edge label too long", m.start())
+            if not label:
+                fail("half-edge labels must be nonzero", m.start())
+            verts[-1].append(label)
+    if state != 5:
+        fail("unterminated V-tuple" if state == 2 else _GRAMMAR[state][1], len(text))
 
-    i = 0
-
-    def expect(tok: str) -> None:
-        nonlocal i
-        if i >= len(tokens) or tokens[i][0] != tok:
-            fail(f"expected {tok!r}", tokens[i][1] if i < len(tokens) else len(text))
-        i += 1
-
-    expect("G[")
-    verts: list[tuple[int, ...]] = []
-    while True:
-        expect("V[")
-        tup: list[int] = []
-        while True:
-            if i >= len(tokens):
-                fail("unterminated V-tuple", len(text))
-            tok, at = tokens[i]
-            if not re.fullmatch(r"-?\d+", tok):
-                fail("expected integer", at)
-            val = int(tok)
-            if val == 0:
-                fail("half-edge labels must be nonzero", at)
-            tup.append(val)
-            i += 1
-            if i < len(tokens) and tokens[i][0] == ",":
-                i += 1
-                continue
-            expect("]")
-            break
-        verts.append(tuple(tup))
-        if i < len(tokens) and tokens[i][0] == ",":
-            i += 1
-            continue
-        expect("]")
-        break
-    if i != len(tokens):
-        fail("trailing input after closing bracket", tokens[i][1])
-
-    rs = RotationSystem(tuple(verts))
+    rs = RotationSystem(tuple(map(tuple, verts)))
     validate(rs, any_valence=any_valence)
     return rs
 
@@ -243,10 +231,10 @@ def validate(rs: RotationSystem, any_valence: bool = False) -> None:
     if len(mags) % 2:
         raise VPDError("odd number of half-edge labels")
     if mags != list(range(1, len(mags) + 1)):
-        missing = sorted(set(range(1, len(mags) + 1)) - set(mags))
-        dupes = sorted({m for m in mags if mags.count(m) > 1})
+        dupes = sorted({a for a, b in zip(mags, mags[1:]) if a == b})
         if dupes:
             raise VPDError(f"duplicate half-edge label(s): {dupes}")
+        missing = sorted(set(range(1, len(mags) + 1)) - set(mags))
         raise VPDError(f"missing half-edge label(s): {missing}")
     for h in labels:
         if h < 0 and abs(h) % 2 == 0:

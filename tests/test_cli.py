@@ -333,6 +333,14 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "vhx:" in err
 
 
+def test_oversized_label_exit_2(capsys, tmp_path):
+    """A label too long for int() is refused as bad input, without a traceback."""
+    bad = tmp_path / "bad.vpd"
+    bad.write_text("G[V[1,6,4],V[2,3," + "9" * 5000 + "]]")
+    code, out, err = run(capsys, "faces", str(bad))
+    assert (code, out, err) == (2, "", "vhx: half-edge label too long at line 1, column 18\n")
+
+
 def test_undecodable_file_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.vpd"
     bad.write_bytes(b"G[V[1,2,3\xff]]")

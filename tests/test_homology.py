@@ -316,6 +316,18 @@ def test_the_kernel_check_is_refused_with_the_complex(traces):
     assert traces == []
 
 
+@pytest.mark.parametrize("tilde_count", [-1, 4, 5])
+def test_a_tilde_count_outside_0_to_3_is_refused_up_front(traces, graphs, tilde_count):
+    """Every placement holds at most three tilde maps, one per band, so
+    any other count is refused before the complex is sized or traced:
+    dodec's size refusal does not come first."""
+    for name in ("theta", "dodec"):
+        with pytest.raises(ValueError) as info:
+            build_vertex_complex(graphs[name], 2, tilde_count=tilde_count)
+        assert str(info.value) == f"tilde_count is 0, 1, 2 or 3, not {tilde_count}"
+    assert traces == []
+
+
 def test_max_basis_bounds_the_exact_size(monkeypatch):
     """prism4 at n = 2 has 1,792 basis elements: a bound of 1,792 admits
     its complex and 1,791 refuses it."""

@@ -5,6 +5,8 @@ from conftest import walks_of
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_tracer import reference_trace
+from reference_vpd import reference_parse_vpd
+from test_ribbon import prism
 
 import vhx
 from vhx.vpd import (
@@ -38,6 +40,24 @@ def test_parse_negative_edge():
     assert rs.edge_sign(1) == 1
 
 
+# prism(4000)'s 24,000 labels with its first label, 1, written as 2
+PRISM4000_DUPLICATE = serialize_vpd(prism(4000)).replace("G[V[1,", "G[V[2,", 1)
+OVERSIZED_LABEL = "G[V[1,6,4],\n V[2,3," + "9" * 5000 + "]]"
+
+PARSE_ERRORS = {
+    "": "expected 'G[' at line 1, column 1",
+    "G[]": "expected 'V[' at line 1, column 3",
+    "G[V[1,2,3]]": "odd number of half-edge labels",
+    "G[V[1,6,4],V[2,3,5]": "expected ']' at line 1, column 20",
+    "H[V[1,6,4],V[2,3,5]]": "unexpected character 'H' at line 1, column 1",
+    "G[V[1,6,4],V[2,3,-6]]": "duplicate half-edge label(s): [6]",
+    "G[V[1,6,4],V[2,3,5,7]]": "odd number of half-edge labels",
+    "G[V[1,6,4],V[2,3,3]]": "duplicate half-edge label(s): [3]",
+    PRISM4000_DUPLICATE: "duplicate half-edge label(s): [2]",
+    OVERSIZED_LABEL: "half-edge label too long at line 2, column 8",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -46,14 +66,69 @@ def test_parse_negative_edge():
         "G[V[1,2,3]]",  # missing labels 4..6's pair structure
         "G[V[1,6,4],V[2,3,5]",  # unbalanced
         "H[V[1,6,4],V[2,3,5]]",
-        "G[V[1,6,4],V[2,3,-6]]",  # sign on even label
+        "G[V[1,6,4],V[2,3,-6]]",  # sign on even label, and 6 twice: refused as a duplicate
         "G[V[1,6,4],V[2,3,5,7]]",  # bad valence + bad labels
         "G[V[1,6,4],V[2,3,3]]",  # duplicate
+        pytest.param(PRISM4000_DUPLICATE, id="prism4000-duplicate"),
+        pytest.param(OVERSIZED_LABEL, id="oversized-label"),  # more digits than int() reads
     ],
 )
 def test_parse_errors(text):
-    with pytest.raises(VPDError):
+    with pytest.raises(VPDError) as err:
         parse_vpd(text)
+    assert str(err.value) == PARSE_ERRORS[text]
+
+
+def test_edge_sign_refuses_a_missing_edge():
+    rs = parse_vpd("G[V[1,6,4],V[2,3,-5]]")
+    assert [rs.edge_sign(e) for e in (1, 2, 3)] == [1, 1, -1]
+    for e in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"edge {e} is not an edge: edges are 1..3"):
+            rs.edge_sign(e)
+
+
+def _outcome(parse, text, any_valence):
+    """The vertex tuples ``parse`` reads from ``text``, or its VPDError's message."""
+    try:
+        return parse(text, any_valence=any_valence).vertices
+    except VPDError as exc:
+        return str(exc)
+
+
+# the tokens of VPD, spaced and malformed variants of them, and characters
+# no token starts with, whitespace and non-ASCII digits among them
+_VPD_PIECES = st.sampled_from(
+    ["G[", "G [", "G", "V[", "V\t[", "V", "]", ",", "[", "0", "-0", "- 4", "-", "007", "1", "2",
+     "3", "-3", "4", "5", "6", "12", "#", "x", " ", "\t", "\n", "\r\n", "\u00a0", "\u0663", "\u00e9"]
+)
+
+
+@st.composite
+def vpd_texts(draw):
+    """Fixture VPD text under up to four edits (a piece inserted, or a span
+    deleted or replaced by a piece), or a string of random pieces."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(_VPD_PIECES, max_size=30)))
+    text = vhx.fixture_text(draw(st.sampled_from(["theta", "thetaneg", "k4", "p3", "k33"])))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(i + 3, len(text))))
+        text = text[:i] + draw(st.one_of(st.just(""), _VPD_PIECES)) + text[j:]
+    return text
+
+
+@given(vpd_texts(), st.booleans())
+@example("G[V[1,6,4],V[2,3,5]]", False)
+@example("G[V[1,4,3,6],V[2,5]]", True)
+@example(" G [ V[ 1 ,6, - 4] ,\r\n V[2,3,5] ]\t", False)
+@example("G[V[1,6,4],V[2,3,", False)
+@example("G[V[1,6,4]]] #", False)
+@example("G[V[\u0661,6,4],V[2,3,5]]", False)
+@settings(max_examples=1000, deadline=None)
+def test_parse_equals_the_reference_parser(text, any_valence):
+    """The grammar-table reader returns the recursive-descent parser's
+    vertices, or raises its message at its line and column."""
+    assert _outcome(parse_vpd, text, any_valence) == _outcome(reference_parse_vpd, text, any_valence)
 
 
 def test_parse_error_reports_position():
