@@ -40,21 +40,11 @@ class _Poly:
     def zero(cls):
         return cls()
 
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return type(self)(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -65,35 +55,12 @@ class _Poly:
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return type(self)(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = type(self).one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
-        return isinstance(other, _Poly) and self.coeffs == other.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        """Polynomials in different variables are never equal."""
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __call__(self, x):
         return sum(c * x**e for e, c in self.coeffs.items())
-
-    def shift(self, d: int):
-        return type(self)({e + d: c for e, c in self.coeffs.items()})
-
-    def min_degree(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    def leading(self) -> int:
-        return self.coeffs[max(self.coeffs)] if self.coeffs else 0
 
     def to_text(self) -> str:
         if not self.coeffs:
@@ -386,21 +353,26 @@ def _edge_labelings(nv: int, ends, labels: int, fits, cap: int) -> int:
 def ncolor_vertex_polynomial(
     rs: RotationSystem, n: int, cap: int = DEFAULT_STATE_CAP
 ) -> LaurentPoly:
-    """sum_nu (-1)^|nu| q^(3m|nu|) L(q)^(k_nu)."""
+    """sum_nu (-1)^|nu| q^(3m|nu|) L(q)^(k_nu), by Horner's rule in L(q):
+    from the most circles down to none, the sum so far is multiplied by
+    L(q), whose coefficients are all 1, and the states with k circles are
+    added at degree 3m|nu|."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = half_m(n)
-    loop = loop_polynomial(n)
+    m3 = 3 * half_m(n)
+    loop = loop_polynomial(n).coeffs
     hist = state_histogram(rs, cap)
-    powers: dict[int, LaurentPoly] = {}
-    out = LaurentPoly.zero()
-    for w, row in enumerate(hist):
-        for k, count in row.items():
-            if k not in powers:
-                powers[k] = loop**k
-            term = powers[k] * ((-1) ** w * count)
-            out = out + term.shift(3 * m * w)
-    return out
+    out: dict[int, int] = {}
+    for k in range(max(k for row in hist for k in row), -1, -1):
+        nxt: dict[int, int] = {}
+        for e, c in out.items():
+            for d in loop:
+                nxt[e + d] = nxt.get(e + d, 0) + c
+        for w, row in enumerate(hist):
+            if k in row:
+                nxt[m3 * w] = nxt.get(m3 * w, 0) + (-1) ** w * row[k]
+        out = nxt
+    return LaurentPoly(out)
 
 
 def vertex_polynomial(rs: RotationSystem, cap: int = DEFAULT_STATE_CAP) -> IntPoly:
@@ -424,7 +396,7 @@ def abstract_vertex_polynomial(
     """
     from .vpd import blowup
 
-    raw = vertex_polynomial(blowup(rs), cap).shift(-rs.vertex_count)
-    sign = -1 if raw.leading() < 0 else 1
-    poly = raw * sign
-    return poly, sign, poly.min_degree() < 0
+    raw = vertex_polynomial(blowup(rs), cap).coeffs
+    sign = -1 if raw and raw[max(raw)] < 0 else 1
+    poly = IntPoly({e - rs.vertex_count: sign * c for e, c in raw.items()})
+    return poly, sign, min(poly.coeffs, default=0) < 0

@@ -113,7 +113,7 @@ class RotationSystem(Frozen):
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         return sum(len(v) for v in self.vertices) // 2
 
@@ -121,7 +121,7 @@ class RotationSystem(Frozen):
         """Sign of edge ``e`` (1-based): -1 iff its odd label is negated."""
         if not 1 <= e <= self.edge_count:
             raise ValueError(f"edge {e} is not an edge: edges are 1..{self.edge_count}")
-        return -1 if self._negative()[e] else 1
+        return -1 if self.ribbon.sign_mask >> (e - 1) & 1 else 1
 
     def _negative(self) -> list[bool]:
         neg = [False] * (self.edge_count + 1)

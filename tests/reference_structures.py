@@ -6,11 +6,18 @@ Every state whose last vertex is 0-smoothed is walked by
 their corner triples, and each distinct structure's harmonic colorings are
 counted by backtracking with :func:`vhx.colorings._count_constrained`.  It
 costs 2^(|V|-1) walks, so it is kept to check the sweep, not to run.
+
+It also keeps the assembly of the n-color vertex polynomial that
+:func:`vhx.poly.ncolor_vertex_polynomial` used before Horner's rule:
+:func:`powers_ncolor_polynomial` adds one term per (weight, circles) entry
+of the state histogram, each a power of L(q) times a signed monomial.
 """
 
 from __future__ import annotations
 
+from vhx.algebra import half_m
 from vhx.colorings import _count_constrained
+from vhx.poly import LaurentPoly, loop_polynomial, state_histogram
 from vhx.vpd import Ribbon, RotationSystem
 
 
@@ -97,3 +104,18 @@ def reference_filtered_ranks(hist, n: int) -> list[int]:
         for w, states in enumerate(row):
             ranks[w] += states * cnt
     return ranks
+
+
+def powers_ncolor_polynomial(rs: RotationSystem, n: int) -> LaurentPoly:
+    """sum over the histogram entries hist[w][k] of (-1)^w hist[w][k]
+    q^(3mw) L(q)^k, each power of L(q) formed once and every term added
+    with ``LaurentPoly``'s own ``+`` and ``*``."""
+    m = half_m(n)
+    powers = [LaurentPoly({0: 1})]
+    out = LaurentPoly.zero()
+    for w, row in enumerate(state_histogram(rs)):
+        for k, count in row.items():
+            while len(powers) <= k:
+                powers.append(powers[-1] * loop_polynomial(n))
+            out = out + powers[k] * LaurentPoly({3 * m * w: (-1) ** w * count})
+    return out

@@ -44,6 +44,12 @@ def test_quadscalar_division_inverts(a, b, c, d):
         assert (x / y) * y == x
 
 
+@pytest.mark.parametrize("x, bad", [((2,), 2), ((0, 3), 3), ((1, 2), 2), ((-1, 0), -1)])
+def test_structure_terms_refuses_an_exponent_outside_0_to_n_minus_1(x, bad):
+    with pytest.raises(ValueError, match=f"exponent {bad} out of range for n=2"):
+        structure_terms(2, "hat", "merge" if len(x) == 2 else "split", x)
+
+
 def test_m_and_qdeg():
     assert half_m(2) == 1
     assert half_m(3) == 1

@@ -123,6 +123,108 @@ def test_tm_poly_two_var(capsys):
     assert "22" in out
 
 
+def test_tm_poly_two_var_json(capsys):
+    code, out, _ = run(capsys, "tm-poly", "--n", "2,3", "--two-var", "--json", f"{DATA}/k33.vpd")
+    assert (code, out) == (
+        0,
+        '{"rows": [{"n": 2, "ranks": [2, 8, 22, 32, 22, 8, 2]}, '
+        '{"n": 3, "ranks": [12, 48, 120, 168, 120, 48, 12]}]}\n',
+    )
+
+
+HOMOLOGY_P3_2 = (
+    "j\\i |    0    1    2    3    4    5    6\n"
+    "----------------------------------------\n"
+    " 23 |    .    .    .    .    .    .    1\n"
+    " 22 |    .    .    .    .    .    .    5\n"
+    " 21 |    .    .    .    .    .    .   10\n"
+    " 20 |    .    .    .    .    .    .   10\n"
+    " 19 |    .    .    .    .    .    .    5\n"
+    " 18 |    .    .    .    .    .    6    1\n"
+    " 17 |    .    .    .    .    .   18    .\n"
+    " 16 |    .    .    .    .    .   18    .\n"
+    " 15 |    .    .    .    .    9    6    .\n"
+    " 14 |    .    .    .    .   27    .    .\n"
+    " 13 |    .    .    .    .   33    .    .\n"
+    " 12 |    .    .    .    3   10    .    .\n"
+    " 11 |    .    .    .   24    .    .    .\n"
+    " 10 |    .    .    .   36    .    .    .\n"
+    "  9 |    .    .    .   11    .    .    .\n"
+    "  8 |    .    .   27    .    .    .    .\n"
+    "  7 |    .    .   33    .    .    .    .\n"
+    "  6 |    .    1   10    .    .    .    .\n"
+    "  5 |    .   17    .    .    .    .    .\n"
+    "  4 |    .   13    .    .    .    .    .\n"
+    "  3 |    4    .    .    .    .    .    .\n"
+    "  2 |   10    .    .    .    .    .    .\n"
+    "  1 |    5    .    .    .    .    .    .\n"
+    "  0 |    1    .    .    .    .    .    .\n"
+)
+
+HOMOLOGY_K33_23 = (
+    "n=2:\n"
+    "j\\i |    0    1    2    3    4    5    6\n"
+    "----------------------------------------\n"
+    " 21 |    .    .    .    .    .    .    1\n"
+    " 20 |    .    .    .    .    .    .    3\n"
+    " 19 |    .    .    .    .    .    .    3\n"
+    " 18 |    .    .    .    .    .    4    1\n"
+    " 17 |    .    .    .    .    .   12    .\n"
+    " 16 |    .    .    .    .    .   14    .\n"
+    " 15 |    .    .    .    .    7    4    .\n"
+    " 14 |    .    .    .    .   27    .    .\n"
+    " 13 |    .    .    .    .   33    .    .\n"
+    " 12 |    .    .    .    6    9    .    .\n"
+    " 11 |    .    .    .   36    .    .    .\n"
+    " 10 |    .    .    .   44    .    .    .\n"
+    "  9 |    .    .    2   13    .    .    .\n"
+    "  8 |    .    .   27    .    .    .    .\n"
+    "  7 |    .    .   33    .    .    .    .\n"
+    "  6 |    .    .   11    .    .    .    .\n"
+    "  5 |    .   12    .    .    .    .    .\n"
+    "  4 |    .   14    .    .    .    .    .\n"
+    "  3 |    .    5    .    .    .    .    .\n"
+    "  2 |    3    .    .    .    .    .    .\n"
+    "  1 |    3    .    .    .    .    .    .\n"
+    "  0 |    1    .    .    .    .    .    .\n"
+    "n=3:\n"
+    "j\\i |    0    1    2    3    4    5    6\n"
+    "----------------------------------------\n"
+    " 21 |    .    .    .    .    .    .    1\n"
+    " 20 |    .    .    .    .    .    .    3\n"
+    " 19 |    .    .    .    .    .    .    6\n"
+    " 18 |    .    .    .    .    .    2    5\n"
+    " 17 |    .    .    .    .    .    8    2\n"
+    " 16 |    .    .    .    .    .   23    .\n"
+    " 15 |    .    .    .    .    2   22    .\n"
+    " 14 |    .    .    .    .   14   13    .\n"
+    " 13 |    .    .    .    .   50    2    .\n"
+    " 12 |    .    .    .    1   54    .    .\n"
+    " 11 |    .    .    .   15   39    .    .\n"
+    " 10 |    .    .    .   61    8    .    .\n"
+    "  9 |    .    .    .   74    .    .    .\n"
+    "  8 |    .    .    8   61    .    .    .\n"
+    "  7 |    .    .   39   15    .    .    .\n"
+    "  6 |    .    .   54    1    .    .    .\n"
+    "  5 |    .    2   50    .    .    .    .\n"
+    "  4 |    .   13   14    .    .    .    .\n"
+    "  3 |    .   22    2    .    .    .    .\n"
+    "  2 |    .   23    .    .    .    .    .\n"
+    "  1 |    2    8    .    .    .    .    .\n"
+    "  0 |    5    2    .    .    .    .    .\n"
+    " -1 |    6    .    .    .    .    .    .\n"
+    " -2 |    3    .    .    .    .    .    .\n"
+    " -3 |    1    .    .    .    .    .    .\n"
+)
+
+
+def test_homology_text_pinned(capsys):
+    """The rank table as text: one row per j, one column per i, and an
+    ``n=...:`` header over each table when several n are asked."""
+    assert run(capsys, "homology", "--n", "2", f"{DATA}/p3.vpd") == (0, HOMOLOGY_P3_2, "")
+    assert run(capsys, "homology", "--n", "2,3", f"{DATA}/k33.vpd") == (0, HOMOLOGY_K33_23, "")
+
+
 def test_matchings(capsys, theta_path):
     code, out, _ = run(capsys, "matchings", theta_path)
     assert code == 0

@@ -156,6 +156,18 @@ def test_induced_matching_rejects_bad_coloring(graphs):
         induced_matching(FaceColoring((0, 0), (0, 0, 0)), graphs["theta"])
 
 
+def test_induced_matching_refuses_the_wrong_number_of_colors(graphs):
+    """Theta's all-zero state has three circles: two or four colors are refused."""
+    for colors in ((0, 1), (0, 1, 0, 1)):
+        with pytest.raises(ValueError, match="coloring length does not match"):
+            induced_matching(FaceColoring((0, 0), colors), graphs["theta"])
+
+
+def test_filtered_ranks_refuses_n_1(graphs):
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        filtered_ranks(graphs["theta"], 1)
+
+
 def test_induced_matching_proper_coloring_is_empty(graphs):
     theta = graphs["theta"]
     # three circles, all corners distinct: a proper 3-face coloring

@@ -201,6 +201,15 @@ def test_graded_pieces_bigrades(graphs):
         assert cx.bigrade_j == key
 
 
+def test_bigraded_homology_refuses_a_graded_piece(graphs):
+    """Only delta_0, the bigraded differential, has homology ranks."""
+    pieces = delta_graded_pieces(graphs["theta"], 2)
+    assert bigraded_homology(pieces[0]).rank(0, 0) == 1
+    for key in (2, 4, 6):
+        with pytest.raises(ValueError, match="bigraded differential only"):
+            bigraded_homology(pieces[key])
+
+
 def test_chain_condition_detects_nonzero_square():
     # C^0 -> C^1 (dim 2) -> C^2: [1, 1]^T then [1, -1] composes to zero
     cx = ChainComplex(

@@ -146,6 +146,14 @@ def test_classify_rejects_non_matching(graphs):
         classify_matching(g, frozenset({0, 1}))
 
 
+def test_classify_rejects_a_matching_that_leaves_a_vertex_uncovered(graphs):
+    """One edge of K4 is a matching, but not a perfect one."""
+    g = AbstractGraph.from_rotation_system(graphs["k4"])
+    for e in range(len(g.edges)):
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            classify_matching(g, frozenset({e}))
+
+
 @pytest.mark.parametrize("index", [-1, -3, 3, 10])
 def test_classify_rejects_indices_outside_the_edge_list(graphs, index):
     """A negative index would pick an edge from the end of the list, and a

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_structures import powers_ncolor_polynomial
 from reference_tracer import reference_trace, vertex_state
 from test_ribbon import CORPUS_SEED, prism, random_cubic, relabel
+from test_vpd import trivalent_systems
 
 import vhx
 from vhx.poly import (
@@ -17,9 +19,9 @@ from vhx.poly import (
     state_histogram,
     vertex_polynomial,
 )
-from vhx.colorings import filtered_ranks
+from vhx.colorings import TPoly, filtered_ranks
 from vhx.states import DEFAULT_STATE_CAP, StateSpaceError
-from vhx.vpd import blowup, parse_vpd, serialize_vpd
+from vhx.vpd import VPDError, blowup, parse_vpd, serialize_vpd
 
 THETA_BRACKET_2 = LaurentPoly(
     {0: 1, 1: 3, 2: 3, 3: -1, 4: -2, 6: 1, 7: 3, 8: 3, 9: 1}
@@ -45,6 +47,43 @@ def test_loop_polynomial():
     assert loop_polynomial(2) == LaurentPoly({1: 1, 0: 1})
     assert loop_polynomial(3) == LaurentPoly({1: 1, 0: 1, -1: 1})
     assert loop_polynomial(4)(1) == 4
+
+
+def test_loop_polynomial_refuses_n_0():
+    with pytest.raises(ValueError, match="n must be positive"):
+        loop_polynomial(0)
+
+
+def test_ncolor_polynomial_refuses_n_0(graphs):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ncolor_vertex_polynomial(graphs["theta"], 0)
+
+
+def test_polynomials_in_different_variables_are_never_equal():
+    assert LaurentPoly({1: 1}) != IntPoly({1: 1})
+    assert TPoly({0: 2}) != IntPoly({0: 2})
+    assert IntPoly({0: 2}) != TPoly({0: 2})
+    assert LaurentPoly({1: 1, 0: 0}) == LaurentPoly({1: 1})
+    assert IntPoly({0: 2}) != 2
+
+
+@given(trivalent_systems(), st.integers(2, 6))
+@settings(max_examples=60, deadline=None)
+def test_horner_assembly_matches_the_sum_of_powers(text, n):
+    """Horner's rule in L(q) gives the polynomial that adding one power of
+    L(q) per (weight, circles) entry gives."""
+    try:
+        rs = parse_vpd(text)
+    except VPDError:
+        assume(False)
+    assert ncolor_vertex_polynomial(rs, n) == powers_ncolor_polynomial(rs, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("name", ["dodec", "prism13"])
+def test_horner_assembly_matches_the_sum_of_powers_on_large_graphs(graphs, name, n):
+    rs = prism(13) if name == "prism13" else graphs[name]
+    assert ncolor_vertex_polynomial(rs, n) == powers_ncolor_polynomial(rs, n)
 
 
 def test_theta_bracket(graphs):

@@ -274,6 +274,17 @@ def test_orientable_iff_some_vertex_reflections_make_every_edge_positive(rs):
     )
     assert genus_and_orientability(rs)[0] == balanced
 
+
+@given(signed_systems())
+@settings(max_examples=100, deadline=None)
+def test_edge_sign_is_read_off_the_vertex_labels(rs):
+    """Edge e is negative exactly when its odd label -(2e - 1) is written."""
+    labels = {h for v in rs.vertices for h in v}
+    assert [rs.edge_sign(e) for e in range(1, rs.edge_count + 1)] == [
+        -1 if 1 - 2 * e in labels else 1 for e in range(1, rs.edge_count + 1)
+    ]
+
+
 def test_corner_map_shape(graphs):
     ribbon = graphs["theta"].ribbon
     trace = ribbon.trace(0)
